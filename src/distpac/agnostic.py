@@ -11,7 +11,8 @@ import numpy as np
 from . import channel
 from .core import (Concept, ConfigurationError, DistributionSpec,
                    IntervalUnion, MajorityOfSet, ProtocolError,
-                   ProtocolResult, Sample, draw_sample, sample_error, stream)
+                   ProtocolResult, Sample, draw_sample, predict_matrix,
+                   sample_error, stream)
 
 
 class HalvingCollapseError(ProtocolError):
@@ -102,10 +103,9 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
             break
         bx = np.stack([x for x, _ in broadcast])
         by = np.array([lab for _, lab in broadcast], dtype=np.int8)
-        for idx in np.flatnonzero(survivors):
-            errs = int((H[idx].predict(bx) != by).sum())
-            if errs > N / 9:
-                survivors[idx] = False
+        alive = np.flatnonzero(survivors)
+        errs = (predict_matrix([H[i] for i in alive], bx) != by).sum(axis=1)
+        survivors[alive[errs > N / 9]] = False
         history.append(int(survivors.sum()))
         if not survivors.any():
             raise HalvingCollapseError(

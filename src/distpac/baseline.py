@@ -13,7 +13,7 @@ from . import channel
 from .core import (Concept, ConfigurationError, Conjunction,
                    DistributionSpec, MajorityOfSet, ProtocolError,
                    ProtocolResult, Sample, draw_sample, measure_errors,
-                   sample_error)
+                   predict_matrix, sample_error)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,8 @@ class HalvingLearner(OnlineLearner):
 
     def update(self, x, label):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self.survivors = [h for h in self.survivors
-                          if int(h.predict(x)[0]) == label]
+        agree = predict_matrix(self.survivors, x)[:, 0] == label
+        self.survivors = [h for h, ok in zip(self.survivors, agree) if ok]
         if not self.survivors:
             raise ProtocolError("halving emptied the class; data not "
                                 "realizable by H")

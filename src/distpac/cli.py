@@ -25,8 +25,9 @@ from . import parity as parity_mod
 from . import privacy as privacy_mod
 from .core import (ConfigurationError, Conjunction, DecisionListFunc,
                    IntervalUnion, LinearSeparator, ParityFunc,
-                   ProtocolError, ProtocolResult, UniformBoolean,
-                   UniformInterval, draw_sample, sample_error, stream)
+                   ProtocolError, ProtocolResult, Threshold,
+                   UniformBoolean, UniformInterval, draw_sample,
+                   sample_error, stream)
 
 OUT_ROOT_ENV = "DISTPAC_OUT_ROOT"
 
@@ -99,26 +100,8 @@ def _random_conjunction(n: int, seed: int, size: int) -> Conjunction:
     return Conjunction(n, frozenset(int(v) for v in vars_))
 
 
-def _threshold_class(grid: int):
-    from dataclasses import dataclass
-    from .core import Concept
-
-    @dataclass(frozen=True)
-    class Threshold(Concept):
-        t: float
-        sign: int
-
-        @property
-        def dim(self) -> int:
-            return 1
-
-        def predict(self, X):
-            raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
-            return raw.astype(np.int8)
-
-        def encoded_bits(self, precision_bits: int = 32) -> int:
-            return precision_bits + 1
-
+def _threshold_class(grid: int) -> list:
+    """Both orientations of a threshold at each of ``grid`` points of [0, 1]."""
     return [Threshold(float(t), s)
             for t in np.linspace(0.0, 1.0, grid) for s in (1, -1)]
 
@@ -242,7 +225,7 @@ def _run_robust_halving(cfg, seed):
     eps = _check_eps(_require(cfg, "eps"))
     specs = _specs(cfg, 1)
     H = _threshold_class(int(cfg.get("grid", 201)))
-    f = H[0].__class__(float(cfg.get("target_t", 0.37)), 1)
+    f = Threshold(float(cfg.get("target_t", 0.37)), 1)
     noise = float(cfg.get("noise_rate", 0.0))
     res = agnostic.opt_search(specs, f, H, eps,
                               float(cfg.get("delta", 0.05)), seed,
@@ -359,7 +342,6 @@ def run_config(path: str, seed_range: str | None = None,
                    or os.environ.get(OUT_ROOT_ENV, "results")) \
             / cfg.get("name", name)
         runner = PROTOCOLS[name]
-        out.mkdir(parents=True, exist_ok=True)
 
         k = int(cfg.get("k", 1))
         err_cols = [f"error_p{i + 1}" for i in range(k)]
@@ -382,6 +364,8 @@ def run_config(path: str, seed_range: str | None = None,
                 for (rnd, player, ex, hyp) in res.trace:
                     trace_rows.append([seed, rnd, player]
                                       + list(ex) + list(hyp))
+        # only now: a config or protocol error in any seed writes nothing
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "results.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)

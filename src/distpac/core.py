@@ -9,10 +9,11 @@ protocol trace can be replayed exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,8 +30,11 @@ class ProtocolError(RuntimeError):
     """A protocol run went off the rails (broken learner, no progress)."""
 
 
-def _tag_to_int(tag: object) -> int:
-    digest = hashlib.sha256(repr(tag).encode("utf-8")).digest()
+@functools.lru_cache(maxsize=4096)
+def _tag_to_int(tag_repr: str) -> int:
+    # Keyed on repr(tag), not on the tag: 1, True and 1.0 hash equal but
+    # must stay distinct streams.
+    digest = hashlib.sha256(tag_repr.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -40,7 +44,8 @@ def stream(seed: int, *tags: object) -> np.random.Generator:
     Distinct tag tuples give statistically independent generators; the same
     tuple always gives the same stream.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_tag_to_int(t) for t in tags]
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy += [_tag_to_int(repr(t)) for t in tags]
     return np.random.default_rng(entropy)
 
 
@@ -83,7 +88,8 @@ class Sample:
         self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigurationError("features/labels length mismatch")
-        if len(self) and not np.all(np.isin(self.labels, (-1, 1))):
+        if len(self) and not np.all((self.labels == 1)
+                                    | (self.labels == -1)):
             raise ConfigurationError("labels must be +/-1")
         if self.weights is None:
             self.weights = np.ones(len(self), dtype=np.float64)
@@ -271,6 +277,67 @@ class Concept:
     def encoded_bits(self, precision_bits: int = 32) -> int:
         raise NotImplementedError
 
+    @classmethod
+    def family(cls, members: tuple) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluator of ``members`` (instances of ``cls``) on a feature
+        matrix: (len(members), m) int8 labels, row i = members[i].predict.
+
+        The default stacks each member's ``predict``; a class overrides it
+        with one broadcast over the whole family, and a subclass that
+        changes ``predict`` must override it again.  The evaluator is a
+        ``functools.partial`` of a module function so that concepts holding
+        one (``MajorityOfSet``) still pickle.
+        """
+        return functools.partial(_stack_predictions, members)
+
+
+def _stack_predictions(members: tuple, X: np.ndarray) -> np.ndarray:
+    rows = [h.predict(X) for h in members]
+    return np.stack(rows) if rows else np.empty((0, len(X)), np.int8)
+
+
+def _family(hypotheses: Sequence[Concept]) -> Callable:
+    members = tuple(hypotheses)
+    kinds = {type(h) for h in members}
+    cls = kinds.pop() if len(kinds) == 1 else Concept
+    return cls.family(members)
+
+
+def predict_matrix(hypotheses: Sequence[Concept], X: np.ndarray) -> np.ndarray:
+    """Labels of every hypothesis on every row of X: a (len(hypotheses),
+    len(X)) int8 +/-1 matrix whose row i equals hypotheses[i].predict(X)."""
+    return _family(hypotheses)(X)
+
+
+@dataclass(frozen=True)
+class Threshold(Concept):
+    """1-D threshold: ``sign`` if x >= t, else ``-sign``."""
+
+    t: float
+    sign: int
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    def predict(self, X):
+        raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
+        return raw.astype(np.int8)
+
+    def encoded_bits(self, precision_bits: int = 32) -> int:
+        return precision_bits + 1
+
+    @classmethod
+    def family(cls, members):
+        t = np.array([h.t for h in members], dtype=np.float64)[:, None]
+        sign = np.array([h.sign for h in members], dtype=np.int8)[:, None]
+        return functools.partial(_threshold_matrix, t, sign)
+
+
+def _threshold_matrix(t: np.ndarray, sign: np.ndarray,
+                      X: np.ndarray) -> np.ndarray:
+    return np.where(X[:, 0] >= t, sign, -sign)
+
 
 @dataclass(frozen=True)
 class Conjunction(Concept):
@@ -447,16 +514,18 @@ class MajorityOfSet(Concept):
     """Unweighted majority vote; ties go to +1."""
 
     members: tuple
+    # the members' family evaluator, built once per vote, not once per call
+    _predict_all: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_predict_all", _family(self.members))
 
     @property
     def dim(self) -> int:
         return self.members[0].dim
 
     def predict(self, X):
-        total = np.zeros(X.shape[0], dtype=np.int64)
-        for h in self.members:
-            total += h.predict(X)
-        return sign_pm1(total)
+        return sign_pm1(self._predict_all(X).sum(axis=0, dtype=np.int64))
 
     def encoded_bits(self, precision_bits: int = 32) -> int:
         return sum(h.encoded_bits(precision_bits) for h in self.members)

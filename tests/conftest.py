@@ -1,35 +1,8 @@
-from dataclasses import dataclass
-
 import numpy as np
-import pytest
 
-from distpac.core import Concept
-
-
-@dataclass(frozen=True)
-class Threshold(Concept):
-    """1-D threshold: sign if x >= t else -sign.  Test-only concept."""
-
-    t: float
-    sign: int
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def predict(self, X):
-        raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
-        return raw.astype(np.int8)
-
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return precision_bits + 1
+from distpac.core import Threshold
 
 
 def threshold_grid(points: int = 201):
     return [Threshold(float(t), s)
             for t in np.linspace(0.0, 1.0, points) for s in (1, -1)]
-
-
-@pytest.fixture
-def threshold_class():
-    return threshold_grid()

@@ -114,6 +114,13 @@ class TestConfigValidation:
                            dict(BASE, distributions=[{}, {}]))
         assert cli.main(["run", cfg]) == 2
 
+    def test_config_error_leaves_no_directory(self, tmp_path):
+        bad = dict(BASE)
+        del bad["n"]
+        cfg = write_config(tmp_path, "c", bad)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bad_seed_range(self, tmp_path):
         cfg = write_config(tmp_path, "c", dict(BASE))
         assert cli.main(["run", cfg, "--seed-range", "oops"]) == 2

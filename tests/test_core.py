@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           DecisionListFunc, FixedOrderedList, IntervalUnion,
                           LinearSeparator, MajorityOfSet, ParityFunc,
                           PointMassList, ProductBernoulli, Sample,
-                          UniformBoolean, UniformInterval, WeightedMajority,
-                          draw_sample, mixture_error, rule_bits,
-                          sample_error, sign_pm1, stream)
+                          Threshold, UniformBoolean, UniformInterval,
+                          WeightedMajority, draw_sample, mixture_error,
+                          predict_matrix, rule_bits, sample_error, sign_pm1,
+                          stream)
 
 
 class TestStream:
@@ -28,6 +30,12 @@ class TestStream:
     def test_seed_matters(self):
         assert not np.array_equal(stream(1, "t").random(3),
                                   stream(2, "t").random(3))
+
+    def test_equal_hashing_tags_stay_distinct(self):
+        # 1, True and 1.0 are one dict key but three different tags
+        for _ in range(2):
+            draws = [tuple(stream(7, tag).random(3)) for tag in (1, True, 1.0)]
+            assert len(set(draws)) == 3
 
 
 def test_sign_zero_is_positive():
@@ -108,6 +116,21 @@ class TestConcepts:
         f = MajorityOfSet((LinearSeparator((1.0,)),
                            LinearSeparator((-1.0,))))
         assert f.predict_one(np.array([1.0])) == 1
+
+    @pytest.mark.parametrize("members", [
+        (Threshold(0.5, 1), Threshold(0.5, -1)),
+        (Threshold(0.0, -1), LinearSeparator((1.0,))),
+    ], ids=["threshold-family", "mixed"])
+    def test_majority_tie_positive_batched(self, members):
+        f = MajorityOfSet(members)
+        assert list(f.predict(np.array([[0.0], [0.5], [1.0]]))) == [1, 1, 1]
+
+    def test_majority_pickles(self):
+        f = MajorityOfSet((Threshold(0.3, 1), Threshold(0.6, -1),
+                           Threshold(0.1, 1)))
+        g = pickle.loads(pickle.dumps(f))
+        X = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        assert g == f and np.array_equal(g.predict(X), f.predict(X))
 
     def test_interval_union(self):
         f = IntervalUnion(((0.1, 0.2), (0.5, 0.6)))
@@ -221,3 +244,21 @@ def test_property_parity_linear_over_gf2(seed):
     # parity bit of a xor b is the xor of the parity bits
     ba, bb, bab = ((1 if p == 1 else 0) for p in (pa, pb, pab))
     assert bab == ba ^ bb
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.sampled_from((1, -1))),
+                max_size=12),
+       st.lists(st.integers(0, 8), max_size=20), st.booleans())
+def test_property_predict_matrix_stacks_predict(grid, xs, mixed):
+    # points on the thresholds' own grid, so x == t is exercised
+    H = [Threshold(t / 8, sign) for t, sign in grid]
+    if mixed:
+        H += [LinearSeparator((-1.0,)), IntervalUnion(((0.25, 0.5),))]
+    X = np.array(xs, dtype=np.float64).reshape(-1, 1) / 8
+    M = predict_matrix(H, X)
+    assert M.dtype == np.int8 and M.shape == (len(H), len(X))
+    if H:
+        assert np.array_equal(M, np.stack([h.predict(X) for h in H]))
+        vote = sign_pm1(sum(h.predict(X).astype(np.int64) for h in H))
+        assert np.array_equal(MajorityOfSet(tuple(H)).predict(X), vote)
