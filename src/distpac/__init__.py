@@ -7,16 +7,15 @@ meters every bit, example, and hypothesis that crosses the channel.
 
 from .channel import BROADCAST, CENTER, CostLedger
 from .core import (Box, Concept, Conjunction, DecisionListFunc,
-                   DistributionSpec, IntervalUnion, LabeledExample,
-                   LinearSeparator, ParityFunc, ProtocolResult, Sample,
-                   draw_sample, mixture_error, sample_error, stream)
+                   DistributionSpec, IntervalUnion, LinearSeparator,
+                   ParityFunc, ProtocolResult, Sample, draw_sample,
+                   measure_errors, sample_error, stream)
 
 __all__ = [
     "BROADCAST", "CENTER", "CostLedger",
     "Box", "Concept", "Conjunction", "DecisionListFunc", "DistributionSpec",
-    "IntervalUnion", "LabeledExample", "LinearSeparator", "ParityFunc",
-    "ProtocolResult", "Sample", "draw_sample", "mixture_error",
-    "sample_error", "stream",
+    "IntervalUnion", "LinearSeparator", "ParityFunc", "ProtocolResult",
+    "Sample", "draw_sample", "measure_errors", "sample_error", "stream",
 ]
 
 __version__ = "0.1.0"

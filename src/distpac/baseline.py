@@ -134,8 +134,7 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
 
 
 def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
-                     *, mistake_cap: int | None = None,
-                     record_hypotheses: bool = False) -> ProtocolResult:
+                     *, mistake_cap: int | None = None) -> ProtocolResult:
     """EQ/online driver in the lock-synchronous model.
 
     Every party runs a shadow copy of the learner, so only counterexamples
@@ -144,11 +143,8 @@ def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
     if mistake_cap is None:
         mistake_cap = 10 * max(1, learner.mistake_bound())
     ledger = channel.CostLedger(sync_model=channel.SyncModel.LOCK_SYNCHRONOUS)
-    broadcast: list = []
     while True:
         h = learner.hypothesis()
-        if record_hypotheses:
-            broadcast.append(h)
         sender = None
         for i, s in enumerate(samples):
             if len(s) == 0:
@@ -175,5 +171,4 @@ def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
                                 "player's sample")
     hypotheses = {channel.CENTER: h}
     hypotheses.update({f"p{i + 1}": h for i in range(len(samples))})
-    return ProtocolResult(hypotheses=hypotheses, ledger=ledger,
-                          meta={"hypothesis_sequence": broadcast})
+    return ProtocolResult(hypotheses=hypotheses, ledger=ledger)

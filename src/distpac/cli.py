@@ -23,11 +23,11 @@ import yaml
 from . import agnostic, baseline, boosting, channel, closed, declist, linear
 from . import parity as parity_mod
 from . import privacy as privacy_mod
-from .core import (ConfigurationError, Conjunction, DecisionListFunc,
-                   IntervalUnion, LinearSeparator, ParityFunc,
-                   ProtocolError, ProtocolResult, Threshold,
-                   UniformBoolean, UniformInterval, draw_sample,
-                   sample_error, stream)
+from .core import (Box, ConfigurationError, Conjunction, IntervalUnion,
+                   LinearSeparator, ParityFunc, PointMassList,
+                   ProductBernoulli, ProtocolError, ProtocolResult,
+                   Threshold, UniformBoolean, UniformInterval, UniformSphere,
+                   draw_sample, sample_error, stream)
 
 OUT_ROOT_ENV = "DISTPAC_OUT_ROOT"
 
@@ -40,63 +40,100 @@ class ConfigError(ValueError):
 # Config parsing
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()
 
-def _require(cfg: dict, field: str, typ=None):
-    if field not in cfg:
-        raise ConfigError(f"missing required field '{field}'")
-    value = cfg[field]
-    if typ is not None and not isinstance(value, typ):
-        raise ConfigError(f"field '{field}' must be {typ}, got {value!r}")
+
+def _conforms(value, typ) -> bool:
+    if isinstance(typ, tuple):
+        return any(_conforms(value, t) for t in typ)
+    if isinstance(typ, list):
+        return isinstance(value, list) and \
+            all(_conforms(v, typ[0]) for v in value)
+    if isinstance(value, bool):
+        return typ is bool
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def _describe(typ) -> str:
+    if isinstance(typ, tuple):
+        return " or ".join(_describe(t) for t in typ)
+    if isinstance(typ, list):
+        return f"a list of ({_describe(typ[0])})"
+    return "null" if typ is type(None) else typ.__name__
+
+
+def _field(cfg: dict, name: str, typ, default=REQUIRED):
+    """Config field ``name`` (dots reach into sub-mappings) of type ``typ``:
+    a type, ``[typ]`` for a list, or a tuple of choices.  An int is a valid
+    float (returned as one); a bool is neither.  A missing required field or
+    a value of another type is a ConfigError that names the field."""
+    *parents, leaf = name.split(".")
+    for key in parents:
+        cfg = _field(cfg, key, dict, {})
+    if leaf not in cfg:
+        if default is REQUIRED:
+            raise ConfigError(f"missing required field '{name}'")
+        return default
+    value = cfg[leaf]
+    if not _conforms(value, typ):
+        raise ConfigError(f"field '{name}' must be {_describe(typ)}, "
+                          f"got {value!r}")
+    return float(value) if typ is float else value
+
+
+def _fraction(cfg: dict, name: str, default=REQUIRED) -> float:
+    value = _field(cfg, name, float, default)
+    if not 0 < value < 1:
+        raise ConfigError(f"field '{name}' must be in (0,1), got {value!r}")
     return value
 
 
-def _check_eps(eps) -> float:
-    if not isinstance(eps, (int, float)) or not (0 < eps < 1):
-        raise ConfigError("field 'eps' must be in (0,1)")
-    return float(eps)
+def _players(cfg: dict) -> int:
+    k = _field(cfg, "k", int)
+    if k < 1:
+        raise ConfigError("field 'k' must be >= 1")
+    return k
 
 
 def build_distribution(entry: dict, dim: int):
-    from .core import (GaussianSphericalUnitNorm, PointMassList,
-                       ProductBernoulli, UniformSphere)
-    kind = entry.get("kind", "uniform_boolean")
+    kind = _field(entry, "kind", str, "uniform_boolean")
     if kind == "uniform_boolean":
         return UniformBoolean(dim)
     if kind == "product_bernoulli":
-        p = entry.get("p", 0.5)
-        probs = tuple([float(p)] * dim) if isinstance(p, (int, float)) \
-            else tuple(float(v) for v in p)
+        p = _field(entry, "p", (float, [float]), 0.5)
+        probs = tuple(map(float, p if isinstance(p, list) else [p] * dim))
         if len(probs) != dim:
             raise ConfigError(f"product_bernoulli p has length {len(probs)}, "
                               f"expected {dim}")
         return ProductBernoulli(probs)
-    if kind == "uniform_sphere":
+    if kind in ("uniform_sphere", "gaussian_unit"):
         return UniformSphere(dim)
-    if kind == "gaussian_unit":
-        return GaussianSphericalUnitNorm(dim)
     if kind == "uniform_interval":
-        return UniformInterval(float(entry.get("lo", 0.0)),
-                               float(entry.get("hi", 1.0)))
+        return UniformInterval(_field(entry, "lo", float, 0.0),
+                               _field(entry, "hi", float, 1.0))
     if kind == "point_mass":
-        return PointMassList(tuple(tuple(p) for p in entry["points"]),
-                             tuple(entry["probabilities"]))
+        points = _field(entry, "points", [[float]])
+        return PointMassList(tuple(tuple(p) for p in points),
+                             tuple(_field(entry, "probabilities", [float])))
     raise ConfigError(f"unknown distribution kind '{kind}'")
 
 
-def _specs(cfg: dict, dim: int) -> list:
-    k = _require(cfg, "k", int)
-    if k < 1:
-        raise ConfigError("field 'k' must be >= 1")
-    entries = cfg.get("distributions", [{}] * k)
+def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean"):
+    """(eps, delta, specs): the accuracy fields and one distribution per
+    player, ``default_kind`` for each when ``distributions`` is absent."""
+    eps = _fraction(cfg, "eps")
+    delta = _fraction(cfg, "delta", 0.05)
+    k = _players(cfg)
+    entries = _field(cfg, "distributions", [dict], [{"kind": default_kind}] * k)
     if len(entries) != k:
         raise ConfigError(f"'distributions' lists {len(entries)} players, "
                           f"but k = {k}")
-    return [build_distribution(e, dim) for e in entries]
+    return eps, delta, [build_distribution(e, dim) for e in entries]
 
 
-def _random_conjunction(n: int, seed: int, size: int) -> Conjunction:
+def _random_conjunction(n: int, seed: int) -> Conjunction:
     rng = stream(seed, "cli_target", "conjunction")
-    vars_ = rng.choice(n, size=min(size, n), replace=False)
+    vars_ = rng.choice(n, size=min(max(1, n // 4), n), replace=False)
     return Conjunction(n, frozenset(int(v) for v in vars_))
 
 
@@ -112,64 +149,52 @@ def _threshold_class(grid: int) -> list:
 
 
 def _run_closed(cfg, seed, cls):
-    dim = _require(cfg, "n" if cls == "conjunction" else "d", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    delta = float(cfg.get("delta", 0.05))
-    specs = _specs(cfg, dim)
+    dim = _field(cfg, "n" if cls == "conjunction" else "d", int)
+    eps, delta, specs = _setup(cfg, dim)
     if cls == "conjunction":
-        vars_cfg = cfg.get("target", {}).get("variables")
+        vars_cfg = _field(cfg, "target.variables", [int], None)
         f = Conjunction(dim, frozenset(vars_cfg)) if vars_cfg else \
-            _random_conjunction(dim, seed, max(1, dim // 4))
+            _random_conjunction(dim, seed)
     else:
-        t = cfg.get("target", {})
-        from .core import Box
-        f = Box(tuple(t.get("lo", [0.25] * dim)),
-                tuple(t.get("hi", [0.75] * dim)))
+        f = Box(tuple(_field(cfg, "target.lo", [float], [0.25] * dim)),
+                tuple(_field(cfg, "target.hi", [float], [0.75] * dim)))
     return closed.run_intersection_closed(specs, f, eps, delta, cls, seed,
-                                          c=float(cfg.get("c", 1.0)))
+                                          c=_field(cfg, "c", float, 1.0))
 
 
 def _run_parity(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
+    n = _field(cfg, "n", int)
+    eps, delta, specs = _setup(cfg, n)
     rng = stream(seed, "cli_target", "parity")
     v = tuple(int(b) for b in rng.integers(0, 2, size=n))
     if not any(v):
         v = (1,) + v[1:]
     f = ParityFunc(n, v)
-    return parity_mod.run_parity_two_player(specs, f, eps,
-                                            float(cfg.get("delta", 0.05)),
-                                            seed, c=float(cfg.get("c", 8.0)))
+    return parity_mod.run_parity_two_player(specs, f, eps, delta, seed,
+                                            c=_field(cfg, "c", float, 8.0))
 
 
 def _run_decision_list(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
-    f = declist.random_decision_list(n, int(cfg.get("n_rules", 10)), seed)
-    return declist.run_decision_list(specs, f, eps,
-                                     float(cfg.get("delta", 0.05)), seed)
+    n = _field(cfg, "n", int)
+    eps, delta, specs = _setup(cfg, n)
+    f = declist.random_decision_list(n, _field(cfg, "n_rules", int, 10),
+                                     seed)
+    return declist.run_decision_list(specs, f, eps, delta, seed)
 
 
 def _run_sample_shipping(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
-    f = _random_conjunction(n, seed, max(1, n // 4))
+    n = _field(cfg, "n", int)
+    eps, delta, specs = _setup(cfg, n)
+    f = _random_conjunction(n, seed)
     learner = lambda s: closed.smallest_consistent(s, "conjunction")
-    return baseline.sample_shipping(specs, f, eps,
-                                    float(cfg.get("delta", 0.05)), learner,
-                                    n, seed)
+    return baseline.sample_shipping(specs, f, eps, delta, learner, n, seed)
 
 
 def _run_eq_conjunction(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
-    f = _random_conjunction(n, seed, max(1, n // 4))
-    m = closed.pac_sample_size(n, eps, len(specs),
-                               float(cfg.get("delta", 0.05)))
+    n = _field(cfg, "n", int)
+    eps, delta, specs = _setup(cfg, n)
+    f = _random_conjunction(n, seed)
+    m = closed.pac_sample_size(n, eps, len(specs), delta)
     samples = [draw_sample(spec, f, m, seed, tags=("eq", i))
                for i, spec in enumerate(specs)]
     return baseline.eq_mistake_bound(samples,
@@ -177,22 +202,18 @@ def _run_eq_conjunction(cfg, seed):
 
 
 def _run_averaging(cfg, seed):
-    d = _require(cfg, "d", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    cfg = dict(cfg)
-    cfg.setdefault("distributions", [{"kind": "gaussian_unit"}] * cfg["k"])
-    specs = _specs(cfg, d)
+    d = _field(cfg, "d", int)
+    eps, _delta, specs = _setup(cfg, d, "uniform_sphere")
     f = LinearSeparator(tuple([1.0] + [0.0] * (d - 1)))
     return linear.averaging_protocol(specs, f, eps, seed)
 
 
 def _run_round_robin(cfg, seed):
-    gamma = float(cfg.get("gamma", 0.2))
-    alpha = float(cfg.get("alpha", 0.05))
-    k = _require(cfg, "k", int)
-    per_player = int(cfg.get("per_player", 40))
-    samples, _f = linear.well_spread_dataset(k, per_player, gamma, alpha,
-                                             seed)
+    gamma = _field(cfg, "gamma", float, 0.2)
+    alpha = _field(cfg, "alpha", float, 0.05)
+    samples, _f = linear.well_spread_dataset(
+        _players(cfg), _field(cfg, "per_player", int, 40), gamma, alpha,
+        seed)
     linear.certify_well_spread(samples, alpha)
     return linear.round_robin_perceptron(
         samples, linear.UNTIL_CONSISTENT, 0.0, alpha,
@@ -200,74 +221,65 @@ def _run_round_robin(cfg, seed):
 
 
 def _run_adversarial_perceptron(cfg, seed):
-    gamma = float(cfg.get("gamma", 0.1))
+    gamma = _field(cfg, "gamma", float, 0.1)
     rounds, trace = linear.adversarial_lower_bound(gamma)
     res = ProtocolResult(hypotheses={}, ledger=channel.CostLedger(),
-                         meta={"rounds_to_consistency": rounds,
-                               "gamma": gamma})
+                         trace=trace, meta={"rounds_to_consistency": rounds,
+                                            "gamma": gamma})
     res.ledger.rounds = rounds
-    res.trace = trace
     return res
 
 
 def _run_boosting(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
-    f = _random_conjunction(n, seed, max(1, n // 4))
+    n = _field(cfg, "n", int)
+    eps, delta, specs = _setup(cfg, n)
+    f = _random_conjunction(n, seed)
     return boosting.run_distributed_boosting(
-        specs, f, eps, float(cfg.get("delta", 0.05)), seed,
-        beta=float(cfg.get("beta", 0.25)),
-        q=cfg.get("q", 32))
+        specs, f, eps, delta, seed, beta=_field(cfg, "beta", float, 0.25),
+        q=_field(cfg, "q", (int, type(None)), 32))
 
 
 def _run_robust_halving(cfg, seed):
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, 1)
-    H = _threshold_class(int(cfg.get("grid", 201)))
-    f = Threshold(float(cfg.get("target_t", 0.37)), 1)
-    noise = float(cfg.get("noise_rate", 0.0))
-    res = agnostic.opt_search(specs, f, H, eps,
-                              float(cfg.get("delta", 0.05)), seed,
-                              noise_rate=noise,
-                              shared_randomness=bool(
-                                  cfg.get("shared_randomness", False)))
-    h = res.hypotheses[channel.BROADCAST]
+    eps, delta, specs = _setup(cfg, 1)
+    H = _threshold_class(_field(cfg, "grid", int, 201))
+    f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
+    res = agnostic.opt_search(
+        specs, f, H, eps, delta, seed,
+        noise_rate=_field(cfg, "noise_rate", float, 0.0),
+        shared_randomness=_field(cfg, "shared_randomness", bool, False))
     val = draw_sample(specs[0], f, 4000, seed, tags=("cli_val",))
-    res.errors = {"mixture": sample_error(h, val)}
+    res.errors = {"mixture": sample_error(res.hypotheses[channel.BROADCAST],
+                                          val)}
     return res
 
 
 def _run_interval_summary(cfg, seed):
-    d = _require(cfg, "d", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    k = _require(cfg, "k", int)
-    intervals = cfg.get("target", {}).get(
-        "intervals", [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d])
+    d = _field(cfg, "d", int)
+    eps = _fraction(cfg, "eps")
+    intervals = _field(cfg, "target.intervals", [[float]],
+                       [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d])
     f = IntervalUnion(tuple(tuple(iv) for iv in intervals))
-    noise = float(cfg.get("noise_rate", 0.0))
-    m = int(cfg.get("m_per_player", 4000))
+    noise = _field(cfg, "noise_rate", float, 0.0)
+    m = _field(cfg, "m_per_player", int, 4000)
     samples = [draw_sample(UniformInterval(), f, m, seed,
                            noise_rate=noise, tags=("interval", i))
-               for i in range(k)]
+               for i in range(_players(cfg))]
     res = agnostic.run_interval_summary(samples, d, eps)
-    h = res.hypotheses[channel.CENTER]
     val = draw_sample(UniformInterval(), f, 8000, seed, tags=("cli_val",))
-    res.errors = {"mixture": sample_error(h, val)}
+    res.errors = {"mixture": sample_error(res.hypotheses[channel.CENTER],
+                                          val)}
     return res
 
 
 def _run_private_conjunction(cfg, seed):
-    n = _require(cfg, "n", int)
-    eps = _check_eps(_require(cfg, "eps"))
-    specs = _specs(cfg, n)
-    priv = cfg.get("privacy", {})
-    f = _random_conjunction(n, seed, max(1, n // 4))
+    n = _field(cfg, "n", int)
+    eps, _delta, specs = _setup(cfg, n)
+    f = _random_conjunction(n, seed)
     return privacy_mod.private_conjunction_protocol(
         specs, f, eps, seed,
-        mode=priv.get("mode", "differential"),
-        alpha=float(priv.get("alpha", 1.0)),
-        delta=float(priv.get("delta", 0.05)))
+        mode=_field(cfg, "privacy.mode", str, "differential"),
+        alpha=_field(cfg, "privacy.alpha", float, 1.0),
+        delta=_field(cfg, "privacy.delta", float, 0.05))
 
 
 PROTOCOLS = {
@@ -296,60 +308,63 @@ def _parse_seeds(cfg: dict, seed_range: str | None) -> list:
     if seed_range:
         a, _, b = seed_range.partition("..")
         try:
-            return list(range(int(a), int(b) + 1))
+            seeds = list(range(int(a), int(b) + 1))
         except ValueError:
             raise ConfigError(f"bad --seed-range '{seed_range}', "
                               "expected a..b")
-    seeds = cfg.get("seeds", 0)
-    if isinstance(seeds, int):
-        return [seeds]
-    if isinstance(seeds, list) and len(seeds) == 2 and \
-            all(isinstance(v, int) for v in seeds):
-        return list(range(seeds[0], seeds[1] + 1))
-    if isinstance(seeds, list):
-        return [int(v) for v in seeds]
-    raise ConfigError("field 'seeds' must be an int, [first, last], or a "
-                      "list of ints")
+    else:
+        seeds = _field(cfg, "seeds", (int, [int]), 0)
+        if isinstance(seeds, int):
+            seeds = [seeds]
+        elif len(seeds) == 2:
+            seeds = list(range(seeds[0], seeds[1] + 1))
+    if not seeds:
+        raise ConfigError("the seed selection is empty")
+    return seeds
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+def _write_csv(path: Path, header: list, rows: list) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _quantiles(vals: list) -> dict:
+    return {"median": float(np.median(vals)),
+            "p90": float(np.percentile(vals, 90))}
 
 
 def run_config(path: str, seed_range: str | None = None,
                out_dir: str | None = None) -> int:
     try:
-        with open(path) as fh:
-            cfg = yaml.safe_load(fh)
-    except FileNotFoundError:
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        return 2
-    except yaml.YAMLError as exc:
-        print(f"error: malformed config: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(cfg, dict):
-        print("error: config must be a mapping", file=sys.stderr)
-        return 2
-    try:
-        name = _require(cfg, "protocol", str)
+        try:
+            with open(path) as fh:
+                cfg = yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a mapping")
+        name = _field(cfg, "protocol", str)
         if name not in PROTOCOLS:
             raise ConfigError(f"unknown protocol '{name}'; valid: "
                               + ", ".join(sorted(PROTOCOLS)))
         seeds = _parse_seeds(cfg, seed_range)
-        out = Path(out_dir or cfg.get("out")
+        out = Path(out_dir or _field(cfg, "out", str, None)
                    or os.environ.get(OUT_ROOT_ENV, "results")) \
-            / cfg.get("name", name)
+            / _field(cfg, "name", str, name)
         runner = PROTOCOLS[name]
-
-        k = int(cfg.get("k", 1))
-        err_cols = [f"error_p{i + 1}" for i in range(k)]
+        k = _field(cfg, "k", int, 1)
         header = ["protocol", "seed", "bits", "examples", "hypotheses",
-                  "rounds", "meta_rounds", "error_mixture"] + err_cols
-        rows = []
-        wall_total = 0.0
-        trace_rows = []
+                  "rounds", "meta_rounds", "error_mixture"] \
+            + [f"error_p{i + 1}" for i in range(k)]
+        rows, trace_rows, wall_total = [], [], 0.0
         for seed in seeds:
             t0 = time.perf_counter()
             res = runner(cfg, seed)
@@ -360,26 +375,16 @@ def run_config(path: str, seed_range: str | None = None,
                    res.errors.get("mixture", "")]
             row += [res.errors.get(f"p{i + 1}", "") for i in range(k)]
             rows.append(row)
-            if res.trace:
-                for (rnd, player, ex, hyp) in res.trace:
-                    trace_rows.append([seed, rnd, player]
-                                      + list(ex) + list(hyp))
+            trace_rows += [[seed, rnd, player] + list(ex) + list(hyp)
+                           for (rnd, player, ex, hyp) in res.trace or ()]
         # only now: a config or protocol error in any seed writes nothing
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "results.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+        _write_csv(out / "results.csv", header, rows)
         if trace_rows:
             width = (len(trace_rows[0]) - 3) // 2
-            with open(out / "trace.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["seed", "round", "player"]
-                           + [f"x{i}" for i in range(width)]
-                           + [f"w{i}" for i in range(width)])
-                for row in trace_rows:
-                    w.writerow([_fmt(v) for v in row])
+            _write_csv(out / "trace.csv", ["seed", "round", "player"]
+                       + [f"x{i}" for i in range(width)]
+                       + [f"w{i}" for i in range(width)], trace_rows)
         summary = {
             "protocol": name,
             "params": {key: cfg.get(key) for key in
@@ -389,14 +394,10 @@ def run_config(path: str, seed_range: str | None = None,
             "wall_ms": round(wall_total * 1000.0, 3),
         }
         for idx, col in enumerate(header[2:7], start=2):
-            vals = [float(r[idx]) for r in rows]
-            summary[col] = {"median": float(np.median(vals)),
-                            "p90": float(np.percentile(vals, 90))}
+            summary[col] = _quantiles([float(r[idx]) for r in rows])
         errs = [float(r[7]) for r in rows if r[7] != ""]
         if errs:
-            summary["error_mixture"] = {
-                "median": float(np.median(errs)),
-                "p90": float(np.percentile(errs, 90))}
+            summary["error_mixture"] = _quantiles(errs)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
@@ -426,10 +427,7 @@ def compare(dir_a: str, dir_b: str) -> int:
     print(f"{'currency':<12}{'A median':>14}{'B median':>14}{'ratio':>10}")
     for cur in ("bits", "examples", "rounds"):
         ma, mb = a[cur]["median"], b[cur]["median"]
-        if mb:
-            ratio = ma / mb
-        else:
-            ratio = 1.0 if ma == 0 else math.inf
+        ratio = ma / mb if mb else (1.0 if ma == 0 else math.inf)
         print(f"{cur:<12}{ma:>14.6g}{mb:>14.6g}{ratio:>10.4g}")
     return 0
 

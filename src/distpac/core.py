@@ -13,7 +13,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,22 +59,12 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ConfigurationError(f"label must be +/-1, got {self.label}")
-
-
 @dataclass
 class Sample:
     """An ordered, weighted set of labeled examples.
 
     Stored columnar (features matrix, label vector, weight vector) so the
-    protocols can vectorize; ``example(i)`` recovers the row view.
+    protocols can vectorize.
     """
 
     features: np.ndarray  # shape (m, n)
@@ -107,21 +97,8 @@ class Sample:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.features[i], int(self.labels[i]))
-
     def is_boolean(self) -> bool:
         return bool(np.all((self.features == 0.0) | (self.features == 1.0)))
-
-    @classmethod
-    def from_examples(cls, examples: Iterable[LabeledExample],
-                      weights: Sequence[float] | None = None) -> "Sample":
-        exs = list(examples)
-        if not exs:
-            raise ConfigurationError("from_examples needs at least one example")
-        feats = np.stack([e.features for e in exs])
-        labels = np.array([e.label for e in exs], dtype=np.int8)
-        return cls(feats, labels, None if weights is None else np.asarray(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +172,6 @@ class UniformSphere(DistributionSpec):
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return g / norms
-
-
-@dataclass(frozen=True)
-class GaussianSphericalUnitNorm(DistributionSpec):
-    """Spherical Gaussian directions rescaled to the unit sphere."""
-
-    d: int
-
-    @property
-    def dim(self) -> int:
-        return self.d
-
-    def draw(self, rng, m):
-        return UniformSphere(self.d).draw(rng, m)
 
 
 @dataclass(frozen=True)
@@ -597,16 +560,6 @@ def spec_error(h: Concept, spec: DistributionSpec, f: Concept, m_eval: int,
     sample = draw_sample(spec, f, m_eval, seed, noise_rate=noise_rate,
                          tags=("spec_error",) + tags)
     return sample_error(h, sample)
-
-
-def mixture_error(h: Concept, specs: Sequence[DistributionSpec], f: Concept,
-                  m_eval: int, seed: int, *, noise_rate: float = 0.0) -> float:
-    """Monte-Carlo error on the uniform mixture: m_eval/k draws per player."""
-    k = len(specs)
-    per = max(1, m_eval // k)
-    errs = [spec_error(h, spec, f, per, seed, noise_rate=noise_rate,
-                       tags=("mixture", i)) for i, spec in enumerate(specs)]
-    return float(np.mean(errs))
 
 
 def measure_errors(h: Concept, specs: Sequence[DistributionSpec], f: Concept,

@@ -51,9 +51,13 @@ class GF2Basis:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def label_bits(self) -> np.ndarray:
-        return _get_bit(self.rows, self.n) if self.rank else \
-            np.zeros(0, dtype=np.uint64)
+    def proper(self) -> ParityFunc:
+        """A parity consistent with the reduced sample: each pivot variable
+        takes its row's label bit, every free variable is 0."""
+        v = [0] * self.n
+        for p, bit in zip(self.pivots, _get_bit(self.rows, self.n)):
+            v[p] = int(bit)
+        return ParityFunc(self.n, tuple(v))
 
     def _reduce_queries(self, X: np.ndarray) -> np.ndarray:
         packed = _pack_bits(np.column_stack(
@@ -131,18 +135,8 @@ def gf2_reduce(sample: Sample) -> GF2Basis:
 
 
 def parity_proper_learn(sample: Sample) -> ParityFunc:
-    """An arbitrary consistent parity vector; free variables are set to 0.
-
-    With free variables zeroed, each pivot variable's value is just the
-    label bit of its RREF row.
-    """
-    n = sample.dim if len(sample) else sample.features.shape[1]
-    basis = gf2_reduce(sample)
-    v = [0] * n
-    labels = basis.label_bits()
-    for i, p in enumerate(basis.pivots):
-        v[p] = int(labels[i])
-    return ParityFunc(n, tuple(v))
+    """An arbitrary consistent parity vector; free variables are set to 0."""
+    return gf2_reduce(sample).proper()
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, delta: float,
     samples = [draw_sample(spec, f, m, seed, tags=("parity", i))
                for i, spec in enumerate(specs)]
     bases = [gf2_reduce(s) for s in samples]
-    propers = [parity_proper_learn(s) for s in samples]
+    propers = [b.proper() for b in bases]
     # each player sends only its proper vector (n bits); g_i stays local
     channel.send(ledger, "p1", "p2", channel.HypothesisMsg(propers[0]))
     channel.send(ledger, "p2", "p1", channel.HypothesisMsg(propers[1]))

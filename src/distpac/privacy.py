@@ -118,6 +118,16 @@ def noise_scale(budget: PrivacyBudget, n_sample: int) -> float:
         / budget.alpha_prime
 
 
+def _noisy(value: float, budget: PrivacyBudget, n_sample: int, seed: int,
+           *tags: object) -> float:
+    """value plus Laplace noise at the budget's scale for n_sample examples,
+    drawn from stream(seed, *tags) only when that scale is non-zero."""
+    scale = noise_scale(budget, n_sample)
+    if scale == 0.0:
+        return value
+    return value + laplace_noise(stream(seed, *tags), scale)
+
+
 def sq_answer(sample: Sample, q: SQQuery, budget: PrivacyBudget,
               seed: int) -> float:
     """Noisy empirical mean of the query predicate; decrements the budget."""
@@ -131,12 +141,8 @@ def sq_answer(sample: Sample, q: SQQuery, budget: PrivacyBudget,
                                               "condition on")
         X, y = X[pos], y[pos]
     budget.charge()
-    mean = float(np.mean(q.predicate(X, y)))
-    scale = noise_scale(budget, len(y))
-    if scale == 0.0:
-        return mean
-    rng = stream(seed, "sq_answer", q.descriptor, budget.spent)
-    return mean + laplace_noise(rng, scale)
+    return _noisy(float(np.mean(q.predicate(X, y))), budget, len(y), seed,
+                  "sq_answer", q.descriptor, budget.spent)
 
 
 def private_sample_size(M: int, alpha: float, tau: float, delta: float,
@@ -200,11 +206,8 @@ def learn_private_conjunction(spec: DistributionSpec, f: Conjunction,
     for j in range(n):
         budget.charge()
         zeros = int(rng.binomial(m_pos, _zero_prob_given_positive(spec, f, j)))
-        answer = zeros / m_pos
-        scale = noise_scale(budget, m_pos)
-        if scale > 0.0:
-            answer += laplace_noise(
-                stream(seed, "private_conj_noise", *tags, j), scale)
+        answer = _noisy(zeros / m_pos, budget, m_pos, seed,
+                        "private_conj_noise", *tags, j)
         if answer <= threshold:
             keep.append(j)
     return Conjunction(n, frozenset(keep))

@@ -311,9 +311,18 @@ def test_criterion_10_determinism(tmp_path):
     configs = [
         {"protocol": "closed_conjunction", "n": 30, "k": 5, "eps": 0.05,
          "seeds": [0, 2]},
+        {"protocol": "closed_box", "d": 1, "k": 3, "eps": 0.05,
+         "distributions": [{"kind": "uniform_interval"}] * 3,
+         "seeds": [0, 1]},
         {"protocol": "parity_two_player", "n": 40, "k": 2, "eps": 0.05,
          "seeds": [0, 1]},
         {"protocol": "decision_list", "n": 50, "k": 4, "eps": 0.05,
+         "seeds": [0, 1]},
+        {"protocol": "sample_shipping", "n": 20, "k": 3, "eps": 0.1,
+         "seeds": [0, 1]},
+        {"protocol": "eq_conjunction", "n": 20, "k": 3, "eps": 0.05,
+         "seeds": [0, 1]},
+        {"protocol": "averaging", "d": 5, "k": 2, "eps": 0.1,
          "seeds": [0, 1]},
         {"protocol": "adversarial_perceptron", "gamma": 0.1, "seeds": 0},
         {"protocol": "round_robin_perceptron", "k": 3, "gamma": 0.2,
@@ -327,6 +336,7 @@ def test_criterion_10_determinism(tmp_path):
         {"protocol": "private_conjunction", "n": 10, "k": 2, "eps": 0.05,
          "seeds": [0, 1]},
     ]
+    assert {cfg["protocol"] for cfg in configs} == set(cli.PROTOCOLS)
     ok = True
     for cfg in configs:
         cfg = dict(cfg, name=cfg["protocol"])

@@ -20,6 +20,7 @@ def read_csv(path):
 
 BASE = {"protocol": "closed_conjunction", "n": 20, "k": 3, "eps": 0.05,
         "seeds": [0, 4], "name": "conj"}
+BOOST = {"protocol": "boosting", "n": 10, "k": 2, "eps": 0.2, "seeds": 0}
 
 
 class TestListProtocols:
@@ -124,6 +125,35 @@ class TestConfigValidation:
     def test_bad_seed_range(self, tmp_path):
         cfg = write_config(tmp_path, "c", dict(BASE))
         assert cli.main(["run", cfg, "--seed-range", "oops"]) == 2
+
+    @pytest.mark.parametrize("seeds", [[], [5, 3]])
+    def test_empty_seed_selection(self, tmp_path, seeds):
+        cfg = write_config(tmp_path, "c", dict(BASE, seeds=seeds))
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg, field", [
+        (dict(BOOST, beta="abc"), "beta"),
+        ({"protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": "many"},
+         "grid"),
+        (dict(BASE, seeds=[0, 1, "x"]), "seeds"),
+        ({"protocol": "averaging", "d": 3, "eps": 0.1}, "k"),
+        (dict(BASE, n=2, k=1, distributions=[
+            {"kind": "point_mass", "probabilities": [1.0]}]), "points"),
+        (dict(BASE, delta=2), "delta"),
+        ({"protocol": "robust_halving", "k": 2, "eps": 0.1,
+          "shared_randomness": "false"}, "shared_randomness"),
+        (dict(BASE, eps=True), "eps"),
+        (dict(BASE, privacy=3, protocol="private_conjunction"), "privacy"),
+    ])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
+                                               field):
+        path = write_config(tmp_path, "c", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCompare:

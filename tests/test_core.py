@@ -11,7 +11,7 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           LinearSeparator, MajorityOfSet, ParityFunc,
                           PointMassList, ProductBernoulli, Sample,
                           Threshold, UniformBoolean, UniformInterval,
-                          WeightedMajority, draw_sample, mixture_error,
+                          WeightedMajority, draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream)
 
@@ -210,7 +210,7 @@ def test_sample_error_weighted():
 def test_mixture_error_averages_players():
     f = Conjunction(4, frozenset({0}))
     specs = [UniformBoolean(4), UniformBoolean(4)]
-    assert mixture_error(f, specs, f, 400, 0) == 0.0
+    assert measure_errors(f, specs, f, 400, 0)["mixture"] == 0.0
 
 
 @settings(max_examples=50, deadline=None)

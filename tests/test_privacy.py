@@ -7,7 +7,7 @@ import sympy
 from distpac import channel
 from distpac.closed import run_intersection_closed
 from distpac.core import (ConfigurationError, Conjunction, Sample,
-                          UniformBoolean, draw_sample, mixture_error, stream)
+                          UniformBoolean, draw_sample, stream)
 from distpac.privacy import (COND_POSITIVES, MODE_DIFFERENTIAL,
                              MODE_DISTRIBUTIONAL, MODE_NONE, BudgetError,
                              DegenerateConditioningError, PrivacyBudget,
