@@ -9,10 +9,10 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .core import (Concept, ConfigurationError, DistributionSpec,
-                   IntervalUnion, MajorityOfSet, ProtocolError,
-                   ProtocolResult, Sample, draw_sample, predict_matrix,
-                   sample_error, stream)
+from .core import (PRECISION_BITS, Concept, ConfigurationError,
+                   DistributionSpec, IntervalUnion, MajorityOfSet,
+                   ProtocolError, ProtocolResult, Sample, draw_sample,
+                   predict_matrix, sample_error, stream)
 
 
 class HalvingCollapseError(ProtocolError):
@@ -27,20 +27,20 @@ def halving_set_size(opt_guess: float, eps: float, c_s: float = 0.2) -> int:
     return math.ceil(c_s / (opt_guess + eps))
 
 
-def halving_set_count(class_size: int, c_n: float = 30.0,
-                      n_min: int = 9) -> int:
-    """N >= 9 keeps the N/3 and N/9 thresholds meaningful at desk scale."""
+def halving_set_count(class_size: int) -> int:
+    """N = 30 log2 log2 |H|; N >= 9 keeps the N/3 and N/9 thresholds
+    meaningful at desk scale."""
     if class_size < 2:
         raise ConfigurationError("need at least 2 hypotheses")
-    return max(n_min, math.ceil(c_n * math.log2(math.log2(class_size))))
+    return max(9, math.ceil(30.0 * math.log2(math.log2(class_size))))
 
 
 def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
                        hypotheses: Sequence[Concept], eps: float,
                        delta: float, opt_guess: float, seed: int, *,
                        noise_rate: float = 0.0,
-                       shared_randomness: bool = False, c_s: float = 0.2,
-                       c_n: float = 30.0, c_l: float = 10.0) -> ProtocolResult:
+                       shared_randomness: bool = False,
+                       c_l: float = 10.0) -> ProtocolResult:
     """Halve a finite class under adversarial label noise.
 
     Each loop: N fresh sets of s mixture draws are split multinomially over
@@ -54,8 +54,8 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
     H = list(hypotheses)
     if len(H) > 10 ** 6:
         raise ConfigurationError("class too large to enumerate")
-    s = halving_set_size(opt_guess, eps, c_s)
-    N = halving_set_count(len(H), c_n)
+    s = halving_set_size(opt_guess, eps)
+    N = halving_set_count(len(H))
     loop_cap = math.ceil(c_l * math.log2(len(H)))
     ledger = channel.CostLedger()
     survivors = np.ones(len(H), dtype=bool)
@@ -122,17 +122,16 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
 def opt_search(specs: Sequence[DistributionSpec], f: Concept,
                hypotheses: Sequence[Concept], eps: float, delta: float,
                seed: int, *, noise_rate: float = 0.0,
-               shared_randomness: bool = False, c_v: float = 4.0,
-               accept_constant: float = 8.0, **kwargs) -> ProtocolResult:
+               shared_randomness: bool = False) -> ProtocolResult:
     """Upward geometric scan over opt guesses eps * 2^j.
 
     A guess is accepted when halving completes and the output's validation
-    error on a fresh mixture sample of size c_v / eps^2 stays below
-    accept_constant * (opt_guess + eps).  The returned ledger is the
-    accepted run's ledger scaled by the number of guesses tried.
+    error on a fresh mixture sample of size 4 / eps^2 stays below
+    8 * (opt_guess + eps).  The returned ledger is the accepted run's
+    ledger scaled by the number of guesses tried.
     """
     k = len(specs)
-    m_val = math.ceil(c_v / (eps * eps))
+    m_val = math.ceil(4.0 / (eps * eps))
     guesses = 0
     j = 0
     while eps * 2 ** j <= 0.5:
@@ -142,8 +141,7 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
             res = run_robust_halving(specs, f, hypotheses, eps, delta,
                                      opt_guess, seed,
                                      noise_rate=noise_rate,
-                                     shared_randomness=shared_randomness,
-                                     **kwargs)
+                                     shared_randomness=shared_randomness)
         except (HalvingCollapseError, ProtocolError):
             j += 1
             continue
@@ -152,7 +150,7 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
         val = float(np.mean([sample_error(
             h, draw_sample(specs[i], f, per, seed, noise_rate=noise_rate,
                            tags=("opt_val", j, i))) for i in range(k)]))
-        if val <= accept_constant * (opt_guess + eps):
+        if val <= 8.0 * (opt_guess + eps):
             for attr in ("bits", "examples", "hypotheses", "rounds",
                          "meta_rounds"):
                 setattr(res.ledger, attr, getattr(res.ledger, attr) * guesses)
@@ -286,15 +284,15 @@ def dp_best_intervals(borders: Sequence[float], pos: np.ndarray,
     return best, IntervalUnion(tuple(intervals))
 
 
-def run_interval_summary(samples: Sequence[Sample], d: int, eps: float, *,
-                         precision_bits: int = 32) -> ProtocolResult:
+def run_interval_summary(samples: Sequence[Sample], d: int,
+                         eps: float) -> ProtocolResult:
     """One-round interval protocol: quantile borders plus quantized positive
     fractions from every player, then a center-side DP."""
     if d < 1 or not (0 < eps < 1):
         raise ConfigurationError("need d >= 1 and eps in (0, 1)")
     B = math.ceil(d / eps)
     frac_bits = math.ceil(math.log2(d / eps))
-    ledger = channel.CostLedger(precision_bits=precision_bits)
+    ledger = channel.CostLedger()
     summaries = []
     values = 0
     for i, sample in enumerate(samples):
@@ -302,7 +300,7 @@ def run_interval_summary(samples: Sequence[Sample], d: int, eps: float, *,
         summaries.append(summary)
         for _ in summary:
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                         channel.BitsMsg(precision_bits + frac_bits))
+                         channel.BitsMsg(PRECISION_BITS + frac_bits))
         values += len(summary)
     channel.advance_round(ledger, "round")
     borders, pos, neg = merge_summaries(summaries)

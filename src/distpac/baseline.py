@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import channel
-from .core import (Concept, ConfigurationError, Conjunction,
+from .core import (M_EVAL, Concept, ConfigurationError, Conjunction,
                    DistributionSpec, MajorityOfSet, ProtocolError,
                    ProtocolResult, Sample, draw_sample, measure_errors,
                    predict_matrix, sample_error)
@@ -94,24 +94,24 @@ class ConjunctionElimination(OnlineLearner):
 # ---------------------------------------------------------------------------
 
 
-def shipping_sample_size(d_class: int, eps: float, k: int, *, c: float = 8.0,
+def shipping_sample_size(d_class: int, eps: float, k: int, *,
                          agnostic: bool = False) -> int:
-    """Per-player share of the one-round shipping budget."""
+    """Per-player share of the one-round shipping budget
+    (8/k) * (d/eps) * ln(1/eps), with d/eps^2 when agnostic."""
     if not (0 < eps < 1):
         raise ConfigurationError("eps must lie in (0, 1)")
     scale = d_class / (eps * eps) if agnostic else d_class / eps
-    return math.ceil((c / k) * scale * math.log(1.0 / eps))
+    return math.ceil((8.0 / k) * scale * math.log(1.0 / eps))
 
 
 def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
                     delta: float, learner: Callable[[Sample], Concept],
                     d_class: int, seed: int, *, agnostic: bool = False,
-                    noise_rate: float = 0.0, c: float = 8.0,
-                    m_eval: int = 2000, measure: bool = True) -> ProtocolResult:
+                    noise_rate: float = 0.0) -> ProtocolResult:
     """Everyone ships a random sample to the center, which learns on the
     union.  One round; communication is all examples."""
     k = len(specs)
-    m_i = shipping_sample_size(d_class, eps, k, c=c, agnostic=agnostic)
+    m_i = shipping_sample_size(d_class, eps, k, agnostic=agnostic)
     ledger = channel.CostLedger()
     feats, labels = [], []
     for i, spec in enumerate(specs):
@@ -127,8 +127,7 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
     if not agnostic and sample_error(h, union) > 0.0:
         raise ProtocolError("center's learner returned an inconsistent "
                             "hypothesis in realizable mode")
-    errors = measure_errors(h, specs, f, m_eval, seed,
-                            noise_rate=noise_rate) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed, noise_rate=noise_rate)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m_i})
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel
 from .closed import pac_sample_size
-from .core import (Concept, ConfigurationError, DistributionSpec,
+from .core import (M_EVAL, Concept, ConfigurationError, DistributionSpec,
                    ProtocolResult, Sample, WeightedMajority, draw_sample,
                    measure_errors, stream)
 
@@ -45,9 +45,9 @@ def boosting_rounds(eps: float, beta: float) -> int:
     return math.ceil(math.log(1.0 / eps) / (2.0 * (0.5 - beta) ** 2))
 
 
-def weak_sample_size(d_class: int, beta: float, c_w: float = 4.0) -> int:
-    """Per-round example budget c_w * (d/beta) * ln(1/beta)."""
-    return math.ceil(c_w * (d_class / beta) * math.log(1.0 / beta))
+def weak_sample_size(d_class: int, beta: float) -> int:
+    """Per-round example budget 4 * (d/beta) * ln(1/beta)."""
+    return math.ceil(4.0 * (d_class / beta) * math.log(1.0 / beta))
 
 
 def adaboost_reweight(weights: np.ndarray, correct: np.ndarray,
@@ -81,7 +81,7 @@ class DecisionStump(Concept):
         raw = np.where(X[:, self.j] == 1.0, self.out, -self.out)
         return raw.astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         return math.ceil(math.log2(self.n + 1)) + 1
 
 
@@ -113,12 +113,12 @@ def best_stump(sample: Sample) -> DecisionStump:
 def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
                 q: int | None, seed: int,
                 weak_learner: Callable[[Sample], Concept],
-                ledger: channel.CostLedger | None) -> dict:
+                ledger: channel.CostLedger) -> dict:
     """Shared core of the distributed run and the single-machine reference.
 
-    With ledger = None nothing is charged, but the random streams and all
-    arithmetic are identical, so a k = 1 exact-weight distributed run and
-    the single-machine run produce bit-identical ensembles.
+    Charging touches neither the random streams nor the arithmetic, so a
+    k = 1 exact-weight distributed run and the single-machine run produce
+    bit-identical ensembles.
     """
     k = len(samples)
     weights = [np.ones(len(s), dtype=np.float64) for s in samples]
@@ -134,22 +134,19 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         counts = split_rng.multinomial(m_weak, totals / totals.sum())
         feats, labels = [], []
         for i in range(k):
-            if ledger is not None:
-                channel.send(ledger, channel.CENTER, f"p{i + 1}",
-                             channel.CountMsg(int(counts[i]), cw))
+            channel.send(ledger, channel.CENTER, f"p{i + 1}",
+                         channel.CountMsg(int(counts[i]), cw))
             wq = np.array([quantize(float(v), q) for v in weights[i]])
             idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
                                       p=wq / wq.sum())
             feats.append(samples[i].features[idx])
             labels.append(samples[i].labels[idx])
-            if ledger is not None:
-                for row, lab in zip(feats[-1], labels[-1]):
-                    channel.send_example(ledger, f"p{i + 1}", channel.CENTER,
-                                         row, int(lab))
+            for row, lab in zip(feats[-1], labels[-1]):
+                channel.send_example(ledger, f"p{i + 1}", channel.CENTER,
+                                     row, int(lab))
         h_t = weak_learner(Sample(np.vstack(feats), np.concatenate(labels)))
-        if ledger is not None:
-            channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                         channel.HypothesisMsg(h_t))
+        channel.send(ledger, channel.CENTER, channel.BROADCAST,
+                     channel.HypothesisMsg(h_t))
         mistake_w, total_w = 0.0, 0.0
         corrects = []
         for i in range(k):
@@ -159,15 +156,13 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             w_i = quantize(float(weights[i].sum()), q)
             mistake_w += m_i
             total_w += w_i
-            if ledger is not None:
-                channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                             channel.BitsMsg(2 * (64 if q is None else q)))
+            channel.send(ledger, f"p{i + 1}", channel.CENTER,
+                         channel.BitsMsg(2 * (64 if q is None else q)))
         eps_t = min(max(mistake_w / total_w, 1e-12), 1.0 - 1e-12)
         alpha_t = 0.5 * math.log((1.0 - eps_t) / eps_t)
-        if ledger is not None:
-            channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                         channel.BitsMsg(64))
-            channel.advance_round(ledger, "round")
+        channel.send(ledger, channel.CENTER, channel.BROADCAST,
+                     channel.BitsMsg(64))
+        channel.advance_round(ledger, "round")
         for i in range(k):
             weights[i] = adaboost_reweight(weights[i], corrects[i], alpha_t)
         hs.append(h_t)
@@ -189,18 +184,17 @@ def adaboost_single(sample: Sample, T: int, m_weak: int, seed: int, *,
                     weak_learner: Callable[[Sample], Concept] = best_stump
                     ) -> dict:
     """Single-machine AdaBoost with the same presampled weak-learning step."""
-    return _boost_loop([sample], T, m_weak, None, seed, weak_learner, None)
+    return _boost_loop([sample], T, m_weak, None, seed, weak_learner,
+                       channel.CostLedger())
 
 
 def run_distributed_boosting(specs: Sequence[DistributionSpec], f: Concept,
                              eps: float, delta: float, seed: int, *,
                              beta: float = 0.25, q: int | None = 32,
-                             d_class: int | None = None, c_w: float = 4.0,
+                             d_class: int | None = None,
                              T: int | None = None,
                              weak_learner: Callable[[Sample], Concept]
-                             = best_stump,
-                             m_eval: int = 2000,
-                             measure: bool = True) -> ProtocolResult:
+                             = best_stump) -> ProtocolResult:
     """Boost a beta-weak learner to error eps over the mixture.
 
     Communication per round is m_weak examples, k counts, one weak
@@ -211,14 +205,14 @@ def run_distributed_boosting(specs: Sequence[DistributionSpec], f: Concept,
         d_class = f.dim
     if T is None:
         T = boosting_rounds(eps, beta)
-    m_weak = weak_sample_size(d_class, beta, c_w)
+    m_weak = weak_sample_size(d_class, beta)
     m_i = pac_sample_size(d_class, eps, k, delta)
     samples = [draw_sample(spec, f, m_i, seed, tags=("boost", i))
                for i, spec in enumerate(specs)]
     ledger = channel.CostLedger()
     out = _boost_loop(samples, T, m_weak, q, seed, weak_learner, ledger)
     h = out["hypothesis"]
-    errors = measure_errors(h, specs, f, m_eval, seed) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"telemetry": out["telemetry"],

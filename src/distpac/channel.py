@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Concept, ConfigurationError, rule_bits
+from .core import PRECISION_BITS, Concept, ConfigurationError, rule_bits
 
 BROADCAST = "broadcast"
 CENTER = "center"
@@ -35,14 +35,14 @@ class ProtocolViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Message:
-    def bit_size(self, precision_bits: int) -> int:
+    def bit_size(self) -> int:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ExampleMsg(Message):
     """One labeled example.  Boolean features cost n+1 bits, real ones
-    d * precision_bits + 1."""
+    d * PRECISION_BITS + 1."""
 
     features: tuple
     label: int
@@ -50,19 +50,19 @@ class ExampleMsg(Message):
     def is_boolean(self) -> bool:
         return all(v in (0.0, 1.0) for v in self.features)
 
-    def bit_size(self, precision_bits: int) -> int:
+    def bit_size(self) -> int:
         d = len(self.features)
         if self.is_boolean():
             return d + 1
-        return d * precision_bits + 1
+        return d * PRECISION_BITS + 1
 
 
 @dataclass(frozen=True)
 class HypothesisMsg(Message):
     hypothesis: Concept
 
-    def bit_size(self, precision_bits: int) -> int:
-        return self.hypothesis.encoded_bits(precision_bits)
+    def bit_size(self) -> int:
+        return self.hypothesis.encoded_bits()
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,8 @@ class BitsMsg(Message):
     """Opaque payload with an explicit bit length."""
 
     length: int
-    payload: object = None
 
-    def bit_size(self, precision_bits: int) -> int:
+    def bit_size(self) -> int:
         return self.length
 
 
@@ -88,7 +87,7 @@ class CountMsg(Message):
             raise ConfigurationError(
                 f"count {self.value} does not fit in {self.width} bits")
 
-    def bit_size(self, precision_bits: int) -> int:
+    def bit_size(self) -> int:
         return self.width
 
 
@@ -101,14 +100,8 @@ class RuleMsg(Message):
     c: int
     n: int
 
-    def bit_size(self, precision_bits: int) -> int:
+    def bit_size(self) -> int:
         return rule_bits(self.n)
-
-
-@dataclass(frozen=True)
-class HaltMsg(Message):
-    def bit_size(self, precision_bits: int) -> int:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,6 @@ class CostLedger:
     rounds: int = 0
     meta_rounds: int = 0
     per_player: dict = field(default_factory=dict)
-    precision_bits: int = 32
     sync_model: SyncModel = SyncModel.ASYNCHRONOUS
     _slot_used: bool = field(default=False, repr=False)
 
@@ -143,8 +135,8 @@ class CostLedger:
     def player_bits(self, party: str) -> int:
         return self.per_player.get(party, 0)
 
-    def upstream_bits(self, exclude: tuple = (CENTER,)) -> int:
-        return sum(v for k, v in self.per_player.items() if k not in exclude)
+    def upstream_bits(self) -> int:
+        return sum(v for k, v in self.per_player.items() if k != CENTER)
 
 
 def send(ledger: CostLedger, frm: str, to: str, msg: Message) -> CostLedger:
@@ -154,7 +146,7 @@ def send(ledger: CostLedger, frm: str, to: str, msg: Message) -> CostLedger:
             raise ProtocolViolation(
                 "two sends in one lock-synchronous slot (advance_round first)")
         ledger._slot_used = True
-    size = msg.bit_size(ledger.precision_bits)
+    size = msg.bit_size()
     ledger.bits += size
     ledger.per_player[frm] = ledger.per_player.get(frm, 0) + size
     if isinstance(msg, ExampleMsg):

@@ -88,11 +88,12 @@ def _fraction(cfg: dict, name: str, default=REQUIRED) -> float:
     return value
 
 
-def _players(cfg: dict) -> int:
-    k = _field(cfg, "k", int)
-    if k < 1:
-        raise ConfigError("field 'k' must be >= 1")
-    return k
+def _count(cfg: dict, name: str, default=REQUIRED) -> int:
+    """An int field that sizes something, so must be >= 1."""
+    value = _field(cfg, name, int, default)
+    if value < 1:
+        raise ConfigError(f"field '{name}' must be >= 1, got {value!r}")
+    return value
 
 
 def build_distribution(entry: dict, dim: int):
@@ -123,7 +124,7 @@ def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean"):
     player, ``default_kind`` for each when ``distributions`` is absent."""
     eps = _fraction(cfg, "eps")
     delta = _fraction(cfg, "delta", 0.05)
-    k = _players(cfg)
+    k = _count(cfg, "k")
     entries = _field(cfg, "distributions", [dict], [{"kind": default_kind}] * k)
     if len(entries) != k:
         raise ConfigError(f"'distributions' lists {len(entries)} players, "
@@ -149,7 +150,7 @@ def _threshold_class(grid: int) -> list:
 
 
 def _run_closed(cfg, seed, cls):
-    dim = _field(cfg, "n" if cls == "conjunction" else "d", int)
+    dim = _count(cfg, "n" if cls == "conjunction" else "d")
     eps, delta, specs = _setup(cfg, dim)
     if cls == "conjunction":
         vars_cfg = _field(cfg, "target.variables", [int], None)
@@ -163,7 +164,7 @@ def _run_closed(cfg, seed, cls):
 
 
 def _run_parity(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
     rng = stream(seed, "cli_target", "parity")
     v = tuple(int(b) for b in rng.integers(0, 2, size=n))
@@ -175,15 +176,18 @@ def _run_parity(cfg, seed):
 
 
 def _run_decision_list(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
-    f = declist.random_decision_list(n, _field(cfg, "n_rules", int, 10),
-                                     seed)
+    n_rules = _count(cfg, "n_rules", 10)
+    if n_rules > 2 * n:
+        raise ConfigError(f"field 'n_rules' must be <= 2n = {2 * n}, "
+                          f"got {n_rules}")
+    f = declist.random_decision_list(n, n_rules, seed)
     return declist.run_decision_list(specs, f, eps, delta, seed)
 
 
 def _run_sample_shipping(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
     f = _random_conjunction(n, seed)
     learner = lambda s: closed.smallest_consistent(s, "conjunction")
@@ -191,7 +195,7 @@ def _run_sample_shipping(cfg, seed):
 
 
 def _run_eq_conjunction(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
     f = _random_conjunction(n, seed)
     m = closed.pac_sample_size(n, eps, len(specs), delta)
@@ -202,7 +206,7 @@ def _run_eq_conjunction(cfg, seed):
 
 
 def _run_averaging(cfg, seed):
-    d = _field(cfg, "d", int)
+    d = _count(cfg, "d")
     eps, _delta, specs = _setup(cfg, d, "uniform_sphere")
     f = LinearSeparator(tuple([1.0] + [0.0] * (d - 1)))
     return linear.averaging_protocol(specs, f, eps, seed)
@@ -212,7 +216,7 @@ def _run_round_robin(cfg, seed):
     gamma = _field(cfg, "gamma", float, 0.2)
     alpha = _field(cfg, "alpha", float, 0.05)
     samples, _f = linear.well_spread_dataset(
-        _players(cfg), _field(cfg, "per_player", int, 40), gamma, alpha,
+        _count(cfg, "k"), _count(cfg, "per_player", 40), gamma, alpha,
         seed)
     linear.certify_well_spread(samples, alpha)
     return linear.round_robin_perceptron(
@@ -231,17 +235,18 @@ def _run_adversarial_perceptron(cfg, seed):
 
 
 def _run_boosting(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
     f = _random_conjunction(n, seed)
+    q = _field(cfg, "q", (int, type(None)), 32)
     return boosting.run_distributed_boosting(
         specs, f, eps, delta, seed, beta=_field(cfg, "beta", float, 0.25),
-        q=_field(cfg, "q", (int, type(None)), 32))
+        q=q if q is None else _count(cfg, "q", 32))
 
 
 def _run_robust_halving(cfg, seed):
     eps, delta, specs = _setup(cfg, 1)
-    H = _threshold_class(_field(cfg, "grid", int, 201))
+    H = _threshold_class(_count(cfg, "grid", 201))
     f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
     res = agnostic.opt_search(
         specs, f, H, eps, delta, seed,
@@ -254,16 +259,19 @@ def _run_robust_halving(cfg, seed):
 
 
 def _run_interval_summary(cfg, seed):
-    d = _field(cfg, "d", int)
+    d = _count(cfg, "d")
     eps = _fraction(cfg, "eps")
     intervals = _field(cfg, "target.intervals", [[float]],
                        [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d])
+    if any(len(iv) != 2 for iv in intervals):
+        raise ConfigError("field 'target.intervals' must list [lo, hi] "
+                          f"pairs, got {intervals!r}")
     f = IntervalUnion(tuple(tuple(iv) for iv in intervals))
     noise = _field(cfg, "noise_rate", float, 0.0)
-    m = _field(cfg, "m_per_player", int, 4000)
+    m = _count(cfg, "m_per_player", 4000)
     samples = [draw_sample(UniformInterval(), f, m, seed,
                            noise_rate=noise, tags=("interval", i))
-               for i in range(_players(cfg))]
+               for i in range(_count(cfg, "k"))]
     res = agnostic.run_interval_summary(samples, d, eps)
     val = draw_sample(UniformInterval(), f, 8000, seed, tags=("cli_val",))
     res.errors = {"mixture": sample_error(res.hypotheses[channel.CENTER],
@@ -272,7 +280,7 @@ def _run_interval_summary(cfg, seed):
 
 
 def _run_private_conjunction(cfg, seed):
-    n = _field(cfg, "n", int)
+    n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n)
     f = _random_conjunction(n, seed)
     return privacy_mod.private_conjunction_protocol(
@@ -360,7 +368,7 @@ def run_config(path: str, seed_range: str | None = None,
                    or os.environ.get(OUT_ROOT_ENV, "results")) \
             / _field(cfg, "name", str, name)
         runner = PROTOCOLS[name]
-        k = _field(cfg, "k", int, 1)
+        k = _count(cfg, "k", 1)
         header = ["protocol", "seed", "bits", "examples", "hypotheses",
                   "rounds", "meta_rounds", "error_mixture"] \
             + [f"error_p{i + 1}" for i in range(k)]

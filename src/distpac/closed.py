@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .core import (Box, Concept, ConfigurationError, Conjunction,
+from .core import (M_EVAL, Box, Concept, ConfigurationError, Conjunction,
                    DistributionSpec, ProtocolResult, RealizabilityError,
                    Sample, draw_sample, measure_errors, sample_error)
 
@@ -86,8 +86,7 @@ def class_dimension(cls: str, dim: int) -> int:
 
 def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
                             eps: float, delta: float, cls: str, seed: int,
-                            *, c: float = 1.0, m_eval: int = 2000,
-                            measure: bool = True) -> ProtocolResult:
+                            *, c: float = 1.0) -> ProtocolResult:
     """One round, k hypotheses: closure protocol for conjunctions or boxes."""
     k = len(specs)
     d_class = class_dimension(cls, f.dim)
@@ -108,7 +107,7 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
         if sample_error(h, sample) > 0.0:
             raise RealizabilityError("combined hypothesis inconsistent with "
                                      "a player's sample")
-    errors = measure_errors(h, specs, f, m_eval, seed) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m, "local_hypotheses": locals_})

@@ -218,6 +218,8 @@ class FixedOrderedList(DistributionSpec):
 # ---------------------------------------------------------------------------
 
 RULE_EXTRA_BITS = 2
+# bits per real number in a message or an encoded hypothesis
+PRECISION_BITS = 32
 
 
 def rule_bits(n: int) -> int:
@@ -237,7 +239,7 @@ class Concept:
     def predict_one(self, x: np.ndarray) -> int:
         return int(self.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         raise NotImplementedError
 
     @classmethod
@@ -287,8 +289,8 @@ class Threshold(Concept):
         raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
         return raw.astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return precision_bits + 1
+    def encoded_bits(self) -> int:
+        return PRECISION_BITS + 1
 
     @classmethod
     def family(cls, members):
@@ -333,7 +335,7 @@ class Conjunction(Concept):
         ok = np.all(X[:, idx] == 1.0, axis=1)
         return np.where(ok, 1, -1).astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         return self.n
 
 
@@ -354,8 +356,8 @@ class Box(Concept):
         ok = np.all((X >= lo) & (X <= hi), axis=1)
         return np.where(ok, 1, -1).astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return 2 * self.dim * precision_bits
+    def encoded_bits(self) -> int:
+        return 2 * self.dim * PRECISION_BITS
 
     @classmethod
     def empty(cls, d: int) -> "Box":
@@ -393,7 +395,7 @@ class DecisionListFunc(Concept):
             undecided &= ~fires
         return out
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         return (len(self.rules) + 1) * rule_bits(self.n)
 
     def alternations(self) -> int:
@@ -415,8 +417,8 @@ class LinearSeparator(Concept):
     def predict(self, X):
         return sign_pm1(X @ np.asarray(self.w, dtype=np.float64))
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return self.dim * precision_bits + 1
+    def encoded_bits(self) -> int:
+        return self.dim * PRECISION_BITS + 1
 
     @classmethod
     def unit(cls, w) -> "LinearSeparator":
@@ -447,7 +449,7 @@ class ParityFunc(Concept):
         dots = (X.astype(np.int64) @ v) % 2
         return np.where(dots == 1, 1, -1).astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         return self.n
 
 
@@ -467,9 +469,8 @@ class WeightedMajority(Concept):
             total += w * h.predict(X)
         return sign_pm1(total)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return sum(h.encoded_bits(precision_bits) + precision_bits
-                   for h, _ in self.members)
+    def encoded_bits(self) -> int:
+        return sum(h.encoded_bits() + PRECISION_BITS for h, _ in self.members)
 
 
 @dataclass(frozen=True)
@@ -490,8 +491,8 @@ class MajorityOfSet(Concept):
     def predict(self, X):
         return sign_pm1(self._predict_all(X).sum(axis=0, dtype=np.int64))
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return sum(h.encoded_bits(precision_bits) for h in self.members)
+    def encoded_bits(self) -> int:
+        return sum(h.encoded_bits() for h in self.members)
 
 
 @dataclass(frozen=True)
@@ -511,13 +512,16 @@ class IntervalUnion(Concept):
             ok |= (x >= lo) & (x <= hi)
         return np.where(ok, 1, -1).astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
-        return max(1, 2 * len(self.intervals) * precision_bits)
+    def encoded_bits(self) -> int:
+        return max(1, 2 * len(self.intervals) * PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------
 # Sampling and error measurement
 # ---------------------------------------------------------------------------
+
+# points per Monte-Carlo error estimate of a protocol's final hypothesis
+M_EVAL = 2000
 
 
 def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import channel
 from .closed import pac_sample_size
-from .core import (ConfigurationError, DecisionListFunc, DistributionSpec,
-                   ProtocolResult, RealizabilityError, Sample, draw_sample,
-                   measure_errors, sample_error, stream)
+from .core import (M_EVAL, ConfigurationError, DecisionListFunc,
+                   DistributionSpec, ProtocolResult, RealizabilityError,
+                   Sample, draw_sample, measure_errors, sample_error, stream)
 
 # a triplet is (j, b, c): j in 0..n (0 = else, b then ignored and stored 0),
 # b in {0,1}, c in {0,1} with bit 1 meaning label +1
@@ -73,14 +73,13 @@ def _list_from_broadcast(n: int, order: list) -> DecisionListFunc:
 
 
 def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
-                      eps: float, delta: float, seed: int, *, c: float = 1.0,
-                      m_eval: int = 2000, measure: bool = True,
+                      eps: float, delta: float, seed: int, *,
                       max_rounds: int | None = None) -> ProtocolResult:
     """Incremental triplet-broadcast protocol; rounds track the target's
     alternations."""
     k = len(specs)
     n = f.dim
-    m = pac_sample_size(n, eps, k, delta, c)
+    m = pac_sample_size(n, eps, k, delta)
     samples = [draw_sample(spec, f, m, seed, tags=("declist", i))
                for i, spec in enumerate(specs)]
     alive = [np.ones(len(s), dtype=bool) for s in samples]
@@ -126,7 +125,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
         if sample_error(h, s) > 0.0:
             raise RealizabilityError("output list inconsistent with a "
                                      "player's sample")
-    errors = measure_errors(h, specs, f, m_eval, seed) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .core import (Concept, ConfigurationError, DistributionSpec,
+from .core import (M_EVAL, ConfigurationError, DistributionSpec,
                    LinearSeparator, ProtocolError, ProtocolResult, Sample,
                    draw_sample, measure_errors, stream)
 
@@ -93,16 +93,15 @@ def default_update_cap(gamma: float) -> int:
     return math.ceil(10.0 * 3.0 / (gamma * gamma))
 
 
-def spread_alpha(d: int, k: int, eps: float, c_prime: float = 4.0) -> float:
-    """Spread level alpha = sqrt(c' log(2dk/eps) / d) used by the
+def spread_alpha(d: int, k: int, eps: float) -> float:
+    """Spread level alpha = sqrt(4 log(2dk/eps) / d) used by the
     non-concentrated analysis."""
-    return math.sqrt(c_prime * math.log(2.0 * d * k / eps) / d)
+    return math.sqrt(4.0 * math.log(2.0 * d * k / eps) / d)
 
 
 def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
                            alpha: float, *, update_cap: int | None = None,
-                           max_meta_rounds: int = 10000,
-                           trace: list | None = None) -> ProtocolResult:
+                           max_meta_rounds: int = 10000) -> ProtocolResult:
     """Pass one hypothesis vector around the ring of players.
 
     Each pass charges one hypothesis plus a 32-bit update count.  In
@@ -123,9 +122,8 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
                 f"no convergence within {max_meta_rounds} meta-rounds")
         meta_updates = 0
         for i in range(k):
-            margin_perceptron_pass(
-                state, samples[i], mode, eps, update_cap=update_cap,
-                trace=trace, trace_info=(ledger.rounds + 1, f"p{i + 1}"))
+            margin_perceptron_pass(state, samples[i], mode, eps,
+                                   update_cap=update_cap)
             meta_updates += state.pass_updates
             nxt = f"p{(i + 1) % k + 1}"
             channel.send(ledger, f"p{i + 1}", nxt,
@@ -150,8 +148,7 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
 
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
                        eps: float, seed: int, *, c: float = 1.0,
-                       m: int | None = None, m_eval: int = 2000,
-                       measure: bool = True) -> ProtocolResult:
+                       m: int | None = None) -> ProtocolResult:
     """For radially symmetric D_i, the mean of l(x) x/||x|| points along the
     target; one vector per player, one round."""
     d = f.dim
@@ -174,7 +171,7 @@ def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
         raise DegenerateEstimateError("zero resultant direction; retry with "
                                       "a fresh seed")
     h = LinearSeparator(tuple((mean / nrm).tolist()))
-    errors = measure_errors(h, specs, f, m_eval, seed) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m})
 
@@ -211,21 +208,24 @@ def well_spread_dataset(k: int, per_player: int, gamma: float, alpha: float,
     return samples, target
 
 
-def certify_well_spread(samples: Sequence[Sample], alpha: float, *,
-                        max_pairs: int = 100000, seed: int = 0) -> float:
-    """Max |cos| over (a sampled subset of) point pairs; raises if >= alpha."""
+_CERTIFY_PAIRS = 100000
+
+
+def certify_well_spread(samples: Sequence[Sample], alpha: float) -> float:
+    """Max |cos| over all point pairs, or over _CERTIFY_PAIRS sampled pairs
+    when there are more; raises if >= alpha."""
     X = np.vstack([s.features for s in samples])
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     n = X.shape[0]
     pairs = n * (n - 1) // 2
-    if pairs <= max_pairs:
+    if pairs <= _CERTIFY_PAIRS:
         cos = np.abs(X @ X.T)
         np.fill_diagonal(cos, 0.0)
         worst = float(cos.max()) if n > 1 else 0.0
     else:
-        rng = stream(seed, "spread_certificate")
-        ii = rng.integers(0, n, size=max_pairs)
-        jj = rng.integers(0, n, size=max_pairs)
+        rng = stream(0, "spread_certificate")
+        ii = rng.integers(0, n, size=_CERTIFY_PAIRS)
+        jj = rng.integers(0, n, size=_CERTIFY_PAIRS)
         keep = ii != jj
         worst = float(np.abs((X[ii[keep]] * X[jj[keep]]).sum(axis=1)).max())
     if worst >= alpha:
@@ -259,7 +259,7 @@ def adversarial_two_player_data(gamma: float) -> tuple:
     return [p1, p2], LinearSeparator((0.0, 1.0, 0.0))
 
 
-def adversarial_lower_bound(gamma: float, max_rounds: int = 200000) -> tuple:
+def adversarial_lower_bound(gamma: float) -> tuple:
     """Run the adversarial construction to consistency.
 
     Returns (rounds_taken, trace); each trace row is
@@ -274,8 +274,9 @@ def adversarial_lower_bound(gamma: float, max_rounds: int = 200000) -> tuple:
     quiet = 0
     turn = 0
     while quiet < len(samples):
-        if rounds >= max_rounds:
-            raise NonConvergenceError("adversarial run exceeded max_rounds")
+        if rounds >= 200000:
+            raise NonConvergenceError("adversarial run exceeded 200000 "
+                                      "rounds")
         rounds += 1
         margin_perceptron_pass(state, samples[turn], UNTIL_CONSISTENT,
                                trace=trace,

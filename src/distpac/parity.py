@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .core import (Concept, ConfigurationError, DistributionSpec, ParityFunc,
+from .core import (M_EVAL, Concept, ConfigurationError, ParityFunc,
                    ProtocolResult, RealizabilityError, Sample, draw_sample,
                    measure_errors)
 
@@ -156,15 +156,15 @@ class ParityNonProper(Concept):
         other = self.fallback.predict(X)
         return np.where(known, own, other).astype(np.int8)
 
-    def encoded_bits(self, precision_bits: int = 32) -> int:
+    def encoded_bits(self) -> int:
         # never transmitted; sized as its raw basis plus the fallback
         return max(1, self.basis.rank * self.basis.n) + \
-            self.fallback.encoded_bits(precision_bits)
+            self.fallback.encoded_bits()
 
 
 def run_parity_two_player(specs, f: ParityFunc, eps: float, delta: float,
-                          seed: int, *, m: int | None = None, c: float = 8.0,
-                          m_eval: int = 2000) -> ProtocolResult:
+                          seed: int, *, m: int | None = None,
+                          c: float = 8.0) -> ProtocolResult:
     """One round, 2 proper hypotheses exchanged, 2n bits total."""
     if len(specs) != 2:
         raise ConfigurationError("parity protocol requires exactly 2 players")
@@ -186,7 +186,7 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, delta: float,
     }
     errors = {}
     for pid, h in combined.items():
-        errs = measure_errors(h, specs, f, m_eval, seed)
+        errs = measure_errors(h, specs, f, M_EVAL, seed)
         errors.update({f"{pid}:{key}": val for key, val in errs.items()})
         errors[pid] = errs["mixture"]
     errors["mixture"] = max(errors["p1"], errors["p2"])

@@ -13,17 +13,17 @@ exactly the distribution of the materialized run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import channel
 from .closed import CONJUNCTION, combine
-from .core import (Concept, ConfigurationError, Conjunction,
+from .core import (M_EVAL, ConfigurationError, Conjunction,
                    DistributionSpec, ProductBernoulli, ProtocolError,
-                   ProtocolResult, Sample, UniformBoolean, draw_sample,
-                   measure_errors, stream)
+                   ProtocolResult, Sample, UniformBoolean, measure_errors,
+                   stream)
 
 MODE_NONE = "none"
 MODE_DIFFERENTIAL = "differential"
@@ -146,19 +146,19 @@ def sq_answer(sample: Sample, q: SQQuery, budget: PrivacyBudget,
 
 
 def private_sample_size(M: int, alpha: float, tau: float, delta: float,
-                        mode: str, c_p: float = 1.0) -> int:
+                        mode: str) -> int:
     """Sample size sufficient for all M answers to be tau-accurate with
     probability >= 1 - delta."""
     if min(M, alpha, tau, delta) <= 0 or tau >= 1:
         raise ConfigurationError("parameters must be positive with tau < 1")
     if mode == MODE_DIFFERENTIAL:
-        return math.ceil(c_p * max(M / (alpha * tau), M / (tau * tau))
+        return math.ceil(max(M / (alpha * tau), M / (tau * tau))
                          * math.log(M / delta))
     if mode == MODE_DISTRIBUTIONAL:
-        return math.ceil(c_p * M * M * math.log(M / delta) ** 3
+        return math.ceil(M * M * math.log(M / delta) ** 3
                          / (alpha * alpha * tau * tau))
     if mode == MODE_NONE:
-        return math.ceil(c_p * M / (tau * tau) * math.log(M / delta))
+        return math.ceil(M / (tau * tau) * math.log(M / delta))
     raise ConfigurationError(f"unknown privacy mode {mode!r}")
 
 
@@ -217,18 +217,16 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                                  f: Conjunction, eps: float, seed: int, *,
                                  mode: str = MODE_DIFFERENTIAL,
                                  alpha: float = 1.0, delta: float = 0.05,
-                                 c_p: float = 1.0, m: int | None = None,
-                                 m_eval: int = 2000,
-                                 measure: bool = True) -> ProtocolResult:
+                                 m: int | None = None) -> ProtocolResult:
     """One round, k conjunction hypotheses; the ledger matches the
     non-private closure protocol exactly."""
     k = len(specs)
     n = f.dim
     tau = eps / (2 * n)
     if m is None:
-        m = private_sample_size(n, alpha, tau, delta, mode, c_p) \
+        m = private_sample_size(n, alpha, tau, delta, mode) \
             if mode != MODE_NONE else \
-            private_sample_size(n, 1.0, tau, delta, MODE_NONE, c_p)
+            private_sample_size(n, 1.0, tau, delta, MODE_NONE)
     ledger = channel.CostLedger()
     locals_ = []
     budgets = []
@@ -242,38 +240,10 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                      channel.HypothesisMsg(h_i))
     h = combine(locals_, CONJUNCTION)
     channel.advance_round(ledger, "round")
-    errors = measure_errors(h, specs, f, m_eval, seed) if measure else {}
+    errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m, "mode": mode,
                                 "local_hypotheses": locals_,
                                 "budgets_spent": [b.spent for b in budgets]})
 
-
-# ---------------------------------------------------------------------------
-# SQ wrapper for decision-list rules
-# ---------------------------------------------------------------------------
-
-
-def sq_rule_consistency(sample: Sample, triplet: tuple,
-                        budget: PrivacyBudget, theta: float, seed: int, *,
-                        alive: np.ndarray | None = None) -> bool:
-    """Is Pr[x_j = b and label != c | alive] at most theta?
-
-    One noisy SQ with tolerance theta/2; c is a bit (1 means label +1) and
-    j = 0 denotes the else-rule (condition always fires).
-    """
-    j, b, cbit = triplet
-    want = 1 if cbit == 1 else -1
-    if alive is None:
-        alive = np.ones(len(sample), dtype=bool)
-    sub = Sample(sample.features[alive], sample.labels[alive])
-
-    def predicate(X, y):
-        fires = np.ones(X.shape[0], dtype=bool) if j == 0 \
-            else X[:, j - 1] == float(b)
-        return (fires & (y != want)).astype(np.float64)
-
-    q = SQQuery(descriptor=f"rule:{j}:{b}:{cbit}", predicate=predicate,
-                tolerance=theta / 2)
-    return sq_answer(sub, q, budget, seed) <= theta

@@ -81,7 +81,7 @@ def test_criterion_03_decision_lists():
     for seed in range(100):
         f = declist.random_decision_list(n, 8, seed)
         res = declist.run_decision_list([UniformBoolean(n)] * k, f, eps,
-                                        0.05, seed, measure=False)
+                                        0.05, seed)
         rounds_ok &= res.ledger.rounds <= f.alternations() + 1
         bits_ok &= res.ledger.upstream_bits() <= k * (4 * n + 2) * rule_bits(n)
         h = res.hypotheses[channel.CENTER]
@@ -173,7 +173,7 @@ def test_criterion_06_distributed_boosting():
     sample = draw_sample(UniformBoolean(n), f, m, 11, tags=("boost", 0))
     single = boosting.adaboost_single(sample, T, m_weak, 11)
     dist = boosting.run_distributed_boosting([UniformBoolean(n)], f, eps,
-                                             0.05, 11, q=None, measure=False)
+                                             0.05, 11, q=None)
     identical = (dist.meta["weak"] == single["weak"]
                  and dist.meta["alphas"] == single["alphas"])
     report(6, "distributed boosting",

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from distpac import channel
 from distpac.channel import (BROADCAST, CENTER, BitsMsg, CostLedger,
-                             CountMsg, ExampleMsg, HaltMsg, HypothesisMsg,
+                             CountMsg, ExampleMsg, HypothesisMsg,
                              ProtocolViolation, RuleMsg, SyncModel,
                              advance_round, count_width, send, send_example)
 from distpac.core import Box, ConfigurationError, Conjunction, LinearSeparator
@@ -12,30 +12,26 @@ from distpac.core import Box, ConfigurationError, Conjunction, LinearSeparator
 
 class TestMessageSizes:
     def test_boolean_example(self):
-        assert ExampleMsg((1.0, 0.0, 1.0), 1).bit_size(32) == 4
+        assert ExampleMsg((1.0, 0.0, 1.0), 1).bit_size() == 4
 
     def test_real_example(self):
-        assert ExampleMsg((0.5, 0.25), -1).bit_size(32) == 65
-        assert ExampleMsg((0.5, 0.25), -1).bit_size(16) == 33
+        assert ExampleMsg((0.5, 0.25), -1).bit_size() == 65
 
     def test_hypothesis_sizes(self):
-        assert HypothesisMsg(Conjunction(30, frozenset())).bit_size(32) == 30
-        assert HypothesisMsg(Box((0.0,), (1.0,))).bit_size(32) == 64
-        assert HypothesisMsg(LinearSeparator((1.0, 0.0))).bit_size(32) == 65
+        assert HypothesisMsg(Conjunction(30, frozenset())).bit_size() == 30
+        assert HypothesisMsg(Box((0.0,), (1.0,))).bit_size() == 64
+        assert HypothesisMsg(LinearSeparator((1.0, 0.0))).bit_size() == 65
 
     def test_rule_msg(self):
-        assert RuleMsg(3, 1, 0, 50).bit_size(32) == 8
+        assert RuleMsg(3, 1, 0, 50).bit_size() == 8
 
     def test_count_fits_width(self):
-        assert CountMsg(7, 3).bit_size(32) == 3
+        assert CountMsg(7, 3).bit_size() == 3
         with pytest.raises(ConfigurationError):
             CountMsg(8, 3)
 
-    def test_halt_is_one_bit(self):
-        assert HaltMsg().bit_size(32) == 1
-
     def test_bits_msg(self):
-        assert BitsMsg(17).bit_size(32) == 17
+        assert BitsMsg(17).bit_size() == 17
 
 
 class TestLedger:
@@ -70,11 +66,11 @@ class TestLedger:
 
     def test_lock_synchronous_one_send_per_slot(self):
         led = CostLedger(sync_model=SyncModel.LOCK_SYNCHRONOUS)
-        send(led, "p1", BROADCAST, HaltMsg())
+        send(led, "p1", BROADCAST, BitsMsg(1))
         with pytest.raises(ProtocolViolation):
-            send(led, "p2", BROADCAST, HaltMsg())
+            send(led, "p2", BROADCAST, BitsMsg(1))
         advance_round(led, "round")
-        send(led, "p2", BROADCAST, HaltMsg())  # fresh slot is fine
+        send(led, "p2", BROADCAST, BitsMsg(1))  # fresh slot is fine
 
     def test_send_example_helper(self):
         led = CostLedger()

@@ -145,6 +145,16 @@ class TestConfigValidation:
           "shared_randomness": "false"}, "shared_randomness"),
         (dict(BASE, eps=True), "eps"),
         (dict(BASE, privacy=3, protocol="private_conjunction"), "privacy"),
+        (dict(BASE, n=-3), "n"),
+        (dict(BOOST, q=-1), "q"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "target": {"intervals": [[0.1]]}}, "target.intervals"),
+        ({"protocol": "decision_list", "n": 5, "n_rules": 50, "k": 2,
+          "eps": 0.1}, "n_rules"),
+        ({"protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": 0},
+         "grid"),
+        ({"protocol": "round_robin_perceptron", "k": 2, "per_player": 0},
+         "per_player"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

@@ -142,8 +142,7 @@ class TestEncodedBits:
     def test_sizes(self):
         assert Conjunction(12, frozenset()).encoded_bits() == 12
         assert ParityFunc(9, (1,) * 9).encoded_bits() == 9
-        assert Box((0.0,) * 3, (1.0,) * 3).encoded_bits(16) == 96
-        assert LinearSeparator((1.0, 0.0)).encoded_bits(32) == 65
+        assert LinearSeparator((1.0, 0.0)).encoded_bits() == 65
         # (rules + else) * rule size
         f = DecisionListFunc(50, ((1, 0, 1),), -1)
         assert f.encoded_bits() == 2 * rule_bits(50)

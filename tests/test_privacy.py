@@ -7,15 +7,14 @@ import sympy
 from distpac import channel
 from distpac.closed import run_intersection_closed
 from distpac.core import (ConfigurationError, Conjunction, Sample,
-                          UniformBoolean, draw_sample, stream)
+                          UniformBoolean, stream)
 from distpac.privacy import (COND_POSITIVES, MODE_DIFFERENTIAL,
                              MODE_DISTRIBUTIONAL, MODE_NONE, BudgetError,
                              DegenerateConditioningError, PrivacyBudget,
                              SQQuery, distributional_beta, laplace_noise,
                              learn_private_conjunction, noise_scale,
                              private_conjunction_protocol,
-                             private_sample_size, sq_answer,
-                             sq_rule_consistency)
+                             private_sample_size, sq_answer)
 
 
 class TestBudget:
@@ -185,19 +184,3 @@ class TestConjunctionProtocol:
         # with m = 1 a positive draw is rare; either way h must contain f
         assert f.variables <= h.variables
 
-
-class TestSqRuleConsistency:
-    def test_separates_consistent_from_inconsistent(self):
-        n = 4
-        f = Conjunction(n, frozenset({0}))
-        s = draw_sample(UniformBoolean(n), f, 400, 3, tags=("sq",))
-        b = PrivacyBudget(MODE_NONE, 1.0, 0.05, M=4)
-        # x0=0 -> label -1 always holds; x0=1 -> label -1 usually fails
-        assert sq_rule_consistency(s, (1, 0, 0), b, 0.05, 0)
-        assert not sq_rule_consistency(s, (1, 1, 0), b, 0.05, 0)
-
-    def test_else_rule_uses_all_examples(self):
-        s = Sample(np.zeros((10, 2)), np.ones(10, dtype=int))
-        b = PrivacyBudget(MODE_NONE, 1.0, 0.05, M=2)
-        assert sq_rule_consistency(s, (0, 0, 1), b, 0.05, 0)
-        assert not sq_rule_consistency(s, (0, 0, 0), b, 0.05, 0)
