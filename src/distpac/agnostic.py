@@ -37,7 +37,7 @@ def halving_set_count(class_size: int) -> int:
 
 def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
                        hypotheses: Sequence[Concept], eps: float,
-                       delta: float, opt_guess: float, seed: int, *,
+                       opt_guess: float, seed: int, *,
                        noise_rate: float = 0.0,
                        shared_randomness: bool = False,
                        c_l: float = 10.0) -> ProtocolResult:
@@ -120,8 +120,8 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
 
 
 def opt_search(specs: Sequence[DistributionSpec], f: Concept,
-               hypotheses: Sequence[Concept], eps: float, delta: float,
-               seed: int, *, noise_rate: float = 0.0,
+               hypotheses: Sequence[Concept], eps: float, seed: int, *,
+               noise_rate: float = 0.0,
                shared_randomness: bool = False) -> ProtocolResult:
     """Upward geometric scan over opt guesses eps * 2^j.
 
@@ -138,11 +138,10 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
         opt_guess = eps * 2 ** j
         guesses += 1
         try:
-            res = run_robust_halving(specs, f, hypotheses, eps, delta,
-                                     opt_guess, seed,
-                                     noise_rate=noise_rate,
+            res = run_robust_halving(specs, f, hypotheses, eps, opt_guess,
+                                     seed, noise_rate=noise_rate,
                                      shared_randomness=shared_randomness)
-        except (HalvingCollapseError, ProtocolError):
+        except ProtocolError:
             j += 1
             continue
         h = res.hypotheses[channel.BROADCAST]
@@ -182,8 +181,7 @@ def player_summary(sample: Sample, n_borders: int, frac_bits: int) -> list:
     order = np.argsort(sample.features[:, 0], kind="stable")
     xs = sample.features[order, 0]
     ys = sample.labels[order]
-    ws = sample.weights[order]
-    cum = np.cumsum(ws)
+    cum = np.arange(1, len(xs) + 1, dtype=np.float64)
     total = cum[-1]
     out = []
     lo_idx = 0
@@ -191,10 +189,9 @@ def player_summary(sample: Sample, n_borders: int, frac_bits: int) -> list:
         target = total * (i + 1) / n_borders
         hi_idx = int(np.searchsorted(cum, target - 1e-12)) + 1
         hi_idx = min(hi_idx, len(xs))
-        seg_w = ws[lo_idx:hi_idx]
-        seg_y = ys[lo_idx:hi_idx]
-        mass = float(seg_w.sum())
-        frac = float(seg_w[seg_y == 1].sum() / mass) if mass > 0 else 0.0
+        mass = float(hi_idx - lo_idx)
+        frac = np.count_nonzero(ys[lo_idx:hi_idx] == 1) / mass \
+            if mass > 0 else 0.0
         border = 1.0 if i == n_borders - 1 else float(xs[hi_idx - 1])
         out.append((border, quantize_fraction(frac, frac_bits),
                     mass / total))
@@ -210,9 +207,9 @@ def merge_summaries(summaries: Sequence[list]) -> tuple:
     for summary in summaries:
         points.update(b for (b, _f, _m) in summary)
     borders = sorted(points)
-    S = len(borders) - 1
-    pos = np.zeros(S)
-    neg = np.zeros(S)
+    index = {b: t for t, b in enumerate(borders)}
+    pos = np.zeros(len(borders) - 1)
+    neg = np.zeros(len(borders) - 1)
     k = max(1, len([s for s in summaries if s]))
     for summary in summaries:
         lo = 0.0
@@ -221,16 +218,14 @@ def merge_summaries(summaries: Sequence[list]) -> tuple:
             if width <= 0.0:
                 # zero-width segment (tied sample values): its whole mass
                 # sits at the point b; credit the merged segment ending there
-                t = max(0, int(np.searchsorted(borders, b)) - 1)
+                t = max(0, index[b] - 1)
                 pos[t] += mass * frac / k
                 neg[t] += mass * (1.0 - frac) / k
             else:
-                for t in range(S):
-                    a, c = borders[t], borders[t + 1]
-                    overlap = max(0.0, min(c, b) - max(a, lo))
-                    if overlap <= 0.0:
-                        continue
-                    share = mass * overlap / width
+                # lo and b are merged borders too, so [lo, b] covers merged
+                # segments index[lo] .. index[b] - 1 whole
+                for t in range(index[lo], index[b]):
+                    share = mass * (borders[t + 1] - borders[t]) / width
                     pos[t] += share * frac / k
                     neg[t] += share * (1.0 - frac) / k
             lo = b

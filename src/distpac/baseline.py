@@ -105,8 +105,8 @@ def shipping_sample_size(d_class: int, eps: float, k: int, *,
 
 
 def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
-                    delta: float, learner: Callable[[Sample], Concept],
-                    d_class: int, seed: int, *, agnostic: bool = False,
+                    learner: Callable[[Sample], Concept], d_class: int,
+                    seed: int, *, agnostic: bool = False,
                     noise_rate: float = 0.0) -> ProtocolResult:
     """Everyone ships a random sample to the center, which learns on the
     union.  One round; communication is all examples."""

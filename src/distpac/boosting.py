@@ -153,9 +153,8 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             correct = h_t.predict(samples[i].features) == samples[i].labels
             corrects.append(correct)
             m_i = quantize(float(weights[i][~correct].sum()), q)
-            w_i = quantize(float(weights[i].sum()), q)
             mistake_w += m_i
-            total_w += w_i
+            total_w += float(totals[i])
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
                          channel.BitsMsg(2 * (64 if q is None else q)))
         eps_t = min(max(mistake_w / total_w, 1e-12), 1.0 - 1e-12)

@@ -132,9 +132,6 @@ class CostLedger:
             "per_player": dict(sorted(self.per_player.items())),
         }
 
-    def player_bits(self, party: str) -> int:
-        return self.per_player.get(party, 0)
-
     def upstream_bits(self) -> int:
         return sum(v for k, v in self.per_player.items() if k != CENTER)
 

@@ -106,6 +106,8 @@ def build_distribution(entry: dict, dim: int):
         if len(probs) != dim:
             raise ConfigError(f"product_bernoulli p has length {len(probs)}, "
                               f"expected {dim}")
+        if not all(0.0 <= v <= 1.0 for v in probs):
+            raise ConfigError(f"field 'p' must lie in [0, 1], got {p!r}")
         return ProductBernoulli(probs)
     if kind in ("uniform_sphere", "gaussian_unit"):
         return UniformSphere(dim)
@@ -150,28 +152,36 @@ def _threshold_class(grid: int) -> list:
 
 
 def _run_closed(cfg, seed, cls):
-    dim = _count(cfg, "n" if cls == "conjunction" else "d")
+    dim = _count(cfg, "n" if cls is Conjunction else "d")
     eps, delta, specs = _setup(cfg, dim)
-    if cls == "conjunction":
+    if cls is Conjunction:
         vars_cfg = _field(cfg, "target.variables", [int], None)
+        if vars_cfg and not all(0 <= j < dim for j in vars_cfg):
+            raise ConfigError("field 'target.variables' must lie in "
+                              f"[0, n) = [0, {dim}), got {vars_cfg!r}")
         f = Conjunction(dim, frozenset(vars_cfg)) if vars_cfg else \
             _random_conjunction(dim, seed)
     else:
-        f = Box(tuple(_field(cfg, "target.lo", [float], [0.25] * dim)),
-                tuple(_field(cfg, "target.hi", [float], [0.75] * dim)))
-    return closed.run_intersection_closed(specs, f, eps, delta, cls, seed,
+        lo = _field(cfg, "target.lo", [float], [0.25] * dim)
+        hi = _field(cfg, "target.hi", [float], [0.75] * dim)
+        for name, corner in (("lo", lo), ("hi", hi)):
+            if len(corner) != dim:
+                raise ConfigError(f"field 'target.{name}' must have length "
+                                  f"d = {dim}, got {corner!r}")
+        f = Box(tuple(lo), tuple(hi))
+    return closed.run_intersection_closed(specs, f, eps, delta, seed,
                                           c=_field(cfg, "c", float, 1.0))
 
 
 def _run_parity(cfg, seed):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n)
+    eps, _delta, specs = _setup(cfg, n)
     rng = stream(seed, "cli_target", "parity")
     v = tuple(int(b) for b in rng.integers(0, 2, size=n))
     if not any(v):
         v = (1,) + v[1:]
     f = ParityFunc(n, v)
-    return parity_mod.run_parity_two_player(specs, f, eps, delta, seed,
+    return parity_mod.run_parity_two_player(specs, f, eps, seed,
                                             c=_field(cfg, "c", float, 8.0))
 
 
@@ -188,10 +198,10 @@ def _run_decision_list(cfg, seed):
 
 def _run_sample_shipping(cfg, seed):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n)
+    eps, _delta, specs = _setup(cfg, n)
     f = _random_conjunction(n, seed)
-    learner = lambda s: closed.smallest_consistent(s, "conjunction")
-    return baseline.sample_shipping(specs, f, eps, delta, learner, n, seed)
+    learner = lambda s: closed.smallest_consistent(s, Conjunction)
+    return baseline.sample_shipping(specs, f, eps, learner, n, seed)
 
 
 def _run_eq_conjunction(cfg, seed):
@@ -245,11 +255,11 @@ def _run_boosting(cfg, seed):
 
 
 def _run_robust_halving(cfg, seed):
-    eps, delta, specs = _setup(cfg, 1)
+    eps, _delta, specs = _setup(cfg, 1)
     H = _threshold_class(_count(cfg, "grid", 201))
     f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
     res = agnostic.opt_search(
-        specs, f, H, eps, delta, seed,
+        specs, f, H, eps, seed,
         noise_rate=_field(cfg, "noise_rate", float, 0.0),
         shared_randomness=_field(cfg, "shared_randomness", bool, False))
     val = draw_sample(specs[0], f, 4000, seed, tags=("cli_val",))
@@ -263,9 +273,9 @@ def _run_interval_summary(cfg, seed):
     eps = _fraction(cfg, "eps")
     intervals = _field(cfg, "target.intervals", [[float]],
                        [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d])
-    if any(len(iv) != 2 for iv in intervals):
+    if any(len(iv) != 2 or iv[0] > iv[1] for iv in intervals):
         raise ConfigError("field 'target.intervals' must list [lo, hi] "
-                          f"pairs, got {intervals!r}")
+                          f"pairs with lo <= hi, got {intervals!r}")
     f = IntervalUnion(tuple(tuple(iv) for iv in intervals))
     noise = _field(cfg, "noise_rate", float, 0.0)
     m = _count(cfg, "m_per_player", 4000)
@@ -291,8 +301,8 @@ def _run_private_conjunction(cfg, seed):
 
 
 PROTOCOLS = {
-    "closed_conjunction": lambda c, s: _run_closed(c, s, "conjunction"),
-    "closed_box": lambda c, s: _run_closed(c, s, "box"),
+    "closed_conjunction": lambda c, s: _run_closed(c, s, Conjunction),
+    "closed_box": lambda c, s: _run_closed(c, s, Box),
     "parity_two_player": _run_parity,
     "decision_list": _run_decision_list,
     "sample_shipping": _run_sample_shipping,

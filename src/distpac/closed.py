@@ -17,9 +17,6 @@ from .core import (M_EVAL, Box, Concept, ConfigurationError, Conjunction,
                    DistributionSpec, ProtocolResult, RealizabilityError,
                    Sample, draw_sample, measure_errors, sample_error)
 
-CONJUNCTION = "conjunction"
-BOX = "box"
-
 
 def pac_sample_size(d_class: int, eps: float, k: int, delta: float,
                     c: float = 1.0) -> int:
@@ -30,8 +27,17 @@ def pac_sample_size(d_class: int, eps: float, k: int, delta: float,
                                         + math.log(k / delta)))
 
 
-def smallest_consistent(sample: Sample, cls: str) -> Concept:
-    """Smallest hypothesis of the class consistent with the sample.
+def _closed_class(cls: type) -> type:
+    """``cls`` itself, if it is one of the two shipped closed classes."""
+    if cls not in (Conjunction, Box):
+        raise ConfigurationError(
+            f"{cls.__name__} is not an intersection-closed class")
+    return cls
+
+
+def smallest_consistent(sample: Sample, cls: type) -> Concept:
+    """Smallest hypothesis of ``cls`` (Conjunction or Box) consistent with
+    the sample.
 
     With no positive examples this returns the closure's smallest element
     (all-variables conjunction / empty box), which keeps h_i inside the
@@ -40,56 +46,56 @@ def smallest_consistent(sample: Sample, cls: str) -> Concept:
     """
     pos = sample.features[sample.labels == 1] if len(sample) else \
         np.zeros((0, sample.dim))
-    if cls == CONJUNCTION:
+    if _closed_class(cls) is Conjunction:
         n = sample.dim
         if pos.shape[0] == 0:
             h: Concept = Conjunction(n, frozenset(range(n)))
         else:
             anded = np.all(pos == 1.0, axis=0)
             h = Conjunction(n, frozenset(np.flatnonzero(anded).tolist()))
-    elif cls == BOX:
+    else:
         d = sample.dim
         if pos.shape[0] == 0:
             h = Box.empty(d)
         else:
             h = Box(tuple(pos.min(axis=0).tolist()),
                     tuple(pos.max(axis=0).tolist()))
-    else:
-        raise ConfigurationError(f"unknown intersection-closed class {cls!r}")
     if len(sample):
         neg = sample.labels == -1
         if np.any(h.predict(sample.features[neg]) == 1):
-            raise RealizabilityError(
-                f"negative example inside the smallest consistent {cls}")
+            raise RealizabilityError("negative example inside the smallest "
+                                     f"consistent {cls.__name__.lower()}")
     return h
 
 
-def combine(hypotheses: Sequence[Concept], cls: str) -> Concept:
-    """Smallest hypothesis containing every h_i (the closure join)."""
-    if cls == CONJUNCTION:
+def combine(hypotheses: Sequence[Concept]) -> Concept:
+    """Smallest hypothesis containing every h_i (the closure join); the
+    h_i share one class, Conjunction or Box."""
+    if _closed_class(type(hypotheses[0])) is Conjunction:
         n = hypotheses[0].dim
         common = frozenset(range(n))
         for h in hypotheses:
             common &= h.variables
         return Conjunction(n, common)
-    if cls == BOX:
-        los = np.stack([np.asarray(h.lo) for h in hypotheses])
-        his = np.stack([np.asarray(h.hi) for h in hypotheses])
-        return Box(tuple(los.min(axis=0).tolist()),
-                   tuple(his.max(axis=0).tolist()))
-    raise ConfigurationError(f"unknown intersection-closed class {cls!r}")
+    los = np.stack([np.asarray(h.lo) for h in hypotheses])
+    his = np.stack([np.asarray(h.hi) for h in hypotheses])
+    return Box(tuple(los.min(axis=0).tolist()),
+               tuple(his.max(axis=0).tolist()))
 
 
-def class_dimension(cls: str, dim: int) -> int:
-    return dim if cls == CONJUNCTION else 2 * dim
+def class_dimension(f: Concept) -> int:
+    """VC dimension of the class of ``f``: n for a conjunction, 2d for a
+    box."""
+    return f.dim if _closed_class(type(f)) is Conjunction else 2 * f.dim
 
 
 def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
-                            eps: float, delta: float, cls: str, seed: int,
-                            *, c: float = 1.0) -> ProtocolResult:
-    """One round, k hypotheses: closure protocol for conjunctions or boxes."""
+                            eps: float, delta: float, seed: int, *,
+                            c: float = 1.0) -> ProtocolResult:
+    """One round, k hypotheses: closure protocol for the class of ``f``, a
+    conjunction or a box."""
     k = len(specs)
-    d_class = class_dimension(cls, f.dim)
+    d_class = class_dimension(f)
     m = pac_sample_size(d_class, eps, k, delta, c)
     ledger = channel.CostLedger()
     locals_ = []
@@ -97,11 +103,11 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
     for i, spec in enumerate(specs):
         sample = draw_sample(spec, f, m, seed, tags=("closed", i))
         samples.append(sample)
-        h_i = smallest_consistent(sample, cls)
+        h_i = smallest_consistent(sample, type(f))
         locals_.append(h_i)
         channel.send(ledger, f"p{i + 1}", channel.CENTER,
                      channel.HypothesisMsg(h_i))
-    h = combine(locals_, cls)
+    h = combine(locals_)
     channel.advance_round(ledger, "round")
     for sample in samples:
         if sample_error(h, sample) > 0.0:

@@ -61,15 +61,14 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Sample:
-    """An ordered, weighted set of labeled examples.
+    """An ordered set of labeled examples.
 
-    Stored columnar (features matrix, label vector, weight vector) so the
-    protocols can vectorize.
+    Stored columnar (features matrix, label vector) so the protocols can
+    vectorize.
     """
 
     features: np.ndarray  # shape (m, n)
     labels: np.ndarray  # shape (m,), values +/-1
-    weights: np.ndarray | None = None  # shape (m,), nonnegative; default all 1
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
@@ -81,14 +80,6 @@ class Sample:
         if len(self) and not np.all((self.labels == 1)
                                     | (self.labels == -1)):
             raise ConfigurationError("labels must be +/-1")
-        if self.weights is None:
-            self.weights = np.ones(len(self), dtype=np.float64)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-            if self.weights.shape[0] != len(self):
-                raise ConfigurationError("weights length mismatch")
-            if len(self) and self.weights.min() < 0:
-                raise ConfigurationError("weights must be nonnegative")
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -197,22 +188,6 @@ class PointMassList(DistributionSpec):
         return pts[idx]
 
 
-@dataclass(frozen=True)
-class FixedOrderedList(DistributionSpec):
-    """Deterministic point source: yields the listed points in order, cycling."""
-
-    points: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.points[0])
-
-    def draw(self, rng, m):
-        pts = np.asarray(self.points, dtype=np.float64)
-        idx = np.arange(m) % len(pts)
-        return pts[idx]
-
-
 # ---------------------------------------------------------------------------
 # Concepts: target functions and hypotheses share one evaluation interface
 # ---------------------------------------------------------------------------
@@ -235,9 +210,6 @@ class Concept:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels (+/-1 int8) for a (m, dim) feature matrix."""
         raise NotImplementedError
-
-    def predict_one(self, x: np.ndarray) -> int:
-        return int(self.predict(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
 
     def encoded_bits(self) -> int:
         raise NotImplementedError
@@ -319,14 +291,6 @@ class Conjunction(Concept):
     @property
     def dim(self) -> int:
         return self.n
-
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit j set iff variable j participates."""
-        m = 0
-        for j in self.variables:
-            m |= 1 << j
-        return m
 
     def predict(self, X):
         idx = sorted(self.variables)
@@ -419,14 +383,6 @@ class LinearSeparator(Concept):
 
     def encoded_bits(self) -> int:
         return self.dim * PRECISION_BITS + 1
-
-    @classmethod
-    def unit(cls, w) -> "LinearSeparator":
-        w = np.asarray(w, dtype=np.float64)
-        nrm = np.linalg.norm(w)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ConfigurationError("target separator must have unit norm")
-        return cls(tuple(w))
 
 
 @dataclass(frozen=True)
@@ -546,14 +502,11 @@ def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,
 
 
 def sample_error(h: Concept, sample: Sample) -> float:
-    """Exact weighted disagreement of h with the sample's labels, in [0, 1]."""
+    """Exact fraction of the sample's examples that h mislabels."""
     if len(sample) == 0:
         return 0.0
-    total = float(sample.weights.sum())
-    if total == 0.0:
-        return 0.0
-    wrong = sample.weights[h.predict(sample.features) != sample.labels].sum()
-    return float(wrong) / total
+    wrong = np.count_nonzero(h.predict(sample.features) != sample.labels)
+    return wrong / len(sample)
 
 
 def spec_error(h: Concept, spec: DistributionSpec, f: Concept, m_eval: int,

@@ -31,7 +31,6 @@ def consistent_triplets(sample: Sample, alive: np.ndarray | None = None) -> set:
     """
     if len(sample) and not sample.is_boolean():
         raise ConfigurationError("decision lists need boolean features")
-    n = sample.dim
     if alive is None:
         alive = np.ones(len(sample), dtype=bool)
     feats = sample.features[alive]
@@ -39,10 +38,8 @@ def consistent_triplets(sample: Sample, alive: np.ndarray | None = None) -> set:
     out = set()
     pos = feats[labels == 1]
     neg = feats[labels == -1]
-    n_pos_at = {1: (pos == 1.0).sum(axis=0) if pos.size else np.zeros(n, int),
-                0: (pos == 0.0).sum(axis=0) if pos.size else np.zeros(n, int)}
-    n_neg_at = {1: (neg == 1.0).sum(axis=0) if neg.size else np.zeros(n, int),
-                0: (neg == 0.0).sum(axis=0) if neg.size else np.zeros(n, int)}
+    n_pos_at = {1: (pos == 1.0).sum(axis=0), 0: (pos == 0.0).sum(axis=0)}
+    n_neg_at = {1: (neg == 1.0).sum(axis=0), 0: (neg == 0.0).sum(axis=0)}
     for b in (0, 1):
         for j in np.flatnonzero(n_neg_at[b] == 0):
             out.add((int(j) + 1, b, 1))

@@ -134,11 +134,6 @@ def gf2_reduce(sample: Sample) -> GF2Basis:
     return GF2Basis(n, rows, pivots)
 
 
-def parity_proper_learn(sample: Sample) -> ParityFunc:
-    """An arbitrary consistent parity vector; free variables are set to 0."""
-    return gf2_reduce(sample).proper()
-
-
 @dataclass(frozen=True)
 class ParityNonProper(Concept):
     """Reliable-useful combination: answer from the local span if possible,
@@ -162,8 +157,8 @@ class ParityNonProper(Concept):
             self.fallback.encoded_bits()
 
 
-def run_parity_two_player(specs, f: ParityFunc, eps: float, delta: float,
-                          seed: int, *, m: int | None = None,
+def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
+                          m: int | None = None,
                           c: float = 8.0) -> ProtocolResult:
     """One round, 2 proper hypotheses exchanged, 2n bits total."""
     if len(specs) != 2:

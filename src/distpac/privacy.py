@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import channel
-from .closed import CONJUNCTION, combine
+from .closed import combine
 from .core import (M_EVAL, ConfigurationError, Conjunction,
                    DistributionSpec, ProductBernoulli, ProtocolError,
                    ProtocolResult, Sample, UniformBoolean, measure_errors,
@@ -238,7 +238,7 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
         locals_.append(h_i)
         channel.send(ledger, f"p{i + 1}", channel.CENTER,
                      channel.HypothesisMsg(h_i))
-    h = combine(locals_, CONJUNCTION)
+    h = combine(locals_)
     channel.advance_round(ledger, "round")
     errors = measure_errors(h, specs, f, M_EVAL, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,

@@ -38,7 +38,7 @@ def test_criterion_01_conjunction_closed_form():
         f = Conjunction(n, frozenset(
             int(v) for v in stream(seed, "acc1").choice(n, 5, replace=False)))
         res = run_intersection_closed([UniformBoolean(n)] * k, f, eps, 0.05,
-                                      "conjunction", seed)
+                                      seed)
         led = res.ledger
         ledger_ok &= (led.rounds, led.hypotheses, led.bits) == (1, k, k * n)
         good += res.errors["mixture"] <= eps
@@ -56,7 +56,7 @@ def test_criterion_02_parity_two_player():
     for seed in range(100):
         v = tuple(int(b) for b in stream(seed, "acc2").integers(0, 2, size=n))
         f = ParityFunc(n, v if any(v) else (1,) + v[1:])
-        res = parity.run_parity_two_player(specs, f, eps, 0.05, seed)
+        res = parity.run_parity_two_player(specs, f, eps, seed)
         bits_ok &= res.ledger.bits == 2 * n
         good += res.errors["mixture"] <= eps
     # reliability: the basis predictor never errs when it answers
@@ -192,7 +192,7 @@ def test_criterion_07_robust_halving():
     loops_ok, good = True, 0
     for seed in range(100):
         try:
-            res = agnostic.opt_search(specs, target, grid, eps, 0.05, seed,
+            res = agnostic.opt_search(specs, target, grid, eps, seed,
                                       noise_rate=noise)
         except agnostic.SearchFailureError:
             continue
@@ -205,11 +205,11 @@ def test_criterion_07_robust_halving():
     t_idx = grid.index(target)
     never_eliminated = True
     for seed in range(100):
-        res = agnostic.run_robust_halving(specs, target, grid, eps, 0.05,
-                                          eps, seed)
+        res = agnostic.run_robust_halving(specs, target, grid, eps, eps,
+                                          seed)
         never_eliminated &= t_idx in res.meta["survivors"]
-    shared = agnostic.run_robust_halving(specs, target, grid, eps, 0.05,
-                                         eps, 0, shared_randomness=True)
+    shared = agnostic.run_robust_halving(specs, target, grid, eps, eps, 0,
+                                         shared_randomness=True)
     report(7, "robust halving",
            loops_ok and good >= 90 and never_eliminated
            and shared.meta["count_bits"] == 0,
@@ -297,8 +297,7 @@ def test_criterion_09_privacy():
             int(v) for v in stream(seed, "acc9").choice(n_dim, 2,
                                                         replace=False)))
         priv = privacy_mod.private_conjunction_protocol(specs, f, eps, seed)
-        base = run_intersection_closed(specs, f, eps, 0.05, "conjunction",
-                                       seed)
+        base = run_intersection_closed(specs, f, eps, 0.05, seed)
         ledger_ok &= priv.ledger.to_dict() == base.ledger.to_dict()
         good += priv.errors["mixture"] <= eps
     report(9, "privacy",

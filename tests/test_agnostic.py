@@ -40,7 +40,7 @@ class TestRobustHalving:
     def test_noise_free_keeps_best_hypothesis(self):
         grid, target, specs = threshold_setup()
         t_idx = grid.index(target)
-        res = run_robust_halving(specs, target, grid, 0.05, 0.05, 0.05, 0)
+        res = run_robust_halving(specs, target, grid, 0.05, 0.05, 0)
         assert t_idx in res.meta["survivors"]
         h = res.hypotheses[channel.BROADCAST]
         s = draw_sample(specs[0], target, 2000, 99, tags=("check",))
@@ -48,7 +48,7 @@ class TestRobustHalving:
 
     def test_survivors_monotone_nonincreasing(self):
         grid, target, specs = threshold_setup()
-        res = run_robust_halving(specs, target, grid, 0.05, 0.05, 0.05, 1,
+        res = run_robust_halving(specs, target, grid, 0.05, 0.05, 1,
                                  noise_rate=0.05)
         hist = res.meta["survivor_history"]
         assert all(a >= b for a, b in zip(hist, hist[1:]))
@@ -61,13 +61,13 @@ class TestRobustHalving:
         # either every bad hypothesis is eliminated (collapse) or the run
         # never reaches the halt condition (loop cap); both are ProtocolError
         with pytest.raises(ProtocolError):
-            run_robust_halving(specs, target, bad + bad[:1], 0.05, 0.05,
-                               0.0125, 2, noise_rate=0.3, c_l=3.0)
+            run_robust_halving(specs, target, bad + bad[:1], 0.05, 0.0125,
+                               2, noise_rate=0.3, c_l=3.0)
 
     def test_shared_randomness_zeroes_count_bits(self):
         grid, target, specs = threshold_setup()
-        a = run_robust_halving(specs, target, grid, 0.05, 0.05, 0.05, 3)
-        b = run_robust_halving(specs, target, grid, 0.05, 0.05, 0.05, 3,
+        a = run_robust_halving(specs, target, grid, 0.05, 0.05, 3)
+        b = run_robust_halving(specs, target, grid, 0.05, 0.05, 3,
                                shared_randomness=True)
         assert a.meta["count_bits"] > 0
         assert b.meta["count_bits"] == 0
@@ -77,28 +77,28 @@ class TestRobustHalving:
 class TestOptSearch:
     def test_trivial_noise_free_accepts_first_guess(self):
         grid, target, specs = threshold_setup()
-        res = opt_search(specs, target, grid, 0.05, 0.05, 0)
+        res = opt_search(specs, target, grid, 0.05, 0)
         assert res.meta["guesses"] == 1
         assert res.meta["validation_error"] <= 8 * (0.05 + 0.05)
 
     def test_noisy_error_tracks_opt(self):
         grid, target, specs = threshold_setup()
         noise = 0.1
-        res = opt_search(specs, target, grid, 0.05, 0.05, 4,
+        res = opt_search(specs, target, grid, 0.05, 4,
                          noise_rate=noise)
         # validation is measured against noisy labels, so opt ~ noise rate
         assert res.meta["validation_error"] <= 8 * (noise + 0.05) + 0.05
 
     def test_guess_count_bounded_by_geometric_scan(self):
         grid, target, specs = threshold_setup()
-        res = opt_search(specs, target, grid, 0.05, 0.05, 5, noise_rate=0.05)
+        res = opt_search(specs, target, grid, 0.05, 5, noise_rate=0.05)
         assert res.meta["guesses"] <= math.ceil(math.log2(1 / 0.05)) + 1
 
     def test_ledger_scaled_by_guesses(self):
         grid, target, specs = threshold_setup()
-        res = opt_search(specs, target, grid, 0.05, 0.05, 6)
+        res = opt_search(specs, target, grid, 0.05, 6)
         g = res.meta["guesses"]
-        single = run_robust_halving(specs, target, grid, 0.05, 0.05,
+        single = run_robust_halving(specs, target, grid, 0.05,
                                     res.meta["opt_guess"], 6)
         assert res.ledger.bits == g * single.ledger.bits
 
@@ -136,6 +136,57 @@ class TestSummaries:
             summaries.append(player_summary(s, 8, 8))
         _borders, pos, neg = merge_summaries(summaries)
         assert pos.sum() + neg.sum() == pytest.approx(1.0, abs=0.02)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_property_merge_matches_overlap_scan(self, seed):
+        rng = stream(seed, "merge_prop")
+        summaries = []
+        for _ in range(int(rng.integers(1, 9))):
+            # coarse-grid borders tie within a player (zero-width segments)
+            # and across players; uniform ones fall anywhere
+            inner = np.sort(np.concatenate([
+                rng.integers(0, 9, size=int(rng.integers(0, 6))) / 8,
+                rng.random(int(rng.integers(0, 6)))])).tolist()
+            borders = inner + [1.0] if inner or rng.random() < 0.5 else []
+            masses = rng.random(len(borders))
+            masses = (masses / masses.sum()).tolist() if borders else []
+            summaries.append([(b, quantize_fraction(rng.random(), 4), m)
+                              for b, m in zip(borders, masses)])
+        got = merge_summaries(summaries)
+        want = overlap_merge(summaries)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+
+def overlap_merge(summaries):
+    """Reference merge: intersect every player segment with every merged
+    segment, spreading its mass by overlap; zero-width segments credit the
+    merged segment ending at their point."""
+    borders = sorted({0.0, 1.0}.union(
+        b for summary in summaries for (b, _f, _m) in summary))
+    S = len(borders) - 1
+    pos, neg = np.zeros(S), np.zeros(S)
+    k = max(1, sum(1 for summary in summaries if summary))
+    for summary in summaries:
+        lo = 0.0
+        for (b, frac, mass) in summary:
+            width = b - lo
+            if width <= 0.0:
+                t = max(0, int(np.searchsorted(borders, b)) - 1)
+                pos[t] += mass * frac / k
+                neg[t] += mass * (1.0 - frac) / k
+            else:
+                for t in range(S):
+                    overlap = max(0.0, min(borders[t + 1], b)
+                                  - max(borders[t], lo))
+                    if overlap > 0.0:
+                        share = mass * overlap / width
+                        pos[t] += share * frac / k
+                        neg[t] += share * (1.0 - frac) / k
+            lo = b
+    return borders, pos, neg
 
 
 def exhaustive_best(borders, pos, neg, d):

@@ -67,8 +67,8 @@ class TestSampleShipping:
     def test_one_round_and_all_examples_charged(self):
         n, k = 8, 3
         f = Conjunction(n, frozenset({0, 5}))
-        res = sample_shipping([UniformBoolean(n)] * k, f, 0.1, 0.05,
-                              lambda s: smallest_consistent(s, "conjunction"),
+        res = sample_shipping([UniformBoolean(n)] * k, f, 0.1,
+                              lambda s: smallest_consistent(s, Conjunction),
                               n, 0)
         m_i = res.meta["m_per_player"]
         assert res.ledger.rounds == 1

@@ -42,8 +42,8 @@ class TestLedger:
         assert led.bits == 3 + 5
         assert led.examples == 1
         assert led.hypotheses == 1
-        assert led.player_bits("p1") == 3
-        assert led.player_bits("p2") == 5
+        assert led.per_player["p1"] == 3
+        assert led.per_player["p2"] == 5
 
     def test_broadcast_charged_once(self):
         led = CostLedger()

@@ -155,6 +155,13 @@ class TestConfigValidation:
          "grid"),
         ({"protocol": "round_robin_perceptron", "k": 2, "per_player": 0},
          "per_player"),
+        (dict(BASE, n=5, target={"variables": [7]}), "target.variables"),
+        ({"protocol": "closed_box", "d": 2, "k": 1, "eps": 0.1,
+          "target": {"lo": [0.1]}}, "target.lo"),
+        (dict(BASE, k=1, distributions=[
+            {"kind": "product_bernoulli", "p": 1.5}]), "p"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "target": {"intervals": [[0.9, 0.1]]}}, "target.intervals"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

@@ -7,7 +7,7 @@ from distpac.core import (ConfigurationError, ParityFunc,
                           RealizabilityError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
 from distpac.parity import (GF2Basis, ParityNonProper, gf2_reduce,
-                            parity_proper_learn, run_parity_two_player)
+                            run_parity_two_player)
 
 
 def planted_sample(n, n_target_bits, m, seed, noise=False):
@@ -66,18 +66,18 @@ class TestGF2Reduce:
 class TestProperLearn:
     def test_consistent_with_sample(self):
         f, s = planted_sample(24, 6, 300, 7)
-        h = parity_proper_learn(s)
+        h = gf2_reduce(s).proper()
         assert sample_error(h, s) == 0.0
 
     def test_recovers_target_at_full_rank(self):
         f, s = planted_sample(10, 4, 400, 9)
         if gf2_reduce(s).rank == 10:
-            assert parity_proper_learn(s).vector == f.vector
+            assert gf2_reduce(s).proper().vector == f.vector
 
     def test_free_variables_zero(self):
         # one example pins only the parity of the 1-coordinates
         s = Sample(np.array([[1.0, 0.0, 0.0]]), np.array([1]))
-        h = parity_proper_learn(s)
+        h = gf2_reduce(s).proper()
         assert h.vector == (1, 0, 0)
 
 
@@ -85,13 +85,13 @@ class TestProtocol:
     def test_requires_two_players(self):
         f = ParityFunc(4, (1, 0, 0, 0))
         with pytest.raises(ConfigurationError):
-            run_parity_two_player([UniformBoolean(4)], f, 0.1, 0.05, 0)
+            run_parity_two_player([UniformBoolean(4)], f, 0.1, 0)
 
     def test_ledger_two_hypotheses_2n_bits(self):
         n = 40
         f = ParityFunc(n, tuple([1] + [0] * (n - 1)))
         specs = [UniformBoolean(n), UniformBoolean(n)]
-        res = run_parity_two_player(specs, f, 0.05, 0.05, 0, m=200)
+        res = run_parity_two_player(specs, f, 0.05, 0, m=200)
         assert res.ledger.bits == 2 * n
         assert res.ledger.hypotheses == 2
         assert res.ledger.rounds == 1
@@ -101,7 +101,7 @@ class TestProtocol:
         rng = stream(11, "t")
         f = ParityFunc(n, tuple(int(b) for b in rng.integers(0, 2, size=n)))
         specs = [UniformBoolean(n), UniformBoolean(n)]
-        res = run_parity_two_player(specs, f, 0.05, 0.05, 11)
+        res = run_parity_two_player(specs, f, 0.05, 11)
         assert res.errors["mixture"] <= 0.05
 
     def test_nonproper_prefers_own_span(self):

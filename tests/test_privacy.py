@@ -166,7 +166,7 @@ class TestConjunctionProtocol:
         f = Conjunction(n, frozenset({0, 3}))
         specs = [UniformBoolean(n)] * k
         priv = private_conjunction_protocol(specs, f, 0.05, 0)
-        base = run_intersection_closed(specs, f, 0.05, 0.05, "conjunction", 0)
+        base = run_intersection_closed(specs, f, 0.05, 0.05, 0)
         assert priv.ledger.to_dict() == base.ledger.to_dict()
 
     def test_budget_fully_spent(self):
