@@ -20,22 +20,27 @@ from . import channel
 from .closed import pac_sample_size
 from .core import (M_EVAL, Concept, ConfigurationError, DistributionSpec,
                    ProtocolResult, Sample, WeightedMajority, draw_sample,
-                   measure_errors, stream)
+                   measure_errors, sign_pm1, stream)
 
 
-def quantize(x: float, q: int | None) -> float:
+def quantize(x: float | np.ndarray, q: int | None) -> float | np.ndarray:
     """Truncate x to q mantissa bits after the implicit leading bit.
 
-    q = None means exact.  Truncation keeps the value in [x(1 - 2^-q), x],
-    so k quantized weights shift total variation by at most k * 2^-q.
+    x is a scalar or an ndarray; a scalar gives a float, an ndarray an
+    ndarray of the same shape, entry by entry bit-identical to the scalar
+    call.  q = None means exact (x is returned unchanged).  Truncation keeps
+    each value in [x(1 - 2^-q), x], so k quantized weights shift total
+    variation by at most k * 2^-q.
     """
-    if q is None or x == 0.0:
-        return float(x)
-    if x < 0.0 or not math.isfinite(x):
+    if q is None:
+        return x if np.ndim(x) else float(x)
+    a = np.asarray(x, dtype=np.float64)
+    if not (np.isfinite(a).all() and (a >= 0.0).all()):
         raise ConfigurationError("weights must be finite and nonnegative")
-    m, e = math.frexp(x)
+    m, e = np.frexp(a)
     scale = float(1 << (q + 1))
-    return math.ldexp(math.floor(m * scale) / scale, e)
+    out = np.ldexp(np.floor(m * scale) / scale, e)
+    return out if a.ndim else float(out)
 
 
 def boosting_rounds(eps: float, beta: float) -> int:
@@ -122,6 +127,10 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     """
     k = len(samples)
     weights = [np.ones(len(s), dtype=np.float64) for s in samples]
+    # running sum of alpha_t * h_t(x), added in WeightedMajority.predict's
+    # member order, so its sign is the ensemble's prediction bit for bit
+    margins = [np.zeros(len(s), dtype=np.float64) for s in samples]
+    total = sum(len(s) for s in samples)
     split_rng = stream(seed, "boost", "split")
     draw_rngs = [stream(seed, "boost", "draw", i) for i in range(k)]
     hs: list = []
@@ -130,13 +139,13 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     bound = 1.0
     cw = channel.count_width(m_weak)
     for t in range(T):
-        totals = np.array([quantize(float(w.sum()), q) for w in weights])
+        totals = quantize(np.array([w.sum() for w in weights]), q)
         counts = split_rng.multinomial(m_weak, totals / totals.sum())
         feats, labels = [], []
         for i in range(k):
             channel.send(ledger, channel.CENTER, f"p{i + 1}",
                          channel.CountMsg(int(counts[i]), cw))
-            wq = np.array([quantize(float(v), q) for v in weights[i]])
+            wq = quantize(weights[i], q)
             idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
                                       p=wq / wq.sum())
             feats.append(samples[i].features[idx])
@@ -148,11 +157,11 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         channel.send(ledger, channel.CENTER, channel.BROADCAST,
                      channel.HypothesisMsg(h_t))
         mistake_w, total_w = 0.0, 0.0
-        corrects = []
+        preds, corrects = [], []
         for i in range(k):
-            correct = h_t.predict(samples[i].features) == samples[i].labels
-            corrects.append(correct)
-            m_i = quantize(float(weights[i][~correct].sum()), q)
+            preds.append(h_t.predict(samples[i].features))
+            corrects.append(preds[i] == samples[i].labels)
+            m_i = quantize(float(weights[i][~corrects[i]].sum()), q)
             mistake_w += m_i
             total_w += float(totals[i])
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
@@ -162,14 +171,13 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         channel.send(ledger, channel.CENTER, channel.BROADCAST,
                      channel.BitsMsg(64))
         channel.advance_round(ledger, "round")
+        wrong = 0
         for i in range(k):
             weights[i] = adaboost_reweight(weights[i], corrects[i], alpha_t)
+            margins[i] += alpha_t * preds[i]
+            wrong += int((sign_pm1(margins[i]) != samples[i].labels).sum())
         hs.append(h_t)
         alphas.append(alpha_t)
-        ensemble = WeightedMajority(tuple(zip(hs, alphas)))
-        wrong = sum(int((ensemble.predict(s.features) != s.labels).sum())
-                    for s in samples)
-        total = sum(len(s) for s in samples)
         bound *= 2.0 * math.sqrt(eps_t * (1.0 - eps_t))
         telemetry.append({"round": t + 1, "eps_t": eps_t, "alpha_t": alpha_t,
                           "examples": int(counts.sum()),

@@ -17,6 +17,7 @@ from .core import PRECISION_BITS, Concept, ConfigurationError, rule_bits
 
 BROADCAST = "broadcast"
 CENTER = "center"
+_BOOLEAN = frozenset((0.0, 1.0))
 
 
 class SyncModel(Enum):
@@ -48,7 +49,7 @@ class ExampleMsg(Message):
     label: int
 
     def is_boolean(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.features)
+        return _BOOLEAN.issuperset(self.features)
 
     def bit_size(self) -> int:
         d = len(self.features)

@@ -156,11 +156,13 @@ def _run_closed(cfg, seed, cls):
     eps, delta, specs = _setup(cfg, dim)
     if cls is Conjunction:
         vars_cfg = _field(cfg, "target.variables", [int], None)
-        if vars_cfg and not all(0 <= j < dim for j in vars_cfg):
+        if vars_cfg is None:
+            f = _random_conjunction(dim, seed)
+        elif not all(0 <= j < dim for j in vars_cfg):
             raise ConfigError("field 'target.variables' must lie in "
                               f"[0, n) = [0, {dim}), got {vars_cfg!r}")
-        f = Conjunction(dim, frozenset(vars_cfg)) if vars_cfg else \
-            _random_conjunction(dim, seed)
+        else:  # [] is the all-true conjunction
+            f = Conjunction(dim, frozenset(vars_cfg))
     else:
         lo = _field(cfg, "target.lo", [float], [0.25] * dim)
         hi = _field(cfg, "target.hi", [float], [0.75] * dim)
@@ -168,6 +170,9 @@ def _run_closed(cfg, seed, cls):
             if len(corner) != dim:
                 raise ConfigError(f"field 'target.{name}' must have length "
                                   f"d = {dim}, got {corner!r}")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise ConfigError("fields 'target.lo' and 'target.hi' must have "
+                              f"lo <= hi on every axis, got {lo!r}, {hi!r}")
         f = Box(tuple(lo), tuple(hi))
     return closed.run_intersection_closed(specs, f, eps, delta, seed,
                                           c=_field(cfg, "c", float, 1.0))

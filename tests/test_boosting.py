@@ -12,12 +12,15 @@ from distpac.boosting import (DecisionStump, adaboost_reweight,
                               weak_sample_size)
 from distpac.closed import pac_sample_size
 from distpac.core import (ConfigurationError, Conjunction, Sample,
-                          UniformBoolean, draw_sample, stream)
+                          UniformBoolean, WeightedMajority, draw_sample,
+                          stream)
 
 
 class TestQuantize:
     def test_exact_when_q_none(self):
         assert quantize(0.12345, None) == 0.12345
+        arr = np.array([0.1, 3.0])
+        assert quantize(arr, None) is arr
 
     def test_zero(self):
         assert quantize(0.0, 8) == 0.0
@@ -37,6 +40,25 @@ class TestQuantize:
     @given(st.floats(min_value=1e-10, max_value=1e10), st.integers(1, 40))
     def test_property_idempotent(self, x, q):
         assert quantize(quantize(x, q), q) == quantize(x, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=0.0, max_value=2.2e-308),
+                              st.floats(min_value=0.0, max_value=1e300)),
+                    min_size=1, max_size=30),
+           st.integers(1, 52))
+    def test_property_array_matches_scalar_bitwise(self, xs, q):
+        arr = np.array(xs)
+        out = quantize(arr, q)
+        assert isinstance(out, np.ndarray) and out.shape == arr.shape
+        scalar = np.array([quantize(float(v), q) for v in arr])
+        assert isinstance(quantize(float(arr[0]), q), float)
+        assert (out.view(np.int64) == scalar.view(np.int64)).all()
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_array_rejects_negative_and_non_finite(self, bad):
+        with pytest.raises(ConfigurationError):
+            quantize(np.array([0.5, bad, 2.0]), 8)
 
 
 class TestFormulas:
@@ -99,6 +121,19 @@ class TestDistributed:
             _f, res = self.run(seed)
             for row in res.meta["telemetry"]:
                 assert row["train_error"] <= row["train_bound"] + 1e-12
+
+    def test_train_error_is_rebuilt_ensemble_error(self):
+        _f, res = self.run(6, k=3)
+        n, k = 20, 3
+        f = Conjunction(n, frozenset({0, 4, 9}))
+        samples = [draw_sample(UniformBoolean(n), f, res.meta["m_per_player"],
+                               6, tags=("boost", i)) for i in range(k)]
+        weak, alphas = res.meta["weak"], res.meta["alphas"]
+        for t, row in enumerate(res.meta["telemetry"]):
+            ens = WeightedMajority(tuple(zip(weak[:t + 1], alphas[:t + 1])))
+            wrong = sum(int((ens.predict(s.features) != s.labels).sum())
+                        for s in samples)
+            assert row["train_error"] == wrong / sum(len(s) for s in samples)
 
     def test_reaches_target_error(self):
         _f, res = self.run(3)

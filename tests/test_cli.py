@@ -162,6 +162,10 @@ class TestConfigValidation:
             {"kind": "product_bernoulli", "p": 1.5}]), "p"),
         ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
           "target": {"intervals": [[0.9, 0.1]]}}, "target.intervals"),
+        ({"protocol": "closed_box", "d": 2, "k": 1, "eps": 0.1,
+          "target": {"lo": [0.1, 0.8], "hi": [0.5, 0.2]}}, "target.lo"),
+        ({"protocol": "closed_box", "d": 2, "k": 1, "eps": 0.1,
+          "target": {"lo": [0.1, 0.8], "hi": [0.5, 0.2]}}, "target.hi"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -171,6 +175,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"'{field}'" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_empty_target_variables_is_all_true_conjunction(
+            self, tmp_path, monkeypatch):
+        targets = []
+        run = cli.closed.run_intersection_closed
+
+        def recording_run(specs, f, *args, **kwargs):
+            targets.append(f)
+            return run(specs, f, *args, **kwargs)
+
+        monkeypatch.setattr(cli.closed, "run_intersection_closed",
+                            recording_run)
+        cfg = write_config(tmp_path, "c", dict(BASE, n=6, seeds=0,
+                                               target={"variables": []}))
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert [t.variables for t in targets] == [frozenset()]
 
 
 class TestCompare:
