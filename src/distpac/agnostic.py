@@ -69,12 +69,12 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
         loops += 1
         maj = MajorityOfSet(tuple(h for h, a in zip(H, survivors) if a))
         counts = stream(seed, "halving", "split", loops).multinomial(
-            s, [1.0 / k] * k, size=N)
+            s, [1.0 / k] * k, size=N).tolist()
         if not shared_randomness:
             for i in range(1, k):
                 for j in range(N):
                     channel.send(ledger, "p1", f"p{i + 1}",
-                                 channel.CountMsg(int(counts[j][i]), cw))
+                                 channel.CountMsg(counts[j][i], cw))
                     count_bits += cw
         mistaken = 0
         broadcast: list = []
@@ -83,14 +83,13 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
             for i in range(k):
                 if counts[j][i] == 0:
                     continue
-                part = draw_sample(specs[i], f, int(counts[j][i]), seed,
+                part = draw_sample(specs[i], f, counts[j][i], seed,
                                    noise_rate=noise_rate,
                                    tags=("halving", loops, j, i))
-                wrong = np.flatnonzero(maj.predict(part.features)
-                                       != part.labels)
-                if wrong.size:
-                    first = (i, part.features[wrong[0]],
-                             int(part.labels[wrong[0]]))
+                wrong = maj.predict(part.features) != part.labels
+                if wrong.any():
+                    w = wrong.argmax()
+                    first = (i, part.features[w], int(part.labels[w]))
                     break
             if first is not None:
                 mistaken += 1

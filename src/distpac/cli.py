@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -30,6 +31,9 @@ from .core import (Box, ConfigurationError, Conjunction, IntervalUnion,
                    draw_sample, sample_error, stream)
 
 OUT_ROOT_ENV = "DISTPAC_OUT_ROOT"
+# libyaml's parser when pyyaml was built with it; the resolver, and so the
+# parsed mapping, is SafeLoader's either way
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -357,9 +361,12 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         w.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _quantiles(vals: list) -> dict:
-    return {"median": float(np.median(vals)),
-            "p90": float(np.percentile(vals, 90))}
+def _quantiles(table: list) -> list:
+    """{median, p90} of each column of a table of rows, one numpy call
+    each over the whole table."""
+    cols = np.array(table, dtype=np.float64)
+    return [{"median": float(med), "p90": float(p90)} for med, p90 in
+            zip(np.median(cols, axis=0), np.percentile(cols, 90, axis=0))]
 
 
 def run_config(path: str, seed_range: str | None = None,
@@ -367,10 +374,10 @@ def run_config(path: str, seed_range: str | None = None,
     try:
         try:
             with open(path) as fh:
-                cfg = yaml.safe_load(fh)
+                cfg = yaml.load(fh, Loader=YAML_LOADER)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a mapping")
@@ -416,11 +423,10 @@ def run_config(path: str, seed_range: str | None = None,
             "seeds": len(seeds),
             "wall_ms": round(wall_total * 1000.0, 3),
         }
-        for idx, col in enumerate(header[2:7], start=2):
-            summary[col] = _quantiles([float(r[idx]) for r in rows])
-        errs = [float(r[7]) for r in rows if r[7] != ""]
+        summary.update(zip(header[2:7], _quantiles([r[2:7] for r in rows])))
+        errs = [r[7:8] for r in rows if r[7] != ""]
         if errs:
-            summary["error_mixture"] = _quantiles(errs)
+            summary["error_mixture"], = _quantiles(errs)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
@@ -455,7 +461,8 @@ def compare(dir_a: str, dir_b: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distpac",
         description="Communication-metered distributed learning protocols.")
@@ -469,6 +476,11 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("dir_a")
     p_cmp.add_argument("dir_b")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_protocols:
         for name in sorted(PROTOCOLS):

@@ -30,28 +30,42 @@ class ProtocolError(RuntimeError):
     """A protocol run went off the rails (broken learner, no progress)."""
 
 
+def _words(value: int) -> tuple:
+    """The uint32 words numpy's ``SeedSequence`` makes of a non-negative
+    int: least significant first, and 0 as one zero word."""
+    words = []
+    while True:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        if not value:
+            return tuple(words)
+
+
 @functools.lru_cache(maxsize=4096)
-def _tag_to_int(tag_repr: str) -> int:
+def _tag_words(tag_repr: str) -> tuple:
     # Keyed on repr(tag), not on the tag: 1, True and 1.0 hash equal but
     # must stay distinct streams.
     digest = hashlib.sha256(tag_repr.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return _words(int.from_bytes(digest[:8], "little"))
 
 
 def stream(seed: int, *tags: object) -> np.random.Generator:
     """Derive a named random stream from (seed, tags).
 
     Distinct tag tuples give statistically independent generators; the same
-    tuple always gives the same stream.
+    tuple always gives the same stream.  The entropy is the low 64 bits of
+    the seed, then a sha256-derived 64-bit int per tag, handed to
+    ``SeedSequence`` as the uint32 words it would split that int list into.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    entropy += [_tag_to_int(repr(t)) for t in tags]
-    return np.random.default_rng(entropy)
+    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    for t in tags:
+        words += _tag_words(repr(t))
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
     """sign with the convention sign(0) = +1, returned as int8 +/-1."""
-    return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
+    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +85,16 @@ class Sample:
     labels: np.ndarray  # shape (m,), values +/-1
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        if len(self) == 0:
-            self.features = self.features.reshape(0, self.features.shape[-1])
         self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
-        if self.features.shape[0] != self.labels.shape[0]:
+        X = np.asarray(self.features, dtype=np.float64)
+        if X.ndim != 2:
+            X = np.atleast_2d(X)
+            if len(self) == 0:
+                X = X.reshape(0, X.shape[-1])
+        self.features = X
+        if X.shape[0] != len(self):
             raise ConfigurationError("features/labels length mismatch")
-        if len(self) and not np.all((self.labels == 1)
-                                    | (self.labels == -1)):
+        if not ((self.labels == 1) | (self.labels == -1)).all():
             raise ConfigurationError("labels must be +/-1")
 
     def __len__(self) -> int:
@@ -268,12 +284,12 @@ class Threshold(Concept):
     def family(cls, members):
         t = np.array([h.t for h in members], dtype=np.float64)[:, None]
         sign = np.array([h.sign for h in members], dtype=np.int8)[:, None]
-        return functools.partial(_threshold_matrix, t, sign)
+        return functools.partial(_threshold_matrix, t, sign, -sign)
 
 
-def _threshold_matrix(t: np.ndarray, sign: np.ndarray,
+def _threshold_matrix(t: np.ndarray, sign: np.ndarray, neg: np.ndarray,
                       X: np.ndarray) -> np.ndarray:
-    return np.where(X[:, 0] >= t, sign, -sign)
+    return np.where(X[:, 0] >= t, sign, neg)
 
 
 @dataclass(frozen=True)
@@ -497,7 +513,7 @@ def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,
     y = f.predict(X) if m else np.zeros(0, dtype=np.int8)
     if noise_rate > 0.0 and m:
         flips = rng.random(m) < noise_rate
-        y = np.where(flips, -y, y).astype(np.int8)
+        y = np.where(flips, -y, y)
     return Sample(X.reshape(m, spec.dim), y)
 
 

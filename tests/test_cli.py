@@ -1,6 +1,9 @@
 import csv
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -53,6 +56,28 @@ class TestRun:
         assert summary["bits"]["median"] == 60.0
         assert "wall_ms" in summary
         assert summary["params"] == {"n": 20, "k": 3, "eps": 0.05}
+
+    def test_summary_quantiles_are_those_of_results_csv(self, tmp_path):
+        cfg = write_config(tmp_path, "h", {
+            "protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": 21,
+            "noise_rate": 0.05, "seeds": [0, 4], "name": "halving",
+            "distributions": [{"kind": "uniform_interval"}] * 2})
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = read_csv(tmp_path / "out" / "halving" / "results.csv")
+        with open(tmp_path / "out" / "halving" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert len(rows) == 6
+        for j, col in enumerate(rows[0]):
+            if col not in ("bits", "examples", "hypotheses", "rounds",
+                           "meta_rounds", "error_mixture"):
+                continue
+            vals = [float(r[j]) for r in rows[1:]]
+            # results.csv keeps 12 significant digits of an error
+            exact = {} if col == "error_mixture" else {"rel": 0, "abs": 0}
+            assert summary[col] == {
+                "median": pytest.approx(np.median(vals), **exact),
+                "p90": pytest.approx(np.percentile(vals, 90), **exact)}
+        assert len({r[2] for r in rows[1:]}) > 1  # the bits column varies
 
     def test_seed_range_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, "c", dict(BASE))
@@ -121,6 +146,33 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c", bad)
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        b"protocol: closed_conjunction\nn: 20\nk: 3\neps: 0.05\n"
+        b"seeds: [0, 4\n",
+        b"protocol: closed_conjunction\nn: 20\ntarget:\n\tvariables: []\n",
+        b"protocol: closed_conjunction\nname: \xff\xfe\n",
+    ], ids=["unclosed-flow-sequence", "tab-indented-key", "not-utf-8"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed config" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_cli_loader_parses_like_safe_loader(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+        text = example + ('tiny: 1e-3\nquoted: "false"\nhex: 0x10\n'
+                          "word: yes\nnothing: ~\n")
+        parsed = yaml.load(text, Loader=cli.YAML_LOADER)
+        assert parsed == yaml.load(text, Loader=yaml.SafeLoader)
+        assert parsed["seeds"] == [0, 99] and parsed["eps"] == 0.05
+        assert [parsed[key] for key in
+                ("tiny", "quoted", "hex", "word", "nothing")] == [
+            "1e-3", "false", 16, True, None]
 
     def test_bad_seed_range(self, tmp_path):
         cfg = write_config(tmp_path, "c", dict(BASE))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 
@@ -14,6 +15,7 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           WeightedMajority, draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream)
+from distpac.core import _words as words
 
 
 class TestStream:
@@ -38,8 +40,39 @@ class TestStream:
             assert len(set(draws)) == 3
 
 
+def old_stream(seed, *tags):
+    """The derivation stream() replaced, kept as the oracle: a list of
+    Python ints handed to default_rng."""
+    return np.random.default_rng(
+        [int(seed) & (2 ** 64 - 1)]
+        + [int.from_bytes(hashlib.sha256(repr(t).encode()).digest()[:8],
+                          "little") for t in tags])
+
+
+TAGS = st.one_of(st.text(max_size=8), st.integers(-2 ** 70, 2 ** 70),
+                 st.booleans(), st.floats(allow_nan=False),
+                 st.tuples(st.text(max_size=3), st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 64, -1, -2 ** 40, 2 ** 100 + 7]),
+                 st.integers(-2 ** 80, 2 ** 80)),
+       st.lists(TAGS, max_size=5))
+def test_property_stream_matches_int_list_derivation(seed, tags):
+    assert np.array_equal(stream(seed, *tags).integers(0, 2 ** 63, 8),
+                          old_stream(seed, *tags).integers(0, 2 ** 63, 8))
+
+
+@pytest.mark.parametrize("v", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_words_are_seed_sequence_words(v):
+    ours = np.random.SeedSequence(np.array(words(v), np.uint32))
+    assert np.array_equal(ours.pool, np.random.SeedSequence(v).pool)
+
+
 def test_sign_zero_is_positive():
-    assert list(sign_pm1(np.array([-1.0, 0.0, 2.0]))) == [-1, 1, 1]
+    signs = sign_pm1(np.array([-1.0, 0.0, 2.0]))
+    assert list(signs) == [-1, 1, 1] and signs.dtype == np.int8
 
 
 class TestSample:

@@ -39,7 +39,7 @@ def test_no_unused_imports(path):
 
 
 # Parameters a signature keeps on purpose: ``channel.send`` takes the
-# receiver for the message transcript (ROADMAP item 4), and every CLI runner
+# receiver for the message transcript (ROADMAP item 3), and every CLI runner
 # takes ``(cfg, seed)`` so that ``cli.PROTOCOLS`` can call them alike.
 UNREAD_ALLOWED = {("channel.py", "send", "to")}
 RUNNER_PARAMS = ("cfg", "seed")
@@ -94,3 +94,53 @@ def _allowed(path: Path, name: str, param: str) -> bool:
 def test_no_unread_parameters(path):
     found = unread_parameters(ast.parse(path.read_text()))
     assert [f for f in found if not _allowed(path, f[1], f[2])] == []
+
+
+# README's replay contract: all randomness flows from the seed through the
+# named streams of ``core.stream``, which is what lets a run replay exactly.
+STREAM_OWNER = ("core.py", "stream")
+
+
+def _is_np_random(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "random" and \
+        isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+
+
+def random_sources(path: Path, tree: ast.Module) -> list:
+    """(line, what) of each ``np.random.<fn>(...)`` call outside
+    ``core.stream`` and each import of ``random`` or ``numpy.random``."""
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and \
+                (path.name, node.name) == STREAM_OWNER:
+            owned.update(id(n) for n in ast.walk(node))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in owned and \
+                isinstance(node.func, ast.Attribute) and \
+                _is_np_random(node.func.value):
+            out.append((node.lineno, f"{node.func.value.value.id}.random."
+                                     f"{node.func.attr}()"))
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, f"import {a.name}") for a in node.names
+                    if a.name == "random" or a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                (node.module == "random"
+                 or node.module.startswith("numpy.random")):
+            out.append((node.lineno, f"from {node.module} import"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_randomness_only_through_named_streams(path):
+    assert random_sources(path, ast.parse(path.read_text())) == []
+
+
+def test_random_sources_sees_each_kind():
+    tree = ast.parse("import random\nfrom numpy.random import rand\n"
+                     "def stream():\n    return np.random.default_rng(1)\n"
+                     "x = numpy.random.normal()\n")
+    core, other = Path("core.py"), Path("other.py")
+    assert [w for _, w in random_sources(core, tree)] == [
+        "import random", "from numpy.random import", "numpy.random.normal()"]
+    assert len(random_sources(other, tree)) == 4
