@@ -73,8 +73,8 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
         if not shared_randomness:
             for i in range(1, k):
                 for j in range(N):
-                    channel.send(ledger, "p1", f"p{i + 1}",
-                                 channel.CountMsg(counts[j][i], cw))
+                    channel.send_count(ledger, "p1", f"p{i + 1}",
+                                       counts[j][i], cw)
                     count_bits += cw
         mistaken = 0
         broadcast: list = []
@@ -95,7 +95,7 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
                 mistaken += 1
                 i, x, lab = first
                 channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST,
-                                     x, lab)
+                                     x)
                 broadcast.append((x, lab))
         channel.advance_round(ledger, "round")
         if mistaken <= N / 3:
@@ -149,8 +149,7 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
             h, draw_sample(specs[i], f, per, seed, noise_rate=noise_rate,
                            tags=("opt_val", j, i))) for i in range(k)]))
         if val <= 8.0 * (opt_guess + eps):
-            for attr in ("bits", "examples", "hypotheses", "rounds",
-                         "meta_rounds"):
+            for attr in channel.CostLedger.COUNTERS:
                 setattr(res.ledger, attr, getattr(res.ledger, attr) * guesses)
             res.meta.update({"guesses": guesses, "validation_error": val})
             return res
@@ -294,7 +293,7 @@ def run_interval_summary(samples: Sequence[Sample], d: int,
         summaries.append(summary)
         for _ in summary:
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                         channel.BitsMsg(PRECISION_BITS + frac_bits))
+                         PRECISION_BITS + frac_bits)
         values += len(summary)
     channel.advance_round(ledger, "round")
     borders, pos, neg = merge_summaries(summaries)

@@ -119,8 +119,8 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
                         tags=("shipping", i))
         feats.append(s.features)
         labels.append(s.labels)
-        for row, lab in zip(s.features, s.labels):
-            channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row, lab)
+        for row in s.features:
+            channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row)
     channel.advance_round(ledger, "round")
     union = Sample(np.vstack(feats), np.concatenate(labels))
     h = learner(union)
@@ -160,7 +160,7 @@ def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
                 f"mistake cap {mistake_cap} exceeded; learner is broken")
         i, idx = sender
         x, lab = samples[i].features[idx], int(samples[i].labels[idx])
-        channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, x, lab)
+        channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, x)
         channel.advance_round(ledger, "round")
         learner.update(x, lab)
     h = learner.hypothesis()

@@ -143,19 +143,18 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         counts = split_rng.multinomial(m_weak, totals / totals.sum())
         feats, labels = [], []
         for i in range(k):
-            channel.send(ledger, channel.CENTER, f"p{i + 1}",
-                         channel.CountMsg(int(counts[i]), cw))
+            channel.send_count(ledger, channel.CENTER, f"p{i + 1}",
+                               int(counts[i]), cw)
             wq = quantize(weights[i], q)
             idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
                                       p=wq / wq.sum())
             feats.append(samples[i].features[idx])
             labels.append(samples[i].labels[idx])
-            for row, lab in zip(feats[-1], labels[-1]):
-                channel.send_example(ledger, f"p{i + 1}", channel.CENTER,
-                                     row, int(lab))
+            for row in feats[-1]:
+                channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row)
         h_t = weak_learner(Sample(np.vstack(feats), np.concatenate(labels)))
-        channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                     channel.HypothesisMsg(h_t))
+        channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
+                                h_t)
         mistake_w, total_w = 0.0, 0.0
         preds, corrects = [], []
         for i in range(k):
@@ -165,11 +164,10 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             mistake_w += m_i
             total_w += float(totals[i])
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                         channel.BitsMsg(2 * (64 if q is None else q)))
+                         2 * (64 if q is None else q))
         eps_t = min(max(mistake_w / total_w, 1e-12), 1.0 - 1e-12)
         alpha_t = 0.5 * math.log((1.0 - eps_t) / eps_t)
-        channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                     channel.BitsMsg(64))
+        channel.send(ledger, channel.CENTER, channel.BROADCAST, 64)
         channel.advance_round(ledger, "round")
         wrong = 0
         for i in range(k):

@@ -1,8 +1,10 @@
-"""Message types, exact cost accounting, and round orchestration.
+"""Exact cost accounting and round orchestration.
 
 Every protocol charges its traffic through :func:`send`, so a run's ledger
 is an exact replayable record of what crossed the wire.  Broadcast is
-charged once, not k times.
+charged once, not k times.  Examples, hypotheses and counts are priced by
+:func:`send_example`, :func:`send_hypothesis` and :func:`send_count`;
+every other payload passes its bit count to :func:`send` itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PRECISION_BITS, Concept, ConfigurationError, rule_bits
+from .core import PRECISION_BITS, Concept, ConfigurationError
 
 BROADCAST = "broadcast"
 CENTER = "center"
@@ -29,90 +31,12 @@ class ProtocolViolation(RuntimeError):
     """A protocol broke the communication model's rules."""
 
 
-# ---------------------------------------------------------------------------
-# Messages
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Message:
-    def bit_size(self) -> int:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ExampleMsg(Message):
-    """One labeled example.  Boolean features cost n+1 bits, real ones
-    d * PRECISION_BITS + 1."""
-
-    features: tuple
-    label: int
-
-    def is_boolean(self) -> bool:
-        return _BOOLEAN.issuperset(self.features)
-
-    def bit_size(self) -> int:
-        d = len(self.features)
-        if self.is_boolean():
-            return d + 1
-        return d * PRECISION_BITS + 1
-
-
-@dataclass(frozen=True)
-class HypothesisMsg(Message):
-    hypothesis: Concept
-
-    def bit_size(self) -> int:
-        return self.hypothesis.encoded_bits()
-
-
-@dataclass(frozen=True)
-class BitsMsg(Message):
-    """Opaque payload with an explicit bit length."""
-
-    length: int
-
-    def bit_size(self) -> int:
-        return self.length
-
-
-@dataclass(frozen=True)
-class CountMsg(Message):
-    """An integer of explicit width; requires 0 <= value < 2**width."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if not (0 <= self.value < 2 ** self.width):
-            raise ConfigurationError(
-                f"count {self.value} does not fit in {self.width} bits")
-
-    def bit_size(self) -> int:
-        return self.width
-
-
-@dataclass(frozen=True)
-class RuleMsg(Message):
-    """A decision-list rule triplet (j, b, c) over n variables."""
-
-    j: int
-    b: int
-    c: int
-    n: int
-
-    def bit_size(self) -> int:
-        return rule_bits(self.n)
-
-
-# ---------------------------------------------------------------------------
-# Ledger
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class CostLedger:
     """Monotone counters of everything charged on the channel."""
+
+    # the counters, in results.csv's column order
+    COUNTERS = ("bits", "examples", "hypotheses", "rounds", "meta_rounds")
 
     bits: int = 0
     examples: int = 0
@@ -124,39 +48,51 @@ class CostLedger:
     _slot_used: bool = field(default=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "bits": self.bits,
-            "examples": self.examples,
-            "hypotheses": self.hypotheses,
-            "rounds": self.rounds,
-            "meta_rounds": self.meta_rounds,
-            "per_player": dict(sorted(self.per_player.items())),
-        }
+        out = {name: getattr(self, name) for name in self.COUNTERS}
+        out["per_player"] = dict(sorted(self.per_player.items()))
+        return out
 
     def upstream_bits(self) -> int:
         return sum(v for k, v in self.per_player.items() if k != CENTER)
 
 
-def send(ledger: CostLedger, frm: str, to: str, msg: Message) -> CostLedger:
-    """Charge one message; broadcast is charged once."""
+def send(ledger: CostLedger, frm: str, to: str, bits: int, *,
+         examples: int = 0, hypotheses: int = 0) -> CostLedger:
+    """Charge one message of ``bits`` bits carrying ``examples`` examples
+    and ``hypotheses`` hypotheses; broadcast is charged once."""
     if ledger.sync_model is SyncModel.LOCK_SYNCHRONOUS:
         if ledger._slot_used:
             raise ProtocolViolation(
                 "two sends in one lock-synchronous slot (advance_round first)")
         ledger._slot_used = True
-    size = msg.bit_size()
-    ledger.bits += size
-    ledger.per_player[frm] = ledger.per_player.get(frm, 0) + size
-    if isinstance(msg, ExampleMsg):
-        ledger.examples += 1
-    elif isinstance(msg, HypothesisMsg):
-        ledger.hypotheses += 1
+    ledger.bits += bits
+    ledger.per_player[frm] = ledger.per_player.get(frm, 0) + bits
+    ledger.examples += examples
+    ledger.hypotheses += hypotheses
     return ledger
 
 
-def send_example(ledger, frm, to, features, label) -> CostLedger:
-    return send(ledger, frm, to, ExampleMsg(tuple(np.asarray(features).tolist()),
-                                            int(label)))
+def send_example(ledger: CostLedger, frm: str, to: str,
+                 features) -> CostLedger:
+    """Charge one labeled example: n+1 bits if its features are boolean,
+    d * PRECISION_BITS + 1 if real."""
+    row = np.asarray(features).tolist()
+    d = len(row)
+    bits = d + 1 if _BOOLEAN.issuperset(row) else d * PRECISION_BITS + 1
+    return send(ledger, frm, to, bits, examples=1)
+
+
+def send_hypothesis(ledger: CostLedger, frm: str, to: str,
+                    h: Concept) -> CostLedger:
+    return send(ledger, frm, to, h.encoded_bits(), hypotheses=1)
+
+
+def send_count(ledger: CostLedger, frm: str, to: str, value: int,
+               width: int) -> CostLedger:
+    """Charge an integer of explicit width; requires 0 <= value < 2**width."""
+    if not 0 <= value < 2 ** width:
+        raise ConfigurationError(f"count {value} does not fit in {width} bits")
+    return send(ledger, frm, to, width)
 
 
 def advance_round(ledger: CostLedger, kind: str = "round") -> CostLedger:

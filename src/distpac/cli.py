@@ -108,20 +108,34 @@ def build_distribution(entry: dict, dim: int):
         p = _field(entry, "p", (float, [float]), 0.5)
         probs = tuple(map(float, p if isinstance(p, list) else [p] * dim))
         if len(probs) != dim:
-            raise ConfigError(f"product_bernoulli p has length {len(probs)}, "
-                              f"expected {dim}")
+            raise ConfigError(f"field 'p' must have length {dim}, "
+                              f"got {p!r}")
         if not all(0.0 <= v <= 1.0 for v in probs):
             raise ConfigError(f"field 'p' must lie in [0, 1], got {p!r}")
         return ProductBernoulli(probs)
     if kind in ("uniform_sphere", "gaussian_unit"):
         return UniformSphere(dim)
     if kind == "uniform_interval":
-        return UniformInterval(_field(entry, "lo", float, 0.0),
-                               _field(entry, "hi", float, 1.0))
+        if dim != 1:
+            raise ConfigError("field 'kind': uniform_interval is "
+                              f"1-dimensional, the protocol needs {dim}")
+        lo = _field(entry, "lo", float, 0.0)
+        hi = _field(entry, "hi", float, 1.0)
+        if not lo < hi:
+            raise ConfigError("fields 'lo' and 'hi' must have lo < hi, "
+                              f"got {lo!r}, {hi!r}")
+        return UniformInterval(lo, hi)
     if kind == "point_mass":
         points = _field(entry, "points", [[float]])
-        return PointMassList(tuple(tuple(p) for p in points),
-                             tuple(_field(entry, "probabilities", [float])))
+        if any(len(pt) != dim for pt in points):
+            raise ConfigError(f"field 'points' must list points of dimension "
+                              f"{dim}, got {points!r}")
+        probs = _field(entry, "probabilities", [float])
+        try:
+            return PointMassList(tuple(map(tuple, points)), tuple(probs))
+        except ConfigurationError as exc:  # count, sign or sum
+            raise ConfigError(f"field 'probabilities': {exc}, "
+                              f"got {probs!r}") from None
     raise ConfigError(f"unknown distribution kind '{kind}'")
 
 
@@ -390,21 +404,22 @@ def run_config(path: str, seed_range: str | None = None,
                    or os.environ.get(OUT_ROOT_ENV, "results")) \
             / _field(cfg, "name", str, name)
         runner = PROTOCOLS[name]
-        k = _count(cfg, "k", 1)
-        header = ["protocol", "seed", "bits", "examples", "hypotheses",
-                  "rounds", "meta_rounds", "error_mixture"] \
-            + [f"error_p{i + 1}" for i in range(k)]
-        rows, trace_rows, wall_total = [], [], 0.0
+        counters = channel.CostLedger.COUNTERS
+        scopes = ["mixture"] + [f"p{i + 1}"
+                                for i in range(_count(cfg, "k", 1))]
+        header = ["protocol", "seed", *counters] \
+            + [f"error_{scope}" for scope in scopes]
+        rows, counts, mixture, trace_rows = [], [], [], []
+        wall_total = 0.0
         for seed in seeds:
             t0 = time.perf_counter()
             res = runner(cfg, seed)
             wall_total += time.perf_counter() - t0
-            led = res.ledger
-            row = [name, seed, led.bits, led.examples, led.hypotheses,
-                   led.rounds, led.meta_rounds,
-                   res.errors.get("mixture", "")]
-            row += [res.errors.get(f"p{i + 1}", "") for i in range(k)]
-            rows.append(row)
+            counts.append([getattr(res.ledger, c) for c in counters])
+            errors = [res.errors.get(scope, "") for scope in scopes]
+            rows.append([name, seed, *counts[-1], *errors])
+            if errors[0] != "":
+                mixture.append(errors[:1])
             trace_rows += [[seed, rnd, player] + list(ex) + list(hyp)
                            for (rnd, player, ex, hyp) in res.trace or ()]
         # only now: a config or protocol error in any seed writes nothing
@@ -423,10 +438,9 @@ def run_config(path: str, seed_range: str | None = None,
             "seeds": len(seeds),
             "wall_ms": round(wall_total * 1000.0, 3),
         }
-        summary.update(zip(header[2:7], _quantiles([r[2:7] for r in rows])))
-        errs = [r[7:8] for r in rows if r[7] != ""]
-        if errs:
-            summary["error_mixture"], = _quantiles(errs)
+        summary.update(zip(counters, _quantiles(counts)))
+        if mixture:
+            summary["error_mixture"], = _quantiles(mixture)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
@@ -439,23 +453,28 @@ def run_config(path: str, seed_range: str | None = None,
         return 1
 
 
+CURRENCIES = ("bits", "examples", "rounds")
+
+
 def compare(dir_a: str, dir_b: str) -> int:
-    summaries = []
-    for d in (dir_a, dir_b):
-        p = Path(d) / "summary.json"
-        if not p.exists():
-            print(f"error: missing {p}", file=sys.stderr)
+    runs = []
+    for run_dir in (dir_a, dir_b):
+        p = Path(run_dir) / "summary.json"
+        try:  # unreadable, not JSON, or without an entry compare reads
+            summary = json.loads(p.read_bytes())
+            runs.append((summary["params"], [float(summary[cur]["median"])
+                                             for cur in CURRENCIES]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"error: cannot read {p}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             return 2
-        with open(p) as fh:
-            summaries.append(json.load(fh))
-    a, b = summaries
-    if a["params"] != b["params"]:
+    (params_a, medians_a), (params_b, medians_b) = runs
+    if params_a != params_b:
         print("error: comparison refused, class parameters differ: "
-              f"{a['params']} vs {b['params']}", file=sys.stderr)
+              f"{params_a} vs {params_b}", file=sys.stderr)
         return 2
     print(f"{'currency':<12}{'A median':>14}{'B median':>14}{'ratio':>10}")
-    for cur in ("bits", "examples", "rounds"):
-        ma, mb = a[cur]["median"], b[cur]["median"]
+    for cur, ma, mb in zip(CURRENCIES, medians_a, medians_b):
         ratio = ma / mb if mb else (1.0 if ma == 0 else math.inf)
         print(f"{cur:<12}{ma:>14.6g}{mb:>14.6g}{ratio:>10.4g}")
     return 0

@@ -105,8 +105,7 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
         samples.append(sample)
         h_i = smallest_consistent(sample, type(f))
         locals_.append(h_i)
-        channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                     channel.HypothesisMsg(h_i))
+        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
     h = combine(locals_)
     channel.advance_round(ledger, "round")
     for sample in samples:

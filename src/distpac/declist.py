@@ -16,7 +16,8 @@ from . import channel
 from .closed import pac_sample_size
 from .core import (M_EVAL, ConfigurationError, DecisionListFunc,
                    DistributionSpec, ProtocolResult, RealizabilityError,
-                   Sample, draw_sample, measure_errors, sample_error, stream)
+                   Sample, draw_sample, measure_errors, rule_bits,
+                   sample_error, stream)
 
 # a triplet is (j, b, c): j in 0..n (0 = else, b then ignored and stored 0),
 # b in {0,1}, c in {0,1} with bit 1 meaning label +1
@@ -94,9 +95,8 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
                                      "round cap without an else-rule")
         for i in range(k):
             fresh = consistent_triplets(samples[i], alive[i]) - announced[i]
-            for (j, b, cbit) in sorted(fresh):
-                channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                             channel.RuleMsg(j, b, cbit, n))
+            for _rule in fresh:
+                channel.send(ledger, f"p{i + 1}", channel.CENTER, rule_bits(n))
             announced[i] |= fresh
         intersection = set.intersection(*announced) if k else set()
         new_rules = intersection - broadcast_set
@@ -109,9 +109,9 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
         if else_rules:
             ordered = ordered + [else_rules[0]]
             halted = True
-        for (j, b, cbit) in ordered:
+        for _rule in ordered:
             channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                         channel.RuleMsg(j, b, cbit, n))
+                         rule_bits(n))
         broadcast_set |= set(ordered)
         broadcast_order.extend(ordered)
         for i in range(k):

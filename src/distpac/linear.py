@@ -126,10 +126,10 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
                                    update_cap=update_cap)
             meta_updates += state.pass_updates
             nxt = f"p{(i + 1) % k + 1}"
-            channel.send(ledger, f"p{i + 1}", nxt,
-                         channel.HypothesisMsg(LinearSeparator(tuple(state.w))))
-            channel.send(ledger, f"p{i + 1}", nxt,
-                         channel.CountMsg(state.pass_updates, 32))
+            channel.send_hypothesis(ledger, f"p{i + 1}", nxt,
+                                    LinearSeparator(tuple(state.w)))
+            channel.send_count(ledger, f"p{i + 1}", nxt, state.pass_updates,
+                               32)
             channel.advance_round(ledger, "round")
         channel.advance_round(ledger, "meta_round")
         state.meta_round_updates.append(meta_updates)
@@ -162,8 +162,8 @@ def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
         norms[norms == 0] = 1.0
         v = (s.labels[:, None] * s.features / norms).mean(axis=0)
         vectors.append(v)
-        channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                     channel.HypothesisMsg(LinearSeparator(tuple(v.tolist()))))
+        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER,
+                                LinearSeparator(tuple(v.tolist())))
     channel.advance_round(ledger, "round")
     mean = np.mean(vectors, axis=0)
     nrm = np.linalg.norm(mean)

@@ -172,8 +172,8 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
     bases = [gf2_reduce(s) for s in samples]
     propers = [b.proper() for b in bases]
     # each player sends only its proper vector (n bits); g_i stays local
-    channel.send(ledger, "p1", "p2", channel.HypothesisMsg(propers[0]))
-    channel.send(ledger, "p2", "p1", channel.HypothesisMsg(propers[1]))
+    channel.send_hypothesis(ledger, "p1", "p2", propers[0])
+    channel.send_hypothesis(ledger, "p2", "p1", propers[1])
     channel.advance_round(ledger, "round")
     combined = {
         "p1": ParityNonProper(bases[0], propers[1]),

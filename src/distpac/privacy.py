@@ -236,8 +236,7 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
         h_i = learn_private_conjunction(spec, f, eps, budget, m, seed,
                                         tags=(i,))
         locals_.append(h_i)
-        channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                     channel.HypothesisMsg(h_i))
+        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
     h = combine(locals_)
     channel.advance_round(ledger, "round")
     errors = measure_errors(h, specs, f, M_EVAL, seed)

@@ -1,59 +1,81 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpac import channel
-from distpac.channel import (BROADCAST, CENTER, BitsMsg, CostLedger,
-                             CountMsg, ExampleMsg, HypothesisMsg,
-                             ProtocolViolation, RuleMsg, SyncModel,
-                             advance_round, count_width, send, send_example)
-from distpac.core import Box, ConfigurationError, Conjunction, LinearSeparator
+from distpac.channel import (BROADCAST, CENTER, CostLedger, ProtocolViolation,
+                             SyncModel, advance_round, count_width, send,
+                             send_count, send_example, send_hypothesis)
+from distpac.core import (Box, ConfigurationError, Conjunction,
+                          LinearSeparator, rule_bits)
+
+
+def charged(charge, *args) -> CostLedger:
+    """A fresh ledger after one charge of ``charge(ledger, "p1", CENTER,
+    *args)``."""
+    led = CostLedger()
+    charge(led, "p1", CENTER, *args)
+    return led
 
 
 class TestMessageSizes:
     def test_boolean_example(self):
-        assert ExampleMsg((1.0, 0.0, 1.0), 1).bit_size() == 4
+        led = charged(send_example, (1.0, 0.0, 1.0))
+        assert (led.bits, led.examples, led.hypotheses) == (4, 1, 0)
 
     def test_real_example(self):
-        assert ExampleMsg((0.5, 0.25), -1).bit_size() == 65
+        led = charged(send_example, (0.5, 0.25))
+        assert (led.bits, led.examples) == (65, 1)
 
     def test_hypothesis_sizes(self):
-        assert HypothesisMsg(Conjunction(30, frozenset())).bit_size() == 30
-        assert HypothesisMsg(Box((0.0,), (1.0,))).bit_size() == 64
-        assert HypothesisMsg(LinearSeparator((1.0, 0.0))).bit_size() == 65
+        for h, bits in [(Conjunction(30, frozenset()), 30),
+                        (Box((0.0,), (1.0,)), 64),
+                        (LinearSeparator((1.0, 0.0)), 65)]:
+            led = charged(send_hypothesis, h)
+            assert (led.bits, led.examples, led.hypotheses) == (bits, 0, 1)
 
     def test_rule_msg(self):
-        assert RuleMsg(3, 1, 0, 50).bit_size() == 8
+        assert charged(send, rule_bits(50)).bits == 8
 
     def test_count_fits_width(self):
-        assert CountMsg(7, 3).bit_size() == 3
+        led = charged(send_count, 7, 3)
+        assert (led.bits, led.examples, led.hypotheses) == (3, 0, 0)
         with pytest.raises(ConfigurationError):
-            CountMsg(8, 3)
+            send_count(led, "p1", CENTER, 8, 3)
+        assert led.bits == 3  # a count that does not fit is not charged
 
     def test_bits_msg(self):
-        assert BitsMsg(17).bit_size() == 17
+        led = charged(send, 17)
+        assert (led.bits, led.examples, led.hypotheses) == (17, 0, 0)
 
 
 class TestLedger:
+    def test_counters_are_the_leading_fields(self):
+        names = tuple(f.name for f in fields(CostLedger))
+        assert names[:len(CostLedger.COUNTERS)] == CostLedger.COUNTERS
+        assert list(CostLedger().to_dict()) == \
+            [*CostLedger.COUNTERS, "per_player"]
+
     def test_send_accumulates(self):
         led = CostLedger()
-        send(led, "p1", CENTER, ExampleMsg((1.0, 0.0), 1))
-        send(led, "p2", CENTER, HypothesisMsg(Conjunction(5, frozenset())))
-        assert led.bits == 3 + 5
-        assert led.examples == 1
-        assert led.hypotheses == 1
-        assert led.per_player["p1"] == 3
-        assert led.per_player["p2"] == 5
+        send_example(led, "p1", CENTER, (1.0, 0.0))
+        send_hypothesis(led, "p2", CENTER, Conjunction(5, frozenset()))
+        send(led, "p2", CENTER, 7, examples=2, hypotheses=3)
+        assert led.bits == 3 + 5 + 7
+        assert led.examples == 1 + 2
+        assert led.hypotheses == 1 + 3
+        assert led.per_player == {"p1": 3, "p2": 5 + 7}
 
     def test_broadcast_charged_once(self):
         led = CostLedger()
-        send(led, "p1", BROADCAST, ExampleMsg((1.0,), 1))
+        send_example(led, "p1", BROADCAST, (1.0,))
         assert led.bits == 2  # not multiplied by any receiver count
 
     def test_upstream_bits_excludes_center(self):
         led = CostLedger()
-        send(led, "p1", CENTER, BitsMsg(10))
-        send(led, CENTER, BROADCAST, BitsMsg(100))
+        send(led, "p1", CENTER, 10)
+        send(led, CENTER, BROADCAST, 100)
         assert led.upstream_bits() == 10
 
     def test_rounds_and_meta_rounds(self):
@@ -66,15 +88,17 @@ class TestLedger:
 
     def test_lock_synchronous_one_send_per_slot(self):
         led = CostLedger(sync_model=SyncModel.LOCK_SYNCHRONOUS)
-        send(led, "p1", BROADCAST, BitsMsg(1))
+        send(led, "p1", BROADCAST, 1)
         with pytest.raises(ProtocolViolation):
-            send(led, "p2", BROADCAST, BitsMsg(1))
+            send(led, "p2", BROADCAST, 1)
+        with pytest.raises(ProtocolViolation):
+            send_example(led, "p2", BROADCAST, (1.0,))
         advance_round(led, "round")
-        send(led, "p2", BROADCAST, BitsMsg(1))  # fresh slot is fine
+        send(led, "p2", BROADCAST, 1)  # fresh slot is fine
 
     def test_send_example_helper(self):
         led = CostLedger()
-        send_example(led, "p1", CENTER, [1.0, 1.0, 0.0], -1)
+        send_example(led, "p1", CENTER, [1.0, 1.0, 0.0])
         assert led.examples == 1 and led.bits == 4
 
 
@@ -98,6 +122,6 @@ class TestCountWidth:
 def test_property_ledger_is_sum_of_message_sizes(msgs):
     led = CostLedger()
     for frm, length in msgs:
-        send(led, frm, CENTER, BitsMsg(length))
+        send(led, frm, CENTER, length)
     assert led.bits == sum(length for _, length in msgs)
     assert led.bits == sum(led.per_player.values())

@@ -24,6 +24,12 @@ def read_csv(path):
 BASE = {"protocol": "closed_conjunction", "n": 20, "k": 3, "eps": 0.05,
         "seeds": [0, 4], "name": "conj"}
 BOOST = {"protocol": "boosting", "n": 10, "k": 2, "eps": 0.2, "seeds": 0}
+BOX1 = {"protocol": "closed_box", "d": 1, "k": 1, "eps": 0.1, "seeds": 0}
+
+
+def point_mass(points, probabilities):
+    return [{"kind": "point_mass", "points": points,
+             "probabilities": probabilities}]
 
 
 class TestListProtocols:
@@ -218,6 +224,22 @@ class TestConfigValidation:
           "target": {"lo": [0.1, 0.8], "hi": [0.5, 0.2]}}, "target.lo"),
         ({"protocol": "closed_box", "d": 2, "k": 1, "eps": 0.1,
           "target": {"lo": [0.1, 0.8], "hi": [0.5, 0.2]}}, "target.hi"),
+        (dict(BOX1, distributions=point_mass([[0.1], [0.5, 0.2]],
+                                             [0.5, 0.5])), "points"),
+        (dict(BOX1, distributions=point_mass([[0.1, 0.2]], [1.0])),
+         "points"),
+        (dict(BOX1, distributions=point_mass([[0.1], [0.6]], [0.5, 0.4])),
+         "probabilities"),
+        (dict(BOX1, distributions=point_mass([[0.1], [0.6]], [1.5, -0.5])),
+         "probabilities"),
+        (dict(BOX1, distributions=point_mass([[0.1], [0.6]], [1.0])),
+         "probabilities"),
+        (dict(BOX1, distributions=[
+            {"kind": "uniform_interval", "lo": 0.5, "hi": 0.5}]), "lo"),
+        (dict(BASE, n=5, k=1, distributions=[{"kind": "uniform_interval"}]),
+         "kind"),
+        (dict(BASE, n=5, k=1, distributions=[
+            {"kind": "product_bernoulli", "p": [0.5, 0.5]}]), "p"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -270,6 +292,54 @@ class TestCompare:
 
     def test_missing_summary(self, tmp_path):
         assert cli.main(["compare", str(tmp_path), str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "{not json", '{"params": {}, "bits": {"median": 1.0}}',
+    ], ids=["not-json", "no-examples-entry"])
+    def test_unreadable_summary_exits_2_naming_it(self, tmp_path, capsys,
+                                                  text):
+        cfg = write_config(tmp_path, "c", dict(BASE))
+        cli.main(["run", cfg, "--out", str(tmp_path / "a")])
+        bad = tmp_path / "b" / "summary.json"
+        bad.parent.mkdir()
+        bad.write_text(text)
+        assert cli.main(["compare", str(tmp_path / "a" / "conj"),
+                         str(bad.parent)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+
+# Every protocol at tiny sizes.  results.csv has no per-party columns, so
+# the goldens cannot see a ledger whose total and split disagree.
+TINY = {
+    "closed_conjunction": {"n": 8, "k": 2, "eps": 0.2},
+    "closed_box": {"d": 2, "k": 2, "eps": 0.2},
+    "parity_two_player": {"n": 8, "k": 2, "eps": 0.2},
+    "decision_list": {"n": 6, "k": 2, "eps": 0.2, "n_rules": 4},
+    "sample_shipping": {"n": 8, "k": 2, "eps": 0.2},
+    "eq_conjunction": {"n": 8, "k": 2, "eps": 0.2},
+    "averaging": {"d": 3, "k": 2, "eps": 0.2},
+    "round_robin_perceptron": {"k": 2, "per_player": 10},
+    "adversarial_perceptron": {"gamma": 0.2},
+    "boosting": {"n": 6, "k": 2, "eps": 0.3},
+    "robust_halving": {"k": 2, "eps": 0.05, "noise_rate": 0.1, "grid": 51,
+                       "distributions": [{"kind": "uniform_interval"}] * 2},
+    "interval_summary": {"d": 1, "k": 2, "eps": 0.2, "m_per_player": 100},
+    "private_conjunction": {"n": 6, "k": 2, "eps": 0.2},
+}
+RESCALED = pytest.mark.xfail(
+    strict=True, reason="opt_search multiplies bits by the guesses tried "
+    "but leaves per_player unscaled (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=RESCALED if name == "robust_halving" else ())
+    for name in cli.PROTOCOLS])
+def test_ledger_bits_are_per_player_sum_and_replay(name):
+    runner = cli.PROTOCOLS[name]
+    ledger = runner(TINY[name], 0).ledger.to_dict()
+    assert runner(TINY[name], 0).ledger.to_dict() == ledger
+    assert ledger["bits"] == sum(ledger["per_player"].values())
 
 
 def test_no_command_prints_help(capsys):
