@@ -11,8 +11,8 @@ import numpy as np
 from . import channel
 from .core import (PRECISION_BITS, Concept, ConfigurationError,
                    DistributionSpec, IntervalUnion, MajorityOfSet,
-                   ProtocolError, ProtocolResult, Sample, draw_sample,
-                   predict_matrix, sample_error, stream)
+                   ProtocolError, ProtocolResult, Sample, draw_parts,
+                   draw_sample, predict_matrix, sample_error, stream)
 
 
 class HalvingCollapseError(ProtocolError):
@@ -76,29 +76,35 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
                     channel.send_count(ledger, "p1", f"p{i + 1}",
                                        counts[j][i], cw)
                     count_bits += cw
-        mistaken = 0
+        # Judge the sets in per-player waves: player i draws its part of
+        # every set no earlier player found a mistake in, as one block
+        # under one vote; a set's first mistake is the first wrong row of
+        # its earliest mistaken part.
+        first: list = [None] * N
+        pending = range(N)
+        for i in range(k):
+            sets = [j for j in pending if counts[j][i]]
+            if not sets:
+                continue
+            sizes = [counts[j][i] for j in sets]
+            block = draw_parts(specs[i], f, sizes, seed,
+                               noise_rate=noise_rate,
+                               tags=[("halving", loops, j, i) for j in sets])
+            wrong = maj.predict(block.features) != block.labels
+            m = len(wrong)
+            starts = np.cumsum([0] + sizes[:-1])
+            hits = np.minimum.reduceat(np.where(wrong, np.arange(m), m),
+                                       starts).tolist()
+            for j, r in zip(sets, hits):
+                if r < m:
+                    first[j] = (i, block.features[r], int(block.labels[r]))
+            pending = [j for j in pending if first[j] is None]
         broadcast: list = []
-        for j in range(N):
-            first = None
-            for i in range(k):
-                if counts[j][i] == 0:
-                    continue
-                part = draw_sample(specs[i], f, counts[j][i], seed,
-                                   noise_rate=noise_rate,
-                                   tags=("halving", loops, j, i))
-                wrong = maj.predict(part.features) != part.labels
-                if wrong.any():
-                    w = wrong.argmax()
-                    first = (i, part.features[w], int(part.labels[w]))
-                    break
-            if first is not None:
-                mistaken += 1
-                i, x, lab = first
-                channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST,
-                                     x)
-                broadcast.append((x, lab))
+        for i, x, lab in filter(None, first):
+            channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, x)
+            broadcast.append((x, lab))
         channel.advance_round(ledger, "round")
-        if mistaken <= N / 3:
+        if len(broadcast) <= N / 3:
             break
         bx = np.stack([x for x, _ in broadcast])
         by = np.array([lab for _, lab in broadcast], dtype=np.int8)

@@ -45,6 +45,29 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()
+# keys run_config reads, or may leave unread, whatever the protocol
+ALWAYS_ALLOWED = ("protocol", "name", "out", "seeds")
+
+
+class _Tracked(dict):
+    """A config mapping, nested mappings tracked too, that remembers which
+    of its keys were read."""
+
+    def __init__(self, data: dict):
+        super().__init__((key, _track(value)) for key, value in data.items())
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _track(value):
+    if isinstance(value, dict):
+        return _Tracked(value)
+    if isinstance(value, list):
+        return [_track(v) for v in value]
+    return value
 
 
 def _conforms(value, typ) -> bool:
@@ -83,6 +106,31 @@ def _field(cfg: dict, name: str, typ, default=REQUIRED):
         raise ConfigError(f"field '{name}' must be {_describe(typ)}, "
                           f"got {value!r}")
     return float(value) if typ is float else value
+
+
+def _unread(cfg: _Tracked, prefix: str = "") -> list:
+    """Dotted names of the keys of ``cfg``, and of the mappings nested in
+    the keys that were read, that nothing has read."""
+    out = []
+    for key, value in cfg.items():
+        name = f"{prefix}{key}"
+        if key not in cfg.read:
+            out.append(name)
+        elif isinstance(value, _Tracked):
+            out += _unread(value, f"{name}.")
+        elif isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, _Tracked):
+                    out += _unread(entry, f"{name}[{i}].")
+    return out
+
+
+def _reject_unread(cfg: _Tracked) -> None:
+    unread = [key for key in _unread(cfg) if key not in ALWAYS_ALLOWED]
+    if unread:
+        raise ConfigError("unknown field " + ", ".join(
+            f"'{key}'" for key in unread) + f": protocol '{cfg['protocol']}'"
+            " reads no such field")
 
 
 def _fraction(cfg: dict, name: str, default=REQUIRED) -> float:
@@ -395,6 +443,7 @@ def run_config(path: str, seed_range: str | None = None,
             raise ConfigError(f"malformed config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a mapping")
+        cfg = _Tracked(cfg)
         name = _field(cfg, "protocol", str)
         if name not in PROTOCOLS:
             raise ConfigError(f"unknown protocol '{name}'; valid: "
@@ -413,8 +462,14 @@ def run_config(path: str, seed_range: str | None = None,
         wall_total = 0.0
         for seed in seeds:
             t0 = time.perf_counter()
-            res = runner(cfg, seed)
+            try:
+                res = runner(cfg, seed)
+            except (ProtocolError, ConfigurationError):
+                _reject_unread(cfg)  # a misspelt key may be the cause
+                raise
             wall_total += time.perf_counter() - t0
+            if not rows:  # the first seed has read every field it will
+                _reject_unread(cfg)
             counts.append([getattr(res.ledger, c) for c in counters])
             errors = [res.errors.get(scope, "") for scope in scopes]
             rows.append([name, seed, *counts[-1], *errors])

@@ -503,18 +503,42 @@ def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,
     Deterministic given (spec, f, m, seed, tags).  ``noise_rate`` flips each
     label independently (used by the agnostic protocols).
     """
-    if m < 0:
+    return draw_parts(spec, f, (m,), seed, noise_rate=noise_rate,
+                      tags=(tags,))
+
+
+def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
+               seed: int, *, noise_rate: float = 0.0,
+               tags: Sequence[tuple]) -> Sample:
+    """One Sample holding, in order, part p = ``draw_sample(spec, f,
+    sizes[p], seed, noise_rate=noise_rate, tags=tags[p])`` for every p.
+
+    Each part draws its points (then its label flips) from its own stream,
+    so the parts are exactly the per-part draws; the whole block is
+    labelled by f in one ``predict``.
+    """
+    if len(sizes) != len(tags):
+        raise ConfigurationError("need one tag tuple per part")
+    if any(m < 0 for m in sizes):
         raise ConfigurationError("m must be >= 0")
     if spec.dim != f.dim:
         raise ConfigurationError(
             f"spec dimension {spec.dim} != target dimension {f.dim}")
-    rng = stream(seed, "draw_sample", *tags)
-    X = spec.draw(rng, m)
-    y = f.predict(X) if m else np.zeros(0, dtype=np.int8)
-    if noise_rate > 0.0 and m:
-        flips = rng.random(m) < noise_rate
-        y = np.where(flips, -y, y)
-    return Sample(X.reshape(m, spec.dim), y)
+    noisy = noise_rate > 0.0
+    blocks, flips = [], []
+    for m, part_tags in zip(sizes, tags):
+        rng = stream(seed, "draw_sample", *part_tags)
+        blocks.append(spec.draw(rng, m).reshape(m, spec.dim))
+        if noisy and m:
+            flips.append(rng.random(m) < noise_rate)
+    X = blocks[0] if len(blocks) == 1 else \
+        np.concatenate([np.empty((0, spec.dim)), *blocks])
+    if not len(X):
+        return Sample(X, np.zeros(0, dtype=np.int8))
+    y = f.predict(X)
+    if noisy:
+        y = np.where(np.concatenate(flips), -y, y)
+    return Sample(X, y)
 
 
 def sample_error(h: Concept, sample: Sample) -> float:

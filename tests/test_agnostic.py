@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -12,8 +13,9 @@ from distpac.agnostic import (HalvingCollapseError, SearchFailureError,
                               halving_set_size, merge_summaries, opt_search,
                               player_summary, quantize_fraction,
                               run_interval_summary, run_robust_halving)
-from distpac.core import (IntervalUnion, ProtocolError, Sample,
-                          UniformInterval, draw_sample, sample_error, stream)
+from distpac.core import (IntervalUnion, MajorityOfSet, ProtocolError,
+                          Sample, Threshold, UniformInterval, draw_sample,
+                          predict_matrix, sample_error, stream)
 
 from conftest import threshold_grid
 
@@ -72,6 +74,111 @@ class TestRobustHalving:
         assert a.meta["count_bits"] > 0
         assert b.meta["count_bits"] == 0
         assert a.ledger.bits - a.meta["count_bits"] == b.ledger.bits
+
+
+def per_part_halving(specs, f, hypotheses, eps, opt_guess, seed, *,
+                     noise_rate=0.0, shared_randomness=False, c_l=10.0):
+    """The loop run_robust_halving replaced, kept as its oracle: each
+    (set, player) part is drawn and judged on its own, players in order,
+    until a part holds a mistake."""
+    k = len(specs)
+    H = list(hypotheses)
+    s = halving_set_size(opt_guess, eps)
+    N = halving_set_count(len(H))
+    loop_cap = math.ceil(c_l * math.log2(len(H)))
+    ledger = channel.CostLedger()
+    survivors = np.ones(len(H), dtype=bool)
+    history = [int(survivors.sum())]
+    cw = channel.count_width(s)
+    count_bits = 0
+    loops = 0
+    while True:
+        if loops >= loop_cap:
+            raise ProtocolError(f"halving exceeded the loop cap {loop_cap}")
+        loops += 1
+        maj = MajorityOfSet(tuple(h for h, a in zip(H, survivors) if a))
+        counts = stream(seed, "halving", "split", loops).multinomial(
+            s, [1.0 / k] * k, size=N).tolist()
+        if not shared_randomness:
+            for i in range(1, k):
+                for j in range(N):
+                    channel.send_count(ledger, "p1", f"p{i + 1}",
+                                       counts[j][i], cw)
+                    count_bits += cw
+        mistaken = 0
+        broadcast = []
+        for j in range(N):
+            first = None
+            for i in range(k):
+                if counts[j][i] == 0:
+                    continue
+                part = draw_sample(specs[i], f, counts[j][i], seed,
+                                   noise_rate=noise_rate,
+                                   tags=("halving", loops, j, i))
+                wrong = maj.predict(part.features) != part.labels
+                if wrong.any():
+                    w = wrong.argmax()
+                    first = (i, part.features[w], int(part.labels[w]))
+                    break
+            if first is not None:
+                mistaken += 1
+                i, x, lab = first
+                channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST,
+                                     x)
+                broadcast.append((x, lab))
+        channel.advance_round(ledger, "round")
+        if mistaken <= N / 3:
+            break
+        bx = np.stack([x for x, _ in broadcast])
+        by = np.array([lab for _, lab in broadcast], dtype=np.int8)
+        alive = np.flatnonzero(survivors)
+        errs = (predict_matrix([H[i] for i in alive], bx) != by).sum(axis=1)
+        survivors[alive[errs > N / 9]] = False
+        history.append(int(survivors.sum()))
+        if not survivors.any():
+            raise HalvingCollapseError(
+                f"all hypotheses eliminated at opt_guess={opt_guess}")
+    return ledger, {"loops": loops, "count_bits": count_bits,
+                    "survivor_history": history,
+                    "survivors": np.flatnonzero(survivors).tolist(),
+                    "N": N, "s": s}
+
+
+def halving_outcome(run, *args, **kwargs):
+    """(ledger dict, meta) of a halving run, or its exception's type and
+    text."""
+    try:
+        out = run(*args, **kwargs)
+    except ProtocolError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        ledger, meta = out
+    else:
+        ledger, meta = out.ledger, {key: out.meta[key] for key in (
+            "loops", "count_bits", "survivor_history", "survivors", "N",
+            "s")}
+    return ledger.to_dict(), meta
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_waves_match_per_part_loop(k):
+    # players on overlapping ranges, so whose part holds a set's mistake
+    # matters; the target lies between the grid's thresholds, so some runs
+    # collapse
+    specs = [UniformInterval(0.0, 1.0), UniformInterval(0.1, 0.8),
+             UniformInterval(0.25, 1.0)][:k]
+    grid = threshold_grid(5)
+    target = Threshold(0.3, 1)
+    eps = 0.05
+    ends = collections.Counter()
+    for noise, shared, guess, seed in itertools.product(
+            (0.0, 0.1), (False, True), (eps, 0.4), range(30)):
+        args = (specs, target, grid, eps, guess, seed)
+        kwargs = {"noise_rate": noise, "shared_randomness": shared}
+        want = halving_outcome(per_part_halving, *args, **kwargs)
+        assert halving_outcome(run_robust_halving, *args, **kwargs) == want
+        ends[want[0] if isinstance(want[0], type) else "ok"] += 1
+    assert ends["ok"] > 0 and ends[HalvingCollapseError] > 0
 
 
 class TestOptSearch:

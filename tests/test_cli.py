@@ -240,6 +240,20 @@ class TestConfigValidation:
          "kind"),
         (dict(BASE, n=5, k=1, distributions=[
             {"kind": "product_bernoulli", "p": [0.5, 0.5]}]), "p"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "noise_rat": 0.3}, "noise_rat"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "distributions": point_mass([[0.5]], [1.0]) + [{"kind": "bogus"}]},
+         "distributions"),
+        (dict(BASE, k=1, distributions=[
+            {"kind": "uniform_boolean", "p": 0.3}]), "distributions[0].p"),
+        ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
+          "privacy": {"alfa": 0.5}}, "privacy.alfa"),
+        (dict(BOOST, seeds=[0, 1], target={"variables": [1]}),
+         "target"),
+        # without the misspelt alpha the run is a protocol error (exit 1)
+        ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 0.5,
+          "alfa": 0.5}, "alfa"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

@@ -12,7 +12,8 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           LinearSeparator, MajorityOfSet, ParityFunc,
                           PointMassList, ProductBernoulli, Sample,
                           Threshold, UniformBoolean, UniformInterval,
-                          WeightedMajority, draw_sample, measure_errors,
+                          UniformSphere, WeightedMajority, draw_parts,
+                          draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream)
 from distpac.core import _words as words
@@ -214,6 +215,60 @@ class TestDrawSample:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             draw_sample(UniformBoolean(3), Conjunction(4, frozenset()), 5, 0)
+
+    def test_parts_need_one_tag_tuple_each(self):
+        f = Conjunction(3, frozenset())
+        with pytest.raises(ConfigurationError):
+            draw_parts(UniformBoolean(3), f, [2, 2], 0, tags=[("a",)])
+
+
+# one (spec, target) per DistributionSpec kind
+DRAW_KINDS = {
+    "uniform_boolean": (UniformBoolean(5), Conjunction(5, frozenset({0, 3}))),
+    "product_bernoulli": (ProductBernoulli((0.9, 0.2, 0.5)),
+                          ParityFunc(3, (1, 0, 1))),
+    "uniform_interval": (UniformInterval(-1.0, 2.0), Threshold(0.4, -1)),
+    "uniform_sphere": (UniformSphere(3), LinearSeparator((0.6, -0.8, 0.0))),
+    "point_mass": (PointMassList(((0.0, 1.0), (0.5, 0.5), (1.0, 1.0)),
+                                 (0.2, 0.5, 0.3)),
+                   Box((0.25, 0.0), (1.0, 0.75))),
+}
+
+
+def old_draw_sample(spec, f, m, seed, noise_rate, tags):
+    """draw_sample's body before it became draw_parts' one-part case, kept
+    as the oracle of the seed derivation: (features, labels)."""
+    rng = stream(seed, "draw_sample", *tags)
+    X = spec.draw(rng, m)
+    y = f.predict(X) if m else np.zeros(0, dtype=np.int8)
+    if noise_rate > 0.0 and m:
+        y = np.where(rng.random(m) < noise_rate, -y, y)
+    return X.reshape(m, spec.dim), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DRAW_KINDS)), st.integers(0, 2 ** 40),
+       # few distinct tags, so parts repeat a stream
+       st.lists(st.tuples(st.integers(0, 6),
+                          st.tuples(st.sampled_from("ab"), st.integers(0, 2))),
+                max_size=6),
+       st.sampled_from((0.0, 0.3)))
+def test_property_draw_parts_concatenates_draw_sample(kind, seed, parts,
+                                                      noise):
+    spec, f = DRAW_KINDS[kind]
+    got = draw_parts(spec, f, [m for m, _ in parts], seed, noise_rate=noise,
+                     tags=[t for _, t in parts])
+    each = [draw_sample(spec, f, m, seed, noise_rate=noise, tags=t)
+            for m, t in parts]
+    for part, (m, t) in zip(each, parts):
+        X, y = old_draw_sample(spec, f, m, seed, noise, t)
+        assert part.features.tobytes() == X.tobytes()
+        assert np.array_equal(part.labels, y)
+    X = np.concatenate([np.empty((0, spec.dim))] + [p.features for p in each])
+    y = np.concatenate([np.empty(0, np.int8)] + [p.labels for p in each])
+    assert got.features.dtype == X.dtype and got.features.shape == X.shape
+    assert got.features.tobytes() == X.tobytes()
+    assert np.array_equal(got.labels, y)
 
 
 def test_sample_error_weighted():

@@ -101,6 +101,13 @@ def test_no_unread_parameters(path):
 STREAM_OWNER = ("core.py", "stream")
 
 
+def _owned(path: Path, tree: ast.Module, owner: tuple) -> set:
+    """ids of the nodes inside the function ``owner`` = (file, name)."""
+    return {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and (path.name, node.name) == owner for n in ast.walk(node)}
+
+
 def _is_np_random(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "random" and \
         isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
@@ -109,11 +116,7 @@ def _is_np_random(node) -> bool:
 def random_sources(path: Path, tree: ast.Module) -> list:
     """(line, what) of each ``np.random.<fn>(...)`` call outside
     ``core.stream`` and each import of ``random`` or ``numpy.random``."""
-    owned = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and \
-                (path.name, node.name) == STREAM_OWNER:
-            owned.update(id(n) for n in ast.walk(node))
+    owned = _owned(path, tree, STREAM_OWNER)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and id(node) not in owned and \
@@ -144,3 +147,35 @@ def test_random_sources_sees_each_kind():
     assert [w for _, w in random_sources(core, tree)] == [
         "import random", "from numpy.random import", "numpy.random.normal()"]
     assert len(random_sources(other, tree)) == 4
+
+
+# One seed derivation for labelled draws: only core's ``draw_parts`` opens a
+# "draw_sample" stream, so a batched draw cannot drift from a per-part one.
+DRAW_OWNER = ("core.py", "draw_parts")
+
+
+def draw_streams(path: Path, tree: ast.Module) -> list:
+    """Line of each ``stream(..., "draw_sample", ...)`` call outside
+    ``core.draw_parts``."""
+    owned = _owned(path, tree, DRAW_OWNER)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in owned
+        and (getattr(node.func, "id", None) == "stream"
+             or getattr(node.func, "attr", None) == "stream")
+        and any(isinstance(a, ast.Constant) and a.value == "draw_sample"
+                for a in node.args))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_draw_sample_streams_only_in_draw_parts(path):
+    assert draw_streams(path, ast.parse(path.read_text())) == []
+
+
+def test_draw_streams_sees_a_second_site():
+    tree = ast.parse("def draw_parts(tags):\n"
+                     "    return stream(0, 'draw_sample', *tags)\n"
+                     "def shortcut():\n"
+                     "    return core.stream(1, 'draw_sample', 'x')\n")
+    assert draw_streams(Path("core.py"), tree) == [4]
+    assert draw_streams(Path("agnostic.py"), tree) == [2, 4]
