@@ -71,11 +71,11 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
         counts = stream(seed, "halving", "split", loops).multinomial(
             s, [1.0 / k] * k, size=N).tolist()
         if not shared_randomness:
+            # player 1 sends player i its column of the split in one message
             for i in range(1, k):
-                for j in range(N):
-                    channel.send_count(ledger, "p1", f"p{i + 1}",
-                                       counts[j][i], cw)
-                    count_bits += cw
+                channel.send_count(ledger, "p1", f"p{i + 1}",
+                                   [row[i] for row in counts], cw)
+                count_bits += N * cw
         # Judge the sets in per-player waves: player i draws its part of
         # every set no earlier player found a mistake in, as one block
         # under one vote; a set's first mistake is the first wrong row of

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -87,12 +88,16 @@ def send_hypothesis(ledger: CostLedger, frm: str, to: str,
     return send(ledger, frm, to, h.encoded_bits(), hypotheses=1)
 
 
-def send_count(ledger: CostLedger, frm: str, to: str, value: int,
-               width: int) -> CostLedger:
-    """Charge an integer of explicit width; requires 0 <= value < 2**width."""
-    if not 0 <= value < 2 ** width:
-        raise ConfigurationError(f"count {value} does not fit in {width} bits")
-    return send(ledger, frm, to, width)
+def send_count(ledger: CostLedger, frm: str, to: str,
+               value: int | Sequence[int], width: int) -> CostLedger:
+    """Charge an integer of explicit width, or a sequence of them as one
+    message of ``len(value) * width`` bits; requires 0 <= v < 2**width
+    for each value v (nothing is charged otherwise)."""
+    values = (value,) if isinstance(value, (int, np.integer)) else value
+    if len(values) and not (0 <= min(values) and max(values) < 2 ** width):
+        bad = next(v for v in values if not 0 <= v < 2 ** width)
+        raise ConfigurationError(f"count {bad} does not fit in {width} bits")
+    return send(ledger, frm, to, len(values) * width)
 
 
 def advance_round(ledger: CostLedger, kind: str = "round") -> CostLedger:

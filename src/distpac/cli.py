@@ -393,23 +393,35 @@ PROTOCOLS = {
 # ---------------------------------------------------------------------------
 
 
+# streams keep a seed's low 64 bits, so a seed outside this range would
+# replay another seed under its own label
+SEED_LIMIT = 2 ** 64
+
+
 def _parse_seeds(cfg: dict, seed_range: str | None) -> list:
     if seed_range:
+        source = f"--seed-range '{seed_range}'"
         a, _, b = seed_range.partition("..")
         try:
-            seeds = list(range(int(a), int(b) + 1))
+            seeds = range(int(a), int(b) + 1)
         except ValueError:
-            raise ConfigError(f"bad --seed-range '{seed_range}', "
-                              "expected a..b")
+            raise ConfigError(f"bad {source}, expected a..b")
     else:
+        source = "field 'seeds'"
         seeds = _field(cfg, "seeds", (int, [int]), 0)
         if isinstance(seeds, int):
             seeds = [seeds]
         elif len(seeds) == 2:
-            seeds = list(range(seeds[0], seeds[1] + 1))
+            seeds = range(seeds[0], seeds[1] + 1)
     if not seeds:
         raise ConfigError("the seed selection is empty")
-    return seeds
+    # checked before a range is listed: its ends are its extremes
+    ends = (seeds[0], seeds[-1]) if isinstance(seeds, range) else seeds
+    bad = [s for s in ends if not 0 <= s < SEED_LIMIT]
+    if bad:
+        raise ConfigError(f"{source}: seed {bad[0]} is outside "
+                          f"0..{SEED_LIMIT - 1}")
+    return list(seeds)
 
 
 def _fmt(x) -> str:

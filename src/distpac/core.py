@@ -2,9 +2,9 @@
 
 Everything downstream (protocols, ledgers, the CLI) builds on the types in
 this module.  Labels are +/-1 throughout; boolean concepts output +1 for
-true.  All randomness flows through :func:`stream`, which derives an
-independent generator from an integer seed plus a tuple of tags, so any
-protocol trace can be replayed exactly.
+true.  All randomness flows through :func:`streams`, which derives one
+independent generator per tag tuple from an integer seed (:func:`stream` is
+its one-tuple case), so any protocol trace can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -57,10 +57,159 @@ def stream(seed: int, *tags: object) -> np.random.Generator:
     the seed, then a sha256-derived 64-bit int per tag, handed to
     ``SeedSequence`` as the uint32 words it would split that int list into.
     """
-    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    for t in tags:
-        words += _tag_words(repr(t))
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return streams(seed, (tags,))[0]
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which numpy
+# keeps stable across releases: the pool size, the entropy hash (A), the
+# state hash (B) and the pool mixer.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# entropy-hash calls spent filling (4) and cross-mixing (12) the pool; each
+# word past the pool then takes 4 more, one per pool word
+_FILL_HASHES = _POOL * _POOL
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n values init * mult**i mod 2**32 that a SeedSequence
+    hash walks through (they do not depend on the data)."""
+    out, c = [], init
+    for _ in range(n):
+        out.append(c)
+        c = c * mult & 0xFFFFFFFF
+    return np.array(out, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=64)
+def _entropy_consts(start: int, stop: int) -> tuple:
+    """(xor, multiplier) of the entropy hash for words start..stop-1 of a
+    seed past the pool, each (stop - start, 1, 4): word i is hashed into
+    pool word d as the hash's call 16 + 4 (i - 4) + d."""
+    a = _hash_consts(_INIT_A, _MULT_A, _FILL_HASHES + _POOL * stop + 1)
+    words = np.arange(start, stop)[:, None, None]
+    k = _FILL_HASHES + _POOL * (words - _POOL) + np.arange(_POOL)
+    return a[k], a[k + 1]
+
+
+_FILL_CONSTS = _hash_consts(_INIT_A, _MULT_A, _FILL_HASHES + 1)
+# the state hash's consts: output word i xors b[i] and multiplies b[i + 1]
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
+
+
+def _hashmix(values: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` as the hash's k-th call."""
+    v = (values ^ _FILL_CONSTS[k]) * _FILL_CONSTS[k + 1]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _fill_pools(W: np.ndarray) -> np.ndarray:
+    """The (P, 4) pools ``mix_entropy`` makes of each row's first 4 words:
+    fill (0 past a short row), then cross-mix every pair of pool words."""
+    P, L = W.shape
+    pool = [_hashmix(W[:, i] if i < L else np.zeros(P, np.uint32), i)
+            for i in range(_POOL)]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    return np.stack(pool, axis=1)
+
+
+def _mix_tail(pool: np.ndarray, W: np.ndarray, start: int) -> np.ndarray:
+    """Mix words start.. of each row of W into its pool, as
+    ``mix_entropy`` does past the pool; a (1, 4) pool is shared by every
+    row (and stays (1, 4) if there is nothing left to mix)."""
+    L = W.shape[1]
+    if start < L:
+        xor, mult = _entropy_consts(start, L)
+        hashed = (W[:, start:].T[:, :, None] ^ xor) * mult  # (L-start, P, 4)
+        hashed ^= hashed >> 16
+        hashed *= _MIX_R
+        for mixed in hashed:  # _mix(pool, hashed word), word by word
+            pool = pool * _MIX_L - mixed
+            pool ^= pool >> 16
+    return pool
+
+
+def _state_words(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each row of a (P, 4) pool."""
+    b = _STATE_CONSTS
+    out = (np.concatenate([pool, pool], axis=1) ^ b[:-1]) * b[1:]
+    out ^= out >> 16
+    return out.astype("<u4", copy=False).view("<u8") \
+        .astype(np.uint64, copy=False)
+
+
+def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
+    """``[stream(seed, *tags) for tags in tag_tuples]``, bit for bit, with
+    numpy's ``SeedSequence`` hash done for the whole batch in one
+    vectorised uint32 pass.
+
+    The entropy words every row shares (seed and leading tags) are mixed
+    once by ``SeedSequence`` itself; the differing tail words and the state
+    words are hashed over a (P, 4) pool array, since the hash constants do
+    not depend on the data.  Each generator is still its own ``PCG64``,
+    seeded from its state words, so its draws are those of the per-tag
+    stream.  A one-tag batch takes numpy's own ``default_rng`` path.
+    """
+    seed_words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    flat, lengths = [], []
+    for tags in tag_tuples:
+        row = len(flat)
+        flat += seed_words
+        for t in tags:
+            flat += _tag_words(repr(t))
+        lengths.append(len(flat) - row)
+    if len(lengths) == 1:
+        return [np.random.default_rng(np.array(flat, dtype=np.uint32))]
+    words = np.array(flat, dtype=np.uint32)
+    states = np.empty((len(lengths), 4), dtype=np.uint64)
+    sizes = set(lengths)
+    for L in sizes:
+        if len(sizes) == 1:
+            group, W = slice(None), words.reshape(-1, L)
+        else:  # rows of L words, gathered from where each one starts
+            group = np.flatnonzero(np.array(lengths) == L)
+            starts = np.cumsum([0] + lengths[:-1])[group]
+            W = words[starts[:, None] + np.arange(L)]
+        same = (W == W[0]).all(axis=0).tolist()
+        shared = same.index(False) if False in same else L
+        if shared >= _POOL or shared == L:
+            pool = np.random.SeedSequence(W[0, :shared]).pool[None, :]
+        else:
+            pool, shared = _fill_pools(W), _POOL
+        states[group] = _state_words(_mix_tail(pool, W, shared))
+    global _StateWords
+    if _StateWords is None:
+        class _StateWords(np.random.bit_generator.ISeedSequence):
+            """Hands a bit generator the state words made for it."""
+
+            __slots__ = ("words",)
+
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                if (n_words, dtype) != (4, np.uint64):
+                    raise TypeError(f"streams made 4 uint64 state words, "
+                                    f"not {n_words} of {dtype}")
+                return self.words
+    return [np.random.Generator(np.random.PCG64(_StateWords(s)))
+            for s in states]
+
+
+# ``streams``'s ISeedSequence adapter, built on its first multi-tag batch,
+# so that numpy's random API is named only inside ``streams``
+_StateWords = None
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
@@ -526,8 +675,8 @@ def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
             f"spec dimension {spec.dim} != target dimension {f.dim}")
     noisy = noise_rate > 0.0
     blocks, flips = [], []
-    for m, part_tags in zip(sizes, tags):
-        rng = stream(seed, "draw_sample", *part_tags)
+    rngs = streams(seed, [("draw_sample", *t) for t in tags])
+    for m, rng in zip(sizes, rngs):
         blocks.append(spec.draw(rng, m).reshape(m, spec.dim))
         if noisy and m:
             flips.append(rng.random(m) < noise_rate)

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,15 @@ class TestMessageSizes:
         with pytest.raises(ConfigurationError):
             send_count(led, "p1", CENTER, 8, 3)
         assert led.bits == 3  # a count that does not fit is not charged
+
+    def test_count_column_is_one_message(self):
+        led = charged(send_count, [0, 7, 3], 3)
+        assert (led.bits, led.per_player) == (9, {"p1": 9})
+        with pytest.raises(ConfigurationError, match="count 8 does not fit"):
+            send_count(led, "p1", CENTER, [1, 8, -1], 3)
+        with pytest.raises(ConfigurationError, match="count -1 does not fit"):
+            send_count(led, "p1", CENTER, np.array([1, -1]), 3)
+        assert led.bits == 9
 
     def test_bits_msg(self):
         led = charged(send, 17)

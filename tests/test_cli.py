@@ -254,6 +254,10 @@ class TestConfigValidation:
         # without the misspelt alpha the run is a protocol error (exit 1)
         ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 0.5,
           "alfa": 0.5}, "alfa"),
+        # streams keep a seed's low 64 bits: these would replay other seeds
+        (dict(BASE, seeds=-1), "seeds"),
+        (dict(BASE, seeds=[2 ** 64 - 2, 2 ** 64]), "seeds"),
+        (dict(BASE, seeds=[3, 2 ** 64 + 7, 5]), "seeds"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -262,6 +266,19 @@ class TestConfigValidation:
         assert cli.main(["run", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"'{field}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed_range", [
+        "-1..-1", "-3..2", f"{2 ** 64 - 1}..{2 ** 64}",
+        f"{2 ** 64 + 7}..{2 ** 64 + 7}"])
+    def test_seed_range_outside_64_bits_exits_2(self, tmp_path, capsys,
+                                                 seed_range):
+        path = write_config(tmp_path, "c", dict(BASE))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, f"--seed-range={seed_range}",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed-range" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_empty_target_variables_is_all_true_conjunction(

@@ -15,7 +15,7 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           UniformSphere, WeightedMajority, draw_parts,
                           draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
-                          stream)
+                          stream, streams)
 from distpac.core import _words as words
 
 
@@ -63,6 +63,55 @@ TAGS = st.one_of(st.text(max_size=8), st.integers(-2 ** 70, 2 ** 70),
 def test_property_stream_matches_int_list_derivation(seed, tags):
     assert np.array_equal(stream(seed, *tags).integers(0, 2 ** 63, 8),
                           old_stream(seed, *tags).integers(0, 2 ** 63, 8))
+
+
+def entropy(seed, tags):
+    """The int list old_stream hands numpy for (seed, tags)."""
+    return [int(seed) & (2 ** 64 - 1)] + [
+        int.from_bytes(hashlib.sha256(repr(t).encode()).digest()[:8], "little")
+        for t in tags]
+
+
+def assert_streams_match(seed, tag_tuples):
+    gens = streams(seed, tag_tuples)
+    assert len(gens) == len(tag_tuples)
+    for g, tags in zip(gens, tag_tuples):
+        want = np.random.SeedSequence(entropy(seed, tags))
+        assert np.array_equal(g.bit_generator.seed_seq.generate_state(
+            4, np.uint64), want.generate_state(4, np.uint64))
+        ref = stream(seed, *tags)
+        assert np.array_equal(g.integers(0, 2 ** 63, 8),
+                              ref.integers(0, 2 ** 63, 8))
+        assert np.array_equal(g.random(3), ref.random(3))
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 64 - 1, -1, -2 ** 40,
+                                   2 ** 100 + 7]),
+                  st.integers(-2 ** 80, 2 ** 80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.lists(TAGS, max_size=3),
+       # few distinct tags, so rows repeat and tails share leading tags
+       st.lists(st.lists(st.sampled_from([0, 1, True, "a", -0.0, 2 ** 40]),
+                         max_size=3), max_size=8))
+def test_property_streams_match_per_tag_streams(seed, prefix, tails):
+    assert_streams_match(seed, [tuple(prefix + tail) for tail in tails])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1, -3])
+@pytest.mark.parametrize("tag_tuples", [
+    [],
+    [("draw_sample", "halving", 3, 7, 1)],
+    [("x", 1)] * 3,
+    [(), ("x",), ("x", "y", 2), ("x",), ("z", 1)],
+    [("a", 1), ("b", 1), ("c", 1)],
+    [(j,) for j in range(5)],
+    [("draw_sample", "halving", 3, j, 1) for j in range(40)],
+], ids=["empty", "one-tag", "identical", "mixed-arity", "first-tag-differs",
+        "short-rows-differ", "halving-wave"])
+def test_streams_match_per_tag_streams(seed, tag_tuples):
+    assert_streams_match(seed, tag_tuples)
 
 
 @pytest.mark.parametrize("v", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])

@@ -97,8 +97,8 @@ def test_no_unread_parameters(path):
 
 
 # README's replay contract: all randomness flows from the seed through the
-# named streams of ``core.stream``, which is what lets a run replay exactly.
-STREAM_OWNER = ("core.py", "stream")
+# named streams of ``core.streams``, which is what lets a run replay exactly.
+STREAM_OWNER = ("core.py", "streams")
 
 
 def _owned(path: Path, tree: ast.Module, owner: tuple) -> set:
@@ -108,22 +108,49 @@ def _owned(path: Path, tree: ast.Module, owner: tuple) -> set:
             and (path.name, node.name) == owner for n in ast.walk(node)}
 
 
+def _annotations(tree: ast.Module) -> set:
+    """ids of the nodes inside annotations, which name types and run
+    nothing (the sources use ``from __future__ import annotations``)."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(n) for root in roots if root is not None
+            for n in ast.walk(root)}
+
+
 def _is_np_random(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "random" and \
         isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
 
 
 def random_sources(path: Path, tree: ast.Module) -> list:
-    """(line, what) of each ``np.random.<fn>(...)`` call outside
-    ``core.stream`` and each import of ``random`` or ``numpy.random``."""
-    owned = _owned(path, tree, STREAM_OWNER)
+    """(line, what) of each reference to ``np.random`` outside
+    ``core.streams`` and outside annotations (a call, a base class, an
+    alias, ...) and each import of ``random`` or ``numpy.random``."""
+    skip = _owned(path, tree, STREAM_OWNER) | _annotations(tree)
     out = []
+    # ast.walk visits a node before its children, so the outermost
+    # attribute of a reference is reported and its inner parts skipped
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and id(node) not in owned and \
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
                 _is_np_random(node.func.value):
+            skip |= {id(node.func), id(node.func.value)}
             out.append((node.lineno, f"{node.func.value.value.id}.random."
                                      f"{node.func.attr}()"))
+        elif isinstance(node, ast.Attribute) and _is_np_random(node.value):
+            skip.add(id(node.value))
+            out.append((node.lineno,
+                        f"{node.value.value.id}.random.{node.attr}"))
+        elif _is_np_random(node):
+            out.append((node.lineno, f"{node.value.id}.random"))
         elif isinstance(node, ast.Import):
             out += [(node.lineno, f"import {a.name}") for a in node.names
                     if a.name == "random" or a.name.startswith("numpy.random")]
@@ -141,12 +168,24 @@ def test_randomness_only_through_named_streams(path):
 
 def test_random_sources_sees_each_kind():
     tree = ast.parse("import random\nfrom numpy.random import rand\n"
-                     "def stream():\n    return np.random.default_rng(1)\n"
+                     "def streams():\n    return np.random.default_rng(1)\n"
                      "x = numpy.random.normal()\n")
     core, other = Path("core.py"), Path("other.py")
     assert [w for _, w in random_sources(core, tree)] == [
         "import random", "from numpy.random import", "numpy.random.normal()"]
     assert len(random_sources(other, tree)) == 4
+    # references that are not calls count too; annotations do not
+    tree = ast.parse("class Words(np.random.bit_generator.ISeedSequence):\n"
+                     "    pass\n"
+                     "def streams(rng: np.random.Generator) -> np.random.A:\n"
+                     "    make = np.random.PCG64\n"
+                     "    return make, numpy.random\n"
+                     "hidden: np.random.Generator = np.random\n")
+    assert random_sources(core, tree) == [
+        (1, "np.random.bit_generator"), (6, "np.random")]
+    assert random_sources(other, tree) == [
+        (1, "np.random.bit_generator"), (4, "np.random.PCG64"),
+        (5, "numpy.random"), (6, "np.random")]
 
 
 # One seed derivation for labelled draws: only core's ``draw_parts`` opens a
@@ -155,16 +194,16 @@ DRAW_OWNER = ("core.py", "draw_parts")
 
 
 def draw_streams(path: Path, tree: ast.Module) -> list:
-    """Line of each ``stream(..., "draw_sample", ...)`` call outside
-    ``core.draw_parts``."""
+    """Line of each ``stream``/``streams`` call outside ``core.draw_parts``
+    whose arguments name "draw_sample"."""
     owned = _owned(path, tree, DRAW_OWNER)
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and id(node) not in owned
-        and (getattr(node.func, "id", None) == "stream"
-             or getattr(node.func, "attr", None) == "stream")
+        and (getattr(node.func, "id", None) in ("stream", "streams")
+             or getattr(node.func, "attr", None) in ("stream", "streams"))
         and any(isinstance(a, ast.Constant) and a.value == "draw_sample"
-                for a in node.args))
+                for arg in node.args for a in ast.walk(arg)))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -179,3 +218,11 @@ def test_draw_streams_sees_a_second_site():
                      "    return core.stream(1, 'draw_sample', 'x')\n")
     assert draw_streams(Path("core.py"), tree) == [4]
     assert draw_streams(Path("agnostic.py"), tree) == [2, 4]
+    # a batch names the tag inside its tag tuples
+    tree = ast.parse("def draw_parts(tags):\n"
+                     "    return streams(0, [('draw_sample', *t)\n"
+                     "                       for t in tags])\n"
+                     "def shortcut(j):\n"
+                     "    return core.streams(1, [('draw_sample', j)])\n")
+    assert draw_streams(Path("core.py"), tree) == [5]
+    assert draw_streams(Path("agnostic.py"), tree) == [2, 5]
