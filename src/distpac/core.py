@@ -67,9 +67,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# entropy-hash calls spent filling (4) and cross-mixing (12) the pool; each
-# word past the pool then takes 4 more, one per pool word
-_FILL_HASHES = _POOL * _POOL
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -85,68 +82,60 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _entropy_consts(start: int, stop: int) -> tuple:
     """(xor, multiplier) of the entropy hash for words start..stop-1 of a
-    seed past the pool, each (stop - start, 1, 4): word i is hashed into
-    pool word d as the hash's call 16 + 4 (i - 4) + d."""
-    a = _hash_consts(_INIT_A, _MULT_A, _FILL_HASHES + _POOL * stop + 1)
+    seed past the pool, each (stop - start, 4, 1).  Filling the pool takes
+    the hash's calls 0..3 and cross-mixing it 4..15, so word i >= 4 is
+    hashed into pool word d as call 16 + 4 (i - 4) + d."""
+    fill = _POOL * _POOL
+    a = _hash_consts(_INIT_A, _MULT_A, fill + _POOL * (stop - _POOL) + 1)
     words = np.arange(start, stop)[:, None, None]
-    k = _FILL_HASHES + _POOL * (words - _POOL) + np.arange(_POOL)
+    k = fill + _POOL * (words - _POOL) + np.arange(_POOL)[:, None]
     return a[k], a[k + 1]
 
 
-_FILL_CONSTS = _hash_consts(_INIT_A, _MULT_A, _FILL_HASHES + 1)
 # the state hash's consts: output word i xors b[i] and multiplies b[i + 1]
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
 
 
-def _hashmix(values: np.ndarray, k: int) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of ``values`` as the hash's k-th call."""
-    v = (values ^ _FILL_CONSTS[k]) * _FILL_CONSTS[k + 1]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = x * _MIX_L - y * _MIX_R
-    return v ^ (v >> 16)
-
-
-def _fill_pools(W: np.ndarray) -> np.ndarray:
-    """The (P, 4) pools ``mix_entropy`` makes of each row's first 4 words:
-    fill (0 past a short row), then cross-mix every pair of pool words."""
-    P, L = W.shape
-    pool = [_hashmix(W[:, i] if i < L else np.zeros(P, np.uint32), i)
-            for i in range(_POOL)]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
-                k += 1
-    return np.stack(pool, axis=1)
-
-
 def _mix_tail(pool: np.ndarray, W: np.ndarray, start: int) -> np.ndarray:
-    """Mix words start.. of each row of W into its pool, as
-    ``mix_entropy`` does past the pool; a (1, 4) pool is shared by every
-    row (and stays (1, 4) if there is nothing left to mix)."""
+    """Mix words start.. (start >= 4) of each row of W into its pool
+    (column p of the (4, P) array, updated in place), as ``mix_entropy``
+    does past the pool."""
     L = W.shape[1]
     if start < L:
         xor, mult = _entropy_consts(start, L)
-        hashed = (W[:, start:].T[:, :, None] ^ xor) * mult  # (L-start, P, 4)
+        hashed = (W[:, None, start:].T ^ xor) * mult  # (L-start, 4, P)
         hashed ^= hashed >> 16
         hashed *= _MIX_R
-        for mixed in hashed:  # _mix(pool, hashed word), word by word
-            pool = pool * _MIX_L - mixed
+        for mixed in hashed:  # pool = mix(pool, hashed word), word by word
+            pool *= _MIX_L
+            pool -= mixed
             pool ^= pool >> 16
     return pool
 
 
 def _state_words(pool: np.ndarray) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of each row of a (P, 4) pool."""
-    b = _STATE_CONSTS
-    out = (np.concatenate([pool, pool], axis=1) ^ b[:-1]) * b[1:]
+    """``generate_state(4, np.uint64)`` of each column of a (4, P) pool
+    array, as (P, 4)."""
+    b = _STATE_CONSTS[:, None]
+    out = (np.concatenate([pool, pool]) ^ b[:-1]) * b[1:]
     out ^= out >> 16
-    return out.astype("<u4", copy=False).view("<u8") \
-        .astype(np.uint64, copy=False)
+    return np.ascontiguousarray(out.T).astype("<u4", copy=False) \
+        .view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands a bit generator the state words :func:`streams` made for it."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise TypeError(f"streams made 4 uint64 state words, "
+                            f"not {n_words} of {dtype}")
+        return self.words
 
 
 def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
@@ -154,12 +143,14 @@ def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
     numpy's ``SeedSequence`` hash done for the whole batch in one
     vectorised uint32 pass.
 
-    The entropy words every row shares (seed and leading tags) are mixed
-    once by ``SeedSequence`` itself; the differing tail words and the state
-    words are hashed over a (P, 4) pool array, since the hash constants do
-    not depend on the data.  Each generator is still its own ``PCG64``,
-    seeded from its state words, so its draws are those of the per-tag
-    stream.  A one-tag batch takes numpy's own ``default_rng`` path.
+    The words every row shares (seed and leading tags) are mixed into the
+    pool once, by ``SeedSequence`` itself; rows that share fewer than the
+    pool's 4 words get one such pool per distinct first 4 words.  The hash
+    constants do not depend on the data, so the rest of each row and its
+    state words are hashed over (4, P) uint32 arrays.  Each generator is
+    still its own ``PCG64``, seeded from its state words, so its draws are
+    those of the per-tag stream.  A one-tag batch takes numpy's own
+    ``default_rng`` path.
     """
     seed_words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
     flat, lengths = [], []
@@ -181,35 +172,18 @@ def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
             group = np.flatnonzero(np.array(lengths) == L)
             starts = np.cumsum([0] + lengths[:-1])[group]
             W = words[starts[:, None] + np.arange(L)]
+        # the head each pool is made of: the words every row shares, and
+        # at least the pool's 4 (a shorter row is its own head)
         same = (W == W[0]).all(axis=0).tolist()
-        shared = same.index(False) if False in same else L
-        if shared >= _POOL or shared == L:
-            pool = np.random.SeedSequence(W[0, :shared]).pool[None, :]
-        else:
-            pool, shared = _fill_pools(W), _POOL
-        states[group] = _state_words(_mix_tail(pool, W, shared))
-    global _StateWords
-    if _StateWords is None:
-        class _StateWords(np.random.bit_generator.ISeedSequence):
-            """Hands a bit generator the state words made for it."""
-
-            __slots__ = ("words",)
-
-            def __init__(self, words):
-                self.words = words
-
-            def generate_state(self, n_words, dtype=np.uint32):
-                if (n_words, dtype) != (4, np.uint64):
-                    raise TypeError(f"streams made 4 uint64 state words, "
-                                    f"not {n_words} of {dtype}")
-                return self.words
+        head = min(max(same.index(False) if False in same else L, _POOL), L)
+        heads = {}
+        which = [heads.setdefault(h, len(heads))
+                 for h in map(tuple, W[:, :head].tolist())]
+        pools = np.array([np.random.SeedSequence(
+            np.array(h, dtype=np.uint32)).pool for h in heads])
+        states[group] = _state_words(_mix_tail(pools.T[:, which], W, head))
     return [np.random.Generator(np.random.PCG64(_StateWords(s)))
             for s in states]
-
-
-# ``streams``'s ISeedSequence adapter, built on its first multi-tag batch,
-# so that numpy's random API is named only inside ``streams``
-_StateWords = None
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:

@@ -107,9 +107,10 @@ def test_property_streams_match_per_tag_streams(seed, prefix, tails):
     [(), ("x",), ("x", "y", 2), ("x",), ("z", 1)],
     [("a", 1), ("b", 1), ("c", 1)],
     [(j,) for j in range(5)],
+    [(t, "b", j) for t in "ac" for j in range(3)],
     [("draw_sample", "halving", 3, j, 1) for j in range(40)],
 ], ids=["empty", "one-tag", "identical", "mixed-arity", "first-tag-differs",
-        "short-rows-differ", "halving-wave"])
+        "short-rows-differ", "heads-repeat", "halving-wave"])
 def test_streams_match_per_tag_streams(seed, tag_tuples):
     assert_streams_match(seed, tag_tuples)
 

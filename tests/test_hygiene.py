@@ -98,14 +98,18 @@ def test_no_unread_parameters(path):
 
 # README's replay contract: all randomness flows from the seed through the
 # named streams of ``core.streams``, which is what lets a run replay exactly.
-STREAM_OWNER = ("core.py", "streams")
+# Its ``ISeedSequence`` adapter, which hands each ``PCG64`` the state words
+# ``streams`` made, is the one class beside it that may name numpy's random.
+STREAM_OWNER = ("core.py", "streams", "_StateWords")
 
 
 def _owned(path: Path, tree: ast.Module, owner: tuple) -> set:
-    """ids of the nodes inside the function ``owner`` = (file, name)."""
+    """ids of the nodes inside the functions or classes ``owner`` =
+    (file, name, ...) names."""
     return {id(n) for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-            and (path.name, node.name) == owner for n in ast.walk(node)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and path.name == owner[0] and node.name in owner[1:]
+            for n in ast.walk(node)}
 
 
 def _annotations(tree: ast.Module) -> set:
@@ -130,26 +134,26 @@ def _is_np_random(node) -> bool:
 
 def random_sources(path: Path, tree: ast.Module) -> list:
     """(line, what) of each reference to ``np.random`` outside
-    ``core.streams`` and outside annotations (a call, a base class, an
-    alias, ...) and each import of ``random`` or ``numpy.random``."""
+    ``core.streams`` and its adapter and outside annotations (a call, a
+    base class, an alias, ...), and each import of ``random`` or
+    ``numpy.random``, wherever it is."""
     skip = _owned(path, tree, STREAM_OWNER) | _annotations(tree)
     out = []
     # ast.walk visits a node before its children, so the outermost
     # attribute of a reference is reported and its inner parts skipped
     for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, ast.Call) and \
+        if isinstance(node, ast.Call) and id(node) not in skip and \
                 isinstance(node.func, ast.Attribute) and \
                 _is_np_random(node.func.value):
             skip |= {id(node.func), id(node.func.value)}
             out.append((node.lineno, f"{node.func.value.value.id}.random."
                                      f"{node.func.attr}()"))
-        elif isinstance(node, ast.Attribute) and _is_np_random(node.value):
+        elif isinstance(node, ast.Attribute) and id(node) not in skip and \
+                _is_np_random(node.value):
             skip.add(id(node.value))
             out.append((node.lineno,
                         f"{node.value.value.id}.random.{node.attr}"))
-        elif _is_np_random(node):
+        elif _is_np_random(node) and id(node) not in skip:
             out.append((node.lineno, f"{node.value.id}.random"))
         elif isinstance(node, ast.Import):
             out += [(node.lineno, f"import {a.name}") for a in node.names
@@ -174,18 +178,26 @@ def test_random_sources_sees_each_kind():
     assert [w for _, w in random_sources(core, tree)] == [
         "import random", "from numpy.random import", "numpy.random.normal()"]
     assert len(random_sources(other, tree)) == 4
+    # an import counts even inside the owner
+    tree = ast.parse("def streams():\n    import random\n"
+                     "class _StateWords:\n"
+                     "    from numpy.random import bit_generator\n")
+    assert random_sources(core, tree) == [
+        (2, "import random"), (4, "from numpy.random import")]
     # references that are not calls count too; annotations do not
     tree = ast.parse("class Words(np.random.bit_generator.ISeedSequence):\n"
                      "    pass\n"
                      "def streams(rng: np.random.Generator) -> np.random.A:\n"
                      "    make = np.random.PCG64\n"
                      "    return make, numpy.random\n"
-                     "hidden: np.random.Generator = np.random\n")
+                     "hidden: np.random.Generator = np.random\n"
+                     "class _StateWords(np.random.bit_generator.ISeedSequence):"
+                     "\n    pass\n")
     assert random_sources(core, tree) == [
         (1, "np.random.bit_generator"), (6, "np.random")]
     assert random_sources(other, tree) == [
         (1, "np.random.bit_generator"), (4, "np.random.PCG64"),
-        (5, "numpy.random"), (6, "np.random")]
+        (5, "numpy.random"), (6, "np.random"), (7, "np.random.bit_generator")]
 
 
 # One seed derivation for labelled draws: only core's ``draw_parts`` opens a
