@@ -10,10 +10,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import channel
-from .core import (M_EVAL, Concept, ConfigurationError, Conjunction,
-                   DistributionSpec, MajorityOfSet, ProtocolError,
-                   ProtocolResult, Sample, draw_sample, measure_errors,
-                   predict_matrix, sample_error)
+from .core import (Concept, ConfigurationError, Conjunction, DistributionSpec,
+                   MajorityOfSet, ProtocolError, ProtocolResult, Sample,
+                   draw_sample, measure_errors, predict_matrix, sample_error)
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +105,15 @@ def shipping_sample_size(d_class: int, eps: float, k: int, *,
 
 def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
                     learner: Callable[[Sample], Concept], d_class: int,
-                    seed: int, *, agnostic: bool = False,
-                    noise_rate: float = 0.0) -> ProtocolResult:
+                    seed: int) -> ProtocolResult:
     """Everyone ships a random sample to the center, which learns on the
     union.  One round; communication is all examples."""
     k = len(specs)
-    m_i = shipping_sample_size(d_class, eps, k, agnostic=agnostic)
+    m_i = shipping_sample_size(d_class, eps, k)
     ledger = channel.CostLedger()
     feats, labels = [], []
     for i, spec in enumerate(specs):
-        s = draw_sample(spec, f, m_i, seed, noise_rate=noise_rate,
-                        tags=("shipping", i))
+        s = draw_sample(spec, f, m_i, seed, tags=("shipping", i))
         feats.append(s.features)
         labels.append(s.labels)
         for row in s.features:
@@ -124,10 +121,10 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
     channel.advance_round(ledger, "round")
     union = Sample(np.vstack(feats), np.concatenate(labels))
     h = learner(union)
-    if not agnostic and sample_error(h, union) > 0.0:
+    if sample_error(h, union) > 0.0:
         raise ProtocolError("center's learner returned an inconsistent "
-                            "hypothesis in realizable mode")
-    errors = measure_errors(h, specs, f, M_EVAL, seed, noise_rate=noise_rate)
+                            "hypothesis")
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m_i})
 

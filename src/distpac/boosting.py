@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import channel
 from .closed import pac_sample_size
-from .core import (M_EVAL, Concept, ConfigurationError, DistributionSpec,
+from .core import (Concept, ConfigurationError, DistributionSpec,
                    ProtocolResult, Sample, WeightedMajority, draw_sample,
                    measure_errors, sign_pm1, stream)
 
@@ -116,9 +116,7 @@ def best_stump(sample: Sample) -> DecisionStump:
 
 
 def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
-                q: int | None, seed: int,
-                weak_learner: Callable[[Sample], Concept],
-                ledger: channel.CostLedger) -> dict:
+                q: int | None, seed: int, ledger: channel.CostLedger) -> dict:
     """Shared core of the distributed run and the single-machine reference.
 
     Charging touches neither the random streams nor the arithmetic, so a
@@ -152,7 +150,7 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             labels.append(samples[i].labels[idx])
             for row in feats[-1]:
                 channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row)
-        h_t = weak_learner(Sample(np.vstack(feats), np.concatenate(labels)))
+        h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
         channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
                                 h_t)
         mistake_w, total_w = 0.0, 0.0
@@ -185,39 +183,30 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             "telemetry": telemetry, "alphas": alphas, "weak": hs}
 
 
-def adaboost_single(sample: Sample, T: int, m_weak: int, seed: int, *,
-                    weak_learner: Callable[[Sample], Concept] = best_stump
-                    ) -> dict:
+def adaboost_single(sample: Sample, T: int, m_weak: int, seed: int) -> dict:
     """Single-machine AdaBoost with the same presampled weak-learning step."""
-    return _boost_loop([sample], T, m_weak, None, seed, weak_learner,
-                       channel.CostLedger())
+    return _boost_loop([sample], T, m_weak, None, seed, channel.CostLedger())
 
 
 def run_distributed_boosting(specs: Sequence[DistributionSpec], f: Concept,
                              eps: float, delta: float, seed: int, *,
-                             beta: float = 0.25, q: int | None = 32,
-                             d_class: int | None = None,
-                             T: int | None = None,
-                             weak_learner: Callable[[Sample], Concept]
-                             = best_stump) -> ProtocolResult:
+                             beta: float = 0.25, q: int | None = 32
+                             ) -> ProtocolResult:
     """Boost a beta-weak learner to error eps over the mixture.
 
     Communication per round is m_weak examples, k counts, one weak
     hypothesis, and 2k quantized weight scalars.
     """
     k = len(specs)
-    if d_class is None:
-        d_class = f.dim
-    if T is None:
-        T = boosting_rounds(eps, beta)
-    m_weak = weak_sample_size(d_class, beta)
-    m_i = pac_sample_size(d_class, eps, k, delta)
+    T = boosting_rounds(eps, beta)
+    m_weak = weak_sample_size(f.dim, beta)
+    m_i = pac_sample_size(f.dim, eps, k, delta)
     samples = [draw_sample(spec, f, m_i, seed, tags=("boost", i))
                for i, spec in enumerate(specs)]
     ledger = channel.CostLedger()
-    out = _boost_loop(samples, T, m_weak, q, seed, weak_learner, ledger)
+    out = _boost_loop(samples, T, m_weak, q, seed, ledger)
     h = out["hypothesis"]
-    errors = measure_errors(h, specs, f, M_EVAL, seed)
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"telemetry": out["telemetry"],

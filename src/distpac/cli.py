@@ -161,7 +161,7 @@ def build_distribution(entry: dict, dim: int):
         if not all(0.0 <= v <= 1.0 for v in probs):
             raise ConfigError(f"field 'p' must lie in [0, 1], got {p!r}")
         return ProductBernoulli(probs)
-    if kind in ("uniform_sphere", "gaussian_unit"):
+    if kind == "uniform_sphere":
         return UniformSphere(dim)
     if kind == "uniform_interval":
         if dim != 1:
@@ -466,10 +466,6 @@ def run_config(path: str, seed_range: str | None = None,
             / _field(cfg, "name", str, name)
         runner = PROTOCOLS[name]
         counters = channel.CostLedger.COUNTERS
-        scopes = ["mixture"] + [f"p{i + 1}"
-                                for i in range(_count(cfg, "k", 1))]
-        header = ["protocol", "seed", *counters] \
-            + [f"error_{scope}" for scope in scopes]
         rows, counts, mixture, trace_rows = [], [], [], []
         wall_total = 0.0
         for seed in seeds:
@@ -482,6 +478,10 @@ def run_config(path: str, seed_range: str | None = None,
             wall_total += time.perf_counter() - t0
             if not rows:  # the first seed has read every field it will
                 _reject_unread(cfg)
+                # sized only now: read before, a k the protocol ignores
+                # would pass as read
+                scopes = ["mixture"] + [f"p{i + 1}"
+                                        for i in range(_count(cfg, "k", 1))]
             counts.append([getattr(res.ledger, c) for c in counters])
             errors = [res.errors.get(scope, "") for scope in scopes]
             rows.append([name, seed, *counts[-1], *errors])
@@ -491,7 +491,8 @@ def run_config(path: str, seed_range: str | None = None,
                            for (rnd, player, ex, hyp) in res.trace or ()]
         # only now: a config or protocol error in any seed writes nothing
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "results.csv", header, rows)
+        _write_csv(out / "results.csv", ["protocol", "seed", *counters]
+                   + [f"error_{scope}" for scope in scopes], rows)
         if trace_rows:
             width = (len(trace_rows[0]) - 3) // 2
             _write_csv(out / "trace.csv", ["seed", "round", "player"]

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .core import (M_EVAL, Box, Concept, ConfigurationError, Conjunction,
+from .core import (Box, Concept, ConfigurationError, Conjunction,
                    DistributionSpec, ProtocolResult, RealizabilityError,
                    Sample, draw_sample, measure_errors, sample_error)
 
@@ -112,7 +112,7 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
         if sample_error(h, sample) > 0.0:
             raise RealizabilityError("combined hypothesis inconsistent with "
                                      "a player's sample")
-    errors = measure_errors(h, specs, f, M_EVAL, seed)
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m, "local_hypotheses": locals_})

@@ -4,7 +4,10 @@ Everything downstream (protocols, ledgers, the CLI) builds on the types in
 this module.  Labels are +/-1 throughout; boolean concepts output +1 for
 true.  All randomness flows through :func:`streams`, which derives one
 independent generator per tag tuple from an integer seed (:func:`stream` is
-its one-tuple case), so any protocol trace can be replayed exactly.
+its one-tuple case), so any protocol trace can be replayed exactly.  A set
+of hypotheses is evaluated on many points one way (:func:`predict_matrix`,
+which :class:`MajorityOfSet` votes through), and a final hypothesis's error
+is estimated one way (:func:`measure_errors`).
 """
 
 from __future__ import annotations
@@ -139,51 +142,33 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 
 
 def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
-    """``[stream(seed, *tags) for tags in tag_tuples]``, bit for bit, with
-    numpy's ``SeedSequence`` hash done for the whole batch in one
-    vectorised uint32 pass.
+    """``[stream(seed, *tags) for tags in tag_tuples]``, bit for bit.
 
-    The words every row shares (seed and leading tags) are mixed into the
-    pool once, by ``SeedSequence`` itself; rows that share fewer than the
-    pool's 4 words get one such pool per distinct first 4 words.  The hash
-    constants do not depend on the data, so the rest of each row and its
-    state words are hashed over (4, P) uint32 arrays.  Each generator is
-    still its own ``PCG64``, seeded from its state words, so its draws are
-    those of the per-tag stream.  A one-tag batch takes numpy's own
-    ``default_rng`` path.
+    A batch of two or more rows of one length whose entropy words share a
+    head of at least the pool's 4 (a halving wave: seed, "draw_sample", the
+    protocol's tags) has numpy's ``SeedSequence`` hash done in one
+    vectorised uint32 pass: the head is mixed into the pool once, by
+    ``SeedSequence`` itself, and since the hash constants do not depend on
+    the data, the rest of each row and its state words are hashed over
+    (4, P) arrays.  Each generator is still its own ``PCG64``, seeded from
+    its state words, so its draws are those of the per-tag stream.  Every
+    other batch takes numpy's own ``default_rng`` path, row by row.
     """
     seed_words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    flat, lengths = [], []
-    for tags in tag_tuples:
-        row = len(flat)
-        flat += seed_words
-        for t in tags:
-            flat += _tag_words(repr(t))
-        lengths.append(len(flat) - row)
-    if len(lengths) == 1:
-        return [np.random.default_rng(np.array(flat, dtype=np.uint32))]
-    words = np.array(flat, dtype=np.uint32)
-    states = np.empty((len(lengths), 4), dtype=np.uint64)
-    sizes = set(lengths)
-    for L in sizes:
-        if len(sizes) == 1:
-            group, W = slice(None), words.reshape(-1, L)
-        else:  # rows of L words, gathered from where each one starts
-            group = np.flatnonzero(np.array(lengths) == L)
-            starts = np.cumsum([0] + lengths[:-1])[group]
-            W = words[starts[:, None] + np.arange(L)]
-        # the head each pool is made of: the words every row shares, and
-        # at least the pool's 4 (a shorter row is its own head)
+    rows = [seed_words + sum(map(_tag_words, map(repr, tags)), ())
+            for tags in tag_tuples]
+    L = len(rows[0]) if rows else 0
+    if len(rows) > 1 and all(len(r) == L for r in rows):
+        W = np.array(rows, dtype=np.uint32)
         same = (W == W[0]).all(axis=0).tolist()
-        head = min(max(same.index(False) if False in same else L, _POOL), L)
-        heads = {}
-        which = [heads.setdefault(h, len(heads))
-                 for h in map(tuple, W[:, :head].tolist())]
-        pools = np.array([np.random.SeedSequence(
-            np.array(h, dtype=np.uint32)).pool for h in heads])
-        states[group] = _state_words(_mix_tail(pools.T[:, which], W, head))
-    return [np.random.Generator(np.random.PCG64(_StateWords(s)))
-            for s in states]
+        head = same.index(False) if False in same else L
+        if head >= _POOL:
+            pool = np.random.SeedSequence(W[0, :head]).pool
+            pools = np.repeat(pool[:, None], len(rows), axis=1)
+            return [np.random.Generator(np.random.PCG64(_StateWords(s)))
+                    for s in _state_words(_mix_tail(pools, W, head))]
+    return [np.random.default_rng(np.array(r, dtype=np.uint32))
+            for r in rows]
 
 
 def sign_pm1(values: np.ndarray) -> np.ndarray:
@@ -353,36 +338,37 @@ class Concept:
     def encoded_bits(self) -> int:
         raise NotImplementedError
 
-    @classmethod
-    def family(cls, members: tuple) -> Callable[[np.ndarray], np.ndarray]:
-        """Evaluator of ``members`` (instances of ``cls``) on a feature
-        matrix: (len(members), m) int8 labels, row i = members[i].predict.
 
-        The default stacks each member's ``predict``; a class overrides it
-        with one broadcast over the whole family, and a subclass that
-        changes ``predict`` must override it again.  The evaluator is a
-        ``functools.partial`` of a module function so that concepts holding
-        one (``MajorityOfSet``) still pickle.
-        """
-        return functools.partial(_stack_predictions, members)
+def _evaluator(members: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of ``members`` on a feature matrix: (len(members), m) int8
+    labels, row i = members[i].predict.
+
+    Members that are all exactly ``Threshold`` (a subclass may change
+    ``predict``) are evaluated in one broadcast; any other tuple stacks
+    each member's ``predict``.  The evaluator is a ``functools.partial`` of
+    a module function so that concepts holding one (``MajorityOfSet``)
+    still pickle.
+    """
+    if all(type(h) is Threshold for h in members):
+        t = np.array([h.t for h in members], dtype=np.float64)[:, None]
+        sign = np.array([h.sign for h in members], dtype=np.int8)[:, None]
+        return functools.partial(_threshold_matrix, t, sign, -sign)
+    return functools.partial(_stack_predictions, members)
 
 
 def _stack_predictions(members: tuple, X: np.ndarray) -> np.ndarray:
-    rows = [h.predict(X) for h in members]
-    return np.stack(rows) if rows else np.empty((0, len(X)), np.int8)
+    return np.stack([h.predict(X) for h in members])
 
 
-def _family(hypotheses: Sequence[Concept]) -> Callable:
-    members = tuple(hypotheses)
-    kinds = {type(h) for h in members}
-    cls = kinds.pop() if len(kinds) == 1 else Concept
-    return cls.family(members)
+def _threshold_matrix(t: np.ndarray, sign: np.ndarray, neg: np.ndarray,
+                      X: np.ndarray) -> np.ndarray:
+    return np.where(X[:, 0] >= t, sign, neg)
 
 
 def predict_matrix(hypotheses: Sequence[Concept], X: np.ndarray) -> np.ndarray:
     """Labels of every hypothesis on every row of X: a (len(hypotheses),
     len(X)) int8 +/-1 matrix whose row i equals hypotheses[i].predict(X)."""
-    return _family(hypotheses)(X)
+    return _evaluator(tuple(hypotheses))(X)
 
 
 @dataclass(frozen=True)
@@ -402,17 +388,6 @@ class Threshold(Concept):
 
     def encoded_bits(self) -> int:
         return PRECISION_BITS + 1
-
-    @classmethod
-    def family(cls, members):
-        t = np.array([h.t for h in members], dtype=np.float64)[:, None]
-        sign = np.array([h.sign for h in members], dtype=np.int8)[:, None]
-        return functools.partial(_threshold_matrix, t, sign, -sign)
-
-
-def _threshold_matrix(t: np.ndarray, sign: np.ndarray, neg: np.ndarray,
-                      X: np.ndarray) -> np.ndarray:
-    return np.where(X[:, 0] >= t, sign, neg)
 
 
 @dataclass(frozen=True)
@@ -573,11 +548,11 @@ class MajorityOfSet(Concept):
     """Unweighted majority vote; ties go to +1."""
 
     members: tuple
-    # the members' family evaluator, built once per vote, not once per call
+    # the members' evaluator, built once per vote, not once per call
     _predict_all: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_predict_all", _family(self.members))
+        object.__setattr__(self, "_predict_all", _evaluator(self.members))
 
     @property
     def dim(self) -> int:
@@ -672,27 +647,16 @@ def sample_error(h: Concept, sample: Sample) -> float:
     return wrong / len(sample)
 
 
-def spec_error(h: Concept, spec: DistributionSpec, f: Concept, m_eval: int,
-               seed: int, *, noise_rate: float = 0.0, tags: tuple = ()) -> float:
-    """Monte-Carlo error of h against f under one distribution."""
-    if m_eval < 1:
-        raise ConfigurationError("m_eval must be >= 1")
-    sample = draw_sample(spec, f, m_eval, seed, noise_rate=noise_rate,
-                         tags=("spec_error",) + tags)
-    return sample_error(h, sample)
-
-
 def measure_errors(h: Concept, specs: Sequence[DistributionSpec], f: Concept,
-                   m_eval: int, seed: int, *, noise_rate: float = 0.0) -> dict:
-    """Per-player plus mixture error estimates for a final hypothesis."""
-    errors = {}
-    per_player = []
-    for i, spec in enumerate(specs):
-        e = spec_error(h, spec, f, max(1, m_eval // len(specs)), seed,
-                       noise_rate=noise_rate, tags=("mixture", i))
-        errors[f"p{i + 1}"] = e
-        per_player.append(e)
-    errors["mixture"] = float(np.mean(per_player))
+                   seed: int) -> dict:
+    """Monte-Carlo error of a final hypothesis against f: per player, on
+    M_EVAL // k points of its own distribution, and their mean over the
+    mixture."""
+    m = max(1, M_EVAL // len(specs))
+    errors = {f"p{i + 1}": sample_error(h, draw_sample(
+        spec, f, m, seed, tags=("spec_error", "mixture", i)))
+        for i, spec in enumerate(specs)}
+    errors["mixture"] = float(np.mean(list(errors.values())))
     return errors
 
 

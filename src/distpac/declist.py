@@ -14,10 +14,9 @@ import numpy as np
 
 from . import channel
 from .closed import pac_sample_size
-from .core import (M_EVAL, ConfigurationError, DecisionListFunc,
-                   DistributionSpec, ProtocolResult, RealizabilityError,
-                   Sample, draw_sample, measure_errors, rule_bits,
-                   sample_error, stream)
+from .core import (ConfigurationError, DecisionListFunc, DistributionSpec,
+                   ProtocolResult, RealizabilityError, Sample, draw_sample,
+                   measure_errors, rule_bits, sample_error, stream)
 
 # a triplet is (j, b, c): j in 0..n (0 = else, b then ignored and stored 0),
 # b in {0,1}, c in {0,1} with bit 1 meaning label +1
@@ -122,7 +121,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
         if sample_error(h, s) > 0.0:
             raise RealizabilityError("output list inconsistent with a "
                                      "player's sample")
-    errors = measure_errors(h, specs, f, M_EVAL, seed)
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m,

@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .core import (M_EVAL, ConfigurationError, DistributionSpec,
-                   LinearSeparator, ProtocolError, ProtocolResult, Sample,
-                   draw_sample, measure_errors, stream)
+from .core import (ConfigurationError, DistributionSpec, LinearSeparator,
+                   ProtocolError, ProtocolResult, Sample, draw_sample,
+                   measure_errors, stream)
 
 UNTIL_CONSISTENT = "until_consistent"
 UNTIL_EPS_FRACTION = "until_eps_fraction"
@@ -147,13 +147,12 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
 
 
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
-                       eps: float, seed: int, *, c: float = 1.0,
-                       m: int | None = None) -> ProtocolResult:
+                       eps: float, seed: int, *, c: float = 1.0
+                       ) -> ProtocolResult:
     """For radially symmetric D_i, the mean of l(x) x/||x|| points along the
     target; one vector per player, one round."""
     d = f.dim
-    if m is None:
-        m = math.ceil(c * d / (eps * eps))
+    m = math.ceil(c * d / (eps * eps))
     ledger = channel.CostLedger()
     vectors = []
     for i, spec in enumerate(specs):
@@ -171,7 +170,7 @@ def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
         raise DegenerateEstimateError("zero resultant direction; retry with "
                                       "a fresh seed")
     h = LinearSeparator(tuple((mean / nrm).tolist()))
-    errors = measure_errors(h, specs, f, M_EVAL, seed)
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m})
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .core import (M_EVAL, Concept, ConfigurationError, ParityFunc,
-                   ProtocolResult, RealizabilityError, Sample, draw_sample,
-                   measure_errors)
+from .core import (Concept, ConfigurationError, ParityFunc, ProtocolResult,
+                   RealizabilityError, Sample, draw_sample, measure_errors)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -181,7 +180,7 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
     }
     errors = {}
     for pid, h in combined.items():
-        errs = measure_errors(h, specs, f, M_EVAL, seed)
+        errs = measure_errors(h, specs, f, seed)
         errors.update({f"{pid}:{key}": val for key, val in errs.items()})
         errors[pid] = errs["mixture"]
     errors["mixture"] = max(errors["p1"], errors["p2"])

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import channel
 from .closed import combine
-from .core import (M_EVAL, ConfigurationError, Conjunction,
-                   DistributionSpec, ProductBernoulli, ProtocolError,
-                   ProtocolResult, Sample, UniformBoolean, measure_errors,
-                   stream)
+from .core import (ConfigurationError, Conjunction, DistributionSpec,
+                   ProductBernoulli, ProtocolError, ProtocolResult, Sample,
+                   UniformBoolean, measure_errors, stream)
 
 MODE_NONE = "none"
 MODE_DIFFERENTIAL = "differential"
@@ -216,17 +215,16 @@ def learn_private_conjunction(spec: DistributionSpec, f: Conjunction,
 def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                                  f: Conjunction, eps: float, seed: int, *,
                                  mode: str = MODE_DIFFERENTIAL,
-                                 alpha: float = 1.0, delta: float = 0.05,
-                                 m: int | None = None) -> ProtocolResult:
+                                 alpha: float = 1.0, delta: float = 0.05
+                                 ) -> ProtocolResult:
     """One round, k conjunction hypotheses; the ledger matches the
     non-private closure protocol exactly."""
     k = len(specs)
     n = f.dim
     tau = eps / (2 * n)
-    if m is None:
-        m = private_sample_size(n, alpha, tau, delta, mode) \
-            if mode != MODE_NONE else \
-            private_sample_size(n, 1.0, tau, delta, MODE_NONE)
+    m = private_sample_size(n, alpha, tau, delta, mode) \
+        if mode != MODE_NONE else \
+        private_sample_size(n, 1.0, tau, delta, MODE_NONE)
     ledger = channel.CostLedger()
     locals_ = []
     budgets = []
@@ -239,7 +237,7 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
         channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
     h = combine(locals_)
     channel.advance_round(ledger, "round")
-    errors = measure_errors(h, specs, f, M_EVAL, seed)
+    errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m, "mode": mode,

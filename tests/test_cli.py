@@ -258,6 +258,8 @@ class TestConfigValidation:
         (dict(BASE, seeds=-1), "seeds"),
         (dict(BASE, seeds=[2 ** 64 - 2, 2 ** 64]), "seeds"),
         (dict(BASE, seeds=[3, 2 ** 64 + 7, 5]), "seeds"),
+        # k sizes the error columns, yet this protocol never reads it
+        ({"protocol": "adversarial_perceptron", "gamma": 0.1, "k": 5}, "k"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

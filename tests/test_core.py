@@ -16,6 +16,7 @@ from distpac.core import (Box, ConfigurationError, Conjunction,
                           draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream, streams)
+from distpac.core import _StateWords
 from distpac.core import _words as words
 
 
@@ -99,20 +100,31 @@ def test_property_streams_match_per_tag_streams(seed, prefix, tails):
     assert_streams_match(seed, [tuple(prefix + tail) for tail in tails])
 
 
+MIXED_ARITY = [(), ("x",), ("x", "y", 2), ("x",), ("z", 1)]
+SHORT_ROWS = [(j,) for j in range(5)]  # rows share only the seed's words
+HALVING_WAVE = [("draw_sample", "halving", 3, j, 1) for j in range(40)]
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1, -3])
 @pytest.mark.parametrize("tag_tuples", [
     [],
     [("draw_sample", "halving", 3, 7, 1)],
     [("x", 1)] * 3,
-    [(), ("x",), ("x", "y", 2), ("x",), ("z", 1)],
+    MIXED_ARITY,
     [("a", 1), ("b", 1), ("c", 1)],
-    [(j,) for j in range(5)],
+    SHORT_ROWS,
     [(t, "b", j) for t in "ac" for j in range(3)],
-    [("draw_sample", "halving", 3, j, 1) for j in range(40)],
+    HALVING_WAVE,
 ], ids=["empty", "one-tag", "identical", "mixed-arity", "first-tag-differs",
         "short-rows-differ", "heads-repeat", "halving-wave"])
 def test_streams_match_per_tag_streams(seed, tag_tuples):
     assert_streams_match(seed, tag_tuples)
+    fast = [isinstance(g.bit_generator.seed_seq, _StateWords)
+            for g in streams(seed, tag_tuples)]
+    if tag_tuples == HALVING_WAVE:  # one head: the vectorised path
+        assert all(fast)
+    elif tag_tuples in (MIXED_ARITY, SHORT_ROWS):  # the per-tag path
+        assert not any(fast)
 
 
 @pytest.mark.parametrize("v", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
@@ -331,7 +343,7 @@ def test_sample_error_weighted():
 def test_mixture_error_averages_players():
     f = Conjunction(4, frozenset({0}))
     specs = [UniformBoolean(4), UniformBoolean(4)]
-    assert measure_errors(f, specs, f, 400, 0)["mixture"] == 0.0
+    assert measure_errors(f, specs, f, 0)["mixture"] == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -367,14 +379,23 @@ def test_property_parity_linear_over_gf2(seed):
     assert bab == ba ^ bb
 
 
+class FlippedThreshold(Threshold):
+    """A subclass with its own rule, which a Threshold broadcast would miss."""
+
+    def predict(self, X):
+        return -super().predict(X)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 8), st.sampled_from((1, -1))),
                 max_size=12),
-       st.lists(st.integers(0, 8), max_size=20), st.booleans())
-def test_property_predict_matrix_stacks_predict(grid, xs, mixed):
+       st.lists(st.integers(0, 8), max_size=20),
+       st.sampled_from(["thresholds", "mixed", "subclass"]))
+def test_property_predict_matrix_stacks_predict(grid, xs, kind):
     # points on the thresholds' own grid, so x == t is exercised
-    H = [Threshold(t / 8, sign) for t, sign in grid]
-    if mixed:
+    cls = FlippedThreshold if kind == "subclass" else Threshold
+    H = [cls(t / 8, sign) for t, sign in grid]
+    if kind == "mixed":
         H += [LinearSeparator((-1.0,)), IntervalUnion(((0.25, 0.5),))]
     X = np.array(xs, dtype=np.float64).reshape(-1, 1) / 8
     M = predict_matrix(H, X)

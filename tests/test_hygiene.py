@@ -8,6 +8,7 @@ import pytest
 import distpac
 
 SOURCES = sorted(Path(distpac.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -39,7 +40,7 @@ def test_no_unused_imports(path):
 
 
 # Parameters a signature keeps on purpose: ``channel.send`` takes the
-# receiver for the message transcript (ROADMAP item 3), and every CLI runner
+# receiver for the message transcript (ROADMAP item 5), and every CLI runner
 # takes ``(cfg, seed)`` so that ``cli.PROTOCOLS`` can call them alike.
 UNREAD_ALLOWED = {("channel.py", "send", "to")}
 RUNNER_PARAMS = ("cfg", "seed")
@@ -238,3 +239,136 @@ def test_draw_streams_sees_a_second_site():
                      "    return core.streams(1, [('draw_sample', j)])\n")
     assert draw_streams(Path("core.py"), tree) == [5]
     assert draw_streams(Path("agnostic.py"), tree) == [2, 5]
+
+
+def defaulted_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter, position) of each defaulted parameter of
+    a public module-level function; position is None for keyword-only."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(node.lineno, node.name, p.arg, i)
+                for i, p in enumerate(positional) if i >= first]
+        out += [(node.lineno, node.name, p.arg, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def passed_arguments(trees: list) -> set:
+    """(callee, keyword or position) of each argument a call passes,
+    keyed by the name the call uses (``f(...)`` or ``mod.f(...)``);
+    (callee, "*") for a call that unpacks ``*args``, which may fill any
+    positional parameter, and (callee, "**") for one that unpacks a mapping
+    it cannot see into, which may fill any.  It sees into a dict literal
+    bound to the name in the same function, and a function that hands its
+    own ``**kwargs`` on passes the keywords its own callers pass."""
+    out, forwards = set(), set()
+    for tree in trees:
+        for node, fn in _calls(tree, tree):
+            callee = _callee(node)
+            out |= {(callee, i) for i in range(len(node.args))}
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                out.add((callee, "*"))
+            for kw in node.keywords:
+                name = getattr(kw.value, "id", None)
+                if kw.arg:
+                    out.add((callee, kw.arg))
+                elif isinstance(fn, ast.FunctionDef) and fn.args.kwarg and \
+                        fn.args.kwarg.arg == name:
+                    forwards.add((callee, fn.name))
+                else:
+                    out |= {(callee, key) for key in _dict_keys(fn, name)}
+    while True:  # forwarded keywords, through any number of hops
+        more = {(callee, arg) for callee, via in forwards
+                for name, arg in out if name == via and arg != "*"
+                and isinstance(arg, str)}
+        if more <= out:
+            return out
+        out |= more
+
+
+def _calls(node, fn):
+    """(call, innermost function or module around it) of each call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, fn
+        yield from _calls(child, child if isinstance(child, ast.FunctionDef)
+                          else fn)
+
+
+def _dict_keys(scope, name) -> list:
+    """The keys of the dict literal ``scope`` binds to ``name``, or
+    ["**"] if there is none with constant keys."""
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) \
+                and [getattr(t, "id", None) for t in node.targets] == [name] \
+                and all(isinstance(k, ast.Constant) for k in node.value.keys):
+            return [k.value for k in node.value.keys]
+    return ["**"]
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def unused_defaults(tree: ast.Module, passed: set) -> list:
+    """(line, function, parameter) of each defaulted parameter of a public
+    function that no call in ``passed`` sets, by keyword or by position:
+    every caller takes the default, so the parameter is dead generality."""
+    return [(line, fn, param) for line, fn, param, i in
+            defaulted_parameters(tree)
+            if not {(fn, param), (fn, "**")} & passed and
+            (i is None or not {(fn, i), (fn, "*")} & passed)]
+
+
+def test_no_unused_default_parameters():
+    passed = passed_arguments([ast.parse(p.read_text())
+                               for p in SOURCES + TESTS])
+    found = [(path.name, *f) for path in SOURCES
+             for f in unused_defaults(ast.parse(path.read_text()), passed)]
+    assert found == []
+
+
+def test_unused_defaults_sees_each_kind():
+    tree = ast.parse("def run(f, seed, *, beta=0.25, weak=None, cap=None):\n"
+                     "    pass\n"
+                     "def size(d, eps, k=1, agnostic=False):\n"
+                     "    pass\n"
+                     "def _private(x=1):\n"
+                     "    pass\n"
+                     "class C:\n"
+                     "    def method(self, y=2):\n"
+                     "        pass\n")
+    calls = ast.parse("run(f, 0, beta=0.5)\nmod.size(10, 0.1, 4)\n")
+    assert unused_defaults(tree, passed_arguments([calls])) == [
+        (1, "run", "weak"), (1, "run", "cap"), (3, "size", "agnostic")]
+    # by keyword, by position, or through unpacked arguments
+    calls = ast.parse("run(f, 0, weak=g, beta=0.5)\n"
+                      "size(1, 0.1, 2, True)\nrun(**opts)\n")
+    assert unused_defaults(tree, passed_arguments([calls])) == []
+    # *args fills only positional parameters
+    calls = ast.parse("size(1, 0.1, agnostic=True)\nrun(*args)\n"
+                      "size(*args)\n")
+    assert unused_defaults(tree, passed_arguments([calls])) == [
+        (1, "run", "beta"), (1, "run", "weak"), (1, "run", "cap")]
+    # a helper that hands on its own **kw passes what its callers pass
+    calls = ast.parse("class T:\n"
+                      "    def go(self, seed, **kw):\n"
+                      "        return run(f, seed, **kw)\n"
+                      "    def test(self):\n"
+                      "        self.go(0, beta=0.5)\n"
+                      "def wrap(**kw):\n"
+                      "    return T().go(1, **kw)\n"
+                      "wrap(cap=3)\n")
+    assert unused_defaults(tree, passed_arguments([calls])) == [
+        (1, "run", "weak"), (3, "size", "k"), (3, "size", "agnostic")]
+    # a dict literal bound in the calling function is seen into
+    calls = ast.parse("def go():\n"
+                      "    opts = {'weak': 1, 'cap': 2}\n"
+                      "    run(f, 0, **opts)\n")
+    assert unused_defaults(tree, passed_arguments([calls])) == [
+        (1, "run", "beta"), (3, "size", "k"), (3, "size", "agnostic")]
