@@ -93,14 +93,12 @@ class ConjunctionElimination(OnlineLearner):
 # ---------------------------------------------------------------------------
 
 
-def shipping_sample_size(d_class: int, eps: float, k: int, *,
-                         agnostic: bool = False) -> int:
+def shipping_sample_size(d_class: int, eps: float, k: int) -> int:
     """Per-player share of the one-round shipping budget
-    (8/k) * (d/eps) * ln(1/eps), with d/eps^2 when agnostic."""
+    (8/k) * (d/eps) * ln(1/eps)."""
     if not (0 < eps < 1):
         raise ConfigurationError("eps must lie in (0, 1)")
-    scale = d_class / (eps * eps) if agnostic else d_class / eps
-    return math.ceil((8.0 / k) * scale * math.log(1.0 / eps))
+    return math.ceil((8.0 / k) * (d_class / eps) * math.log(1.0 / eps))
 
 
 def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,

@@ -1,8 +1,9 @@
 """Batch experiment runner.
 
-``distpac run config.yaml`` executes one protocol over a seed range and
-writes results.csv (one row per seed), summary.json (aggregates plus wall
-time), and trace.csv for the adversarial perceptron construction.
+``distpac run config.yaml`` checks the whole config before any seed runs,
+then executes one protocol over a seed range and writes results.csv (one row
+per seed), summary.json (aggregates plus wall time) and trace.csv for the
+adversarial perceptron construction.
 ``distpac compare dirA dirB`` prints per-currency ratios of medians.
 """
 
@@ -133,19 +134,23 @@ def _reject_unread(cfg: _Tracked) -> None:
             " reads no such field")
 
 
+def _check(name: str, value, ok: bool, want: str):
+    """``value`` of field ``name``, or a ConfigError saying it must be
+    ``want`` when it is not ``ok``."""
+    if not ok:
+        raise ConfigError(f"field '{name}' must be {want}, got {value!r}")
+    return value
+
+
 def _fraction(cfg: dict, name: str, default=REQUIRED) -> float:
     value = _field(cfg, name, float, default)
-    if not 0 < value < 1:
-        raise ConfigError(f"field '{name}' must be in (0,1), got {value!r}")
-    return value
+    return _check(name, value, 0 < value < 1, "in (0,1)")
 
 
 def _count(cfg: dict, name: str, default=REQUIRED) -> int:
     """An int field that sizes something, so must be >= 1."""
     value = _field(cfg, name, int, default)
-    if value < 1:
-        raise ConfigError(f"field '{name}' must be >= 1, got {value!r}")
-    return value
+    return _check(name, value, value >= 1, ">= 1")
 
 
 def build_distribution(entry: dict, dim: int):
@@ -206,6 +211,12 @@ def _random_conjunction(n: int, seed: int) -> Conjunction:
     return Conjunction(n, frozenset(int(v) for v in vars_))
 
 
+def _random_parity(n: int, seed: int) -> ParityFunc:
+    rng = stream(seed, "cli_target", "parity")
+    v = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    return ParityFunc(n, v if any(v) else (1,) + v[1:])
+
+
 def _threshold_class(grid: int) -> list:
     """Both orientations of a threshold at each of ``grid`` points of [0, 1]."""
     return [Threshold(float(t), s)
@@ -213,17 +224,17 @@ def _threshold_class(grid: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Protocol registry: name -> callable(cfg, seed) -> ProtocolResult
+# Protocol registry: name -> prepare(cfg) -> job(seed) -> ProtocolResult
 # ---------------------------------------------------------------------------
 
 
-def _run_closed(cfg, seed, cls):
+def _run_closed(cfg, cls):
     dim = _count(cfg, "n" if cls is Conjunction else "d")
     eps, delta, specs = _setup(cfg, dim)
     if cls is Conjunction:
         vars_cfg = _field(cfg, "target.variables", [int], None)
         if vars_cfg is None:
-            f = _random_conjunction(dim, seed)
+            f = None  # a seeded random conjunction
         elif not all(0 <= j < dim for j in vars_cfg):
             raise ConfigError("field 'target.variables' must lie in "
                               f"[0, n) = [0, {dim}), got {vars_cfg!r}")
@@ -240,106 +251,118 @@ def _run_closed(cfg, seed, cls):
             raise ConfigError("fields 'target.lo' and 'target.hi' must have "
                               f"lo <= hi on every axis, got {lo!r}, {hi!r}")
         f = Box(tuple(lo), tuple(hi))
-    return closed.run_intersection_closed(specs, f, eps, delta, seed,
-                                          c=_field(cfg, "c", float, 1.0))
+    c = _field(cfg, "c", float, 1.0)
+    return lambda seed: closed.run_intersection_closed(
+        specs, _random_conjunction(dim, seed) if f is None else f, eps, delta,
+        seed, c=c)
 
 
-def _run_parity(cfg, seed):
+def _run_parity(cfg):
     n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n)
-    rng = stream(seed, "cli_target", "parity")
-    v = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    if not any(v):
-        v = (1,) + v[1:]
-    f = ParityFunc(n, v)
-    return parity_mod.run_parity_two_player(specs, f, eps, seed,
-                                            c=_field(cfg, "c", float, 8.0))
+    c = _field(cfg, "c", float, 8.0)
+    return lambda seed: parity_mod.run_parity_two_player(
+        specs, _random_parity(n, seed), eps, seed, c=c)
 
 
-def _run_decision_list(cfg, seed):
+def _run_decision_list(cfg):
     n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
     n_rules = _count(cfg, "n_rules", 10)
     if n_rules > 2 * n:
         raise ConfigError(f"field 'n_rules' must be <= 2n = {2 * n}, "
                           f"got {n_rules}")
-    f = declist.random_decision_list(n, n_rules, seed)
-    return declist.run_decision_list(specs, f, eps, delta, seed)
+    return lambda seed: declist.run_decision_list(
+        specs, declist.random_decision_list(n, n_rules, seed), eps, delta,
+        seed)
 
 
-def _run_sample_shipping(cfg, seed):
+def _run_sample_shipping(cfg):
     n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n)
-    f = _random_conjunction(n, seed)
     learner = lambda s: closed.smallest_consistent(s, Conjunction)
-    return baseline.sample_shipping(specs, f, eps, learner, n, seed)
+    return lambda seed: baseline.sample_shipping(
+        specs, _random_conjunction(n, seed), eps, learner, n, seed)
 
 
-def _run_eq_conjunction(cfg, seed):
+def _run_eq_conjunction(cfg):
     n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
-    f = _random_conjunction(n, seed)
     m = closed.pac_sample_size(n, eps, len(specs), delta)
-    samples = [draw_sample(spec, f, m, seed, tags=("eq", i))
-               for i, spec in enumerate(specs)]
-    return baseline.eq_mistake_bound(samples,
-                                     baseline.ConjunctionElimination(n))
+
+    def job(seed):
+        f = _random_conjunction(n, seed)
+        samples = [draw_sample(spec, f, m, seed, tags=("eq", i))
+                   for i, spec in enumerate(specs)]
+        return baseline.eq_mistake_bound(samples,
+                                         baseline.ConjunctionElimination(n))
+    return job
 
 
-def _run_averaging(cfg, seed):
+def _run_averaging(cfg):
     d = _count(cfg, "d")
     eps, _delta, specs = _setup(cfg, d, "uniform_sphere")
     f = LinearSeparator(tuple([1.0] + [0.0] * (d - 1)))
-    return linear.averaging_protocol(specs, f, eps, seed)
+    return lambda seed: linear.averaging_protocol(specs, f, eps, seed)
 
 
-def _run_round_robin(cfg, seed):
-    gamma = _field(cfg, "gamma", float, 0.2)
+def _run_round_robin(cfg):
+    gamma = _fraction(cfg, "gamma", 0.2)
     alpha = _field(cfg, "alpha", float, 0.05)
-    samples, _f = linear.well_spread_dataset(
-        _count(cfg, "k"), _count(cfg, "per_player", 40), gamma, alpha,
-        seed)
-    linear.certify_well_spread(samples, alpha)
-    return linear.round_robin_perceptron(
-        samples, linear.UNTIL_CONSISTENT, 0.0, alpha,
-        update_cap=linear.default_update_cap(gamma))
+    k, m = _count(cfg, "k"), _count(cfg, "per_player", 40)
+    cap = linear.default_update_cap(gamma)
+
+    def job(seed):
+        samples, _f = linear.well_spread_dataset(k, m, gamma, alpha, seed)
+        linear.certify_well_spread(samples, alpha)
+        return linear.round_robin_perceptron(
+            samples, linear.UNTIL_CONSISTENT, 0.0, alpha, update_cap=cap)
+    return job
 
 
-def _run_adversarial_perceptron(cfg, seed):
-    gamma = _field(cfg, "gamma", float, 0.1)
-    rounds, trace = linear.adversarial_lower_bound(gamma)
-    res = ProtocolResult(hypotheses={}, ledger=channel.CostLedger(),
-                         trace=trace, meta={"rounds_to_consistency": rounds,
-                                            "gamma": gamma})
-    res.ledger.rounds = rounds
-    return res
+def _run_adversarial_perceptron(cfg):
+    gamma = _fraction(cfg, "gamma", 0.1)
+
+    def adversarial_job(seed):  # the construction draws nothing
+        rounds, trace = linear.adversarial_lower_bound(gamma)
+        return ProtocolResult(
+            hypotheses={}, ledger=channel.CostLedger(rounds=rounds),
+            trace=trace, meta={"rounds_to_consistency": rounds,
+                               "gamma": gamma})
+    return adversarial_job
 
 
-def _run_boosting(cfg, seed):
+def _run_boosting(cfg):
     n = _count(cfg, "n")
     eps, delta, specs = _setup(cfg, n)
-    f = _random_conjunction(n, seed)
     q = _field(cfg, "q", (int, type(None)), 32)
-    return boosting.run_distributed_boosting(
-        specs, f, eps, delta, seed, beta=_field(cfg, "beta", float, 0.25),
-        q=q if q is None else _count(cfg, "q", 32))
+    _check("q", q, q is None or q >= 1, ">= 1 or null")
+    beta = _fraction(cfg, "beta", 0.25)
+    _check("beta", beta, beta < 0.5, "in (0,1/2)")
+    return lambda seed: boosting.run_distributed_boosting(
+        specs, _random_conjunction(n, seed), eps, delta, seed, beta=beta,
+        q=q)
 
 
-def _run_robust_halving(cfg, seed):
+def _run_robust_halving(cfg):
     eps, _delta, specs = _setup(cfg, 1)
     H = _threshold_class(_count(cfg, "grid", 201))
     f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
-    res = agnostic.opt_search(
-        specs, f, H, eps, seed,
-        noise_rate=_field(cfg, "noise_rate", float, 0.0),
-        shared_randomness=_field(cfg, "shared_randomness", bool, False))
-    val = draw_sample(specs[0], f, 4000, seed, tags=("cli_val",))
-    res.errors = {"mixture": sample_error(res.hypotheses[channel.BROADCAST],
-                                          val)}
-    return res
+    noise = _field(cfg, "noise_rate", float, 0.0)
+    _check("noise_rate", noise, 0 <= noise < 0.5, "in [0,1/2)")
+    shared = _field(cfg, "shared_randomness", bool, False)
+
+    def job(seed):
+        res = agnostic.opt_search(specs, f, H, eps, seed, noise_rate=noise,
+                                  shared_randomness=shared)
+        val = draw_sample(specs[0], f, 4000, seed, tags=("cli_val",))
+        res.errors = {"mixture": sample_error(
+            res.hypotheses[channel.BROADCAST], val)}
+        return res
+    return job
 
 
-def _run_interval_summary(cfg, seed):
+def _run_interval_summary(cfg):
     d = _count(cfg, "d")
     eps = _fraction(cfg, "eps")
     intervals = _field(cfg, "target.intervals", [[float]],
@@ -349,31 +372,37 @@ def _run_interval_summary(cfg, seed):
                           f"pairs with lo <= hi, got {intervals!r}")
     f = IntervalUnion(tuple(tuple(iv) for iv in intervals))
     noise = _field(cfg, "noise_rate", float, 0.0)
-    m = _count(cfg, "m_per_player", 4000)
-    samples = [draw_sample(UniformInterval(), f, m, seed,
-                           noise_rate=noise, tags=("interval", i))
-               for i in range(_count(cfg, "k"))]
-    res = agnostic.run_interval_summary(samples, d, eps)
-    val = draw_sample(UniformInterval(), f, 8000, seed, tags=("cli_val",))
-    res.errors = {"mixture": sample_error(res.hypotheses[channel.CENTER],
-                                          val)}
-    return res
+    _check("noise_rate", noise, 0 <= noise < 0.5, "in [0,1/2)")
+    m, k = _count(cfg, "m_per_player", 4000), _count(cfg, "k")
+
+    def job(seed):
+        samples = [draw_sample(UniformInterval(), f, m, seed,
+                               noise_rate=noise, tags=("interval", i))
+                   for i in range(k)]
+        res = agnostic.run_interval_summary(samples, d, eps)
+        val = draw_sample(UniformInterval(), f, 8000, seed, tags=("cli_val",))
+        res.errors = {"mixture": sample_error(
+            res.hypotheses[channel.CENTER], val)}
+        return res
+    return job
 
 
-def _run_private_conjunction(cfg, seed):
+def _run_private_conjunction(cfg):
     n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n)
-    f = _random_conjunction(n, seed)
-    return privacy_mod.private_conjunction_protocol(
-        specs, f, eps, seed,
-        mode=_field(cfg, "privacy.mode", str, "differential"),
-        alpha=_field(cfg, "privacy.alpha", float, 1.0),
-        delta=_field(cfg, "privacy.delta", float, 0.05))
+    mode = _field(cfg, "privacy.mode", str, privacy_mod.MODE_DIFFERENTIAL)
+    _check("privacy.mode", mode, mode in privacy_mod.MODES,
+           "one of " + ", ".join(privacy_mod.MODES))
+    alpha = _field(cfg, "privacy.alpha", float, 1.0)
+    delta = _field(cfg, "privacy.delta", float, 0.05)
+    return lambda seed: privacy_mod.private_conjunction_protocol(
+        specs, _random_conjunction(n, seed), eps, seed, mode=mode,
+        alpha=alpha, delta=delta)
 
 
 PROTOCOLS = {
-    "closed_conjunction": lambda c, s: _run_closed(c, s, Conjunction),
-    "closed_box": lambda c, s: _run_closed(c, s, Box),
+    "closed_conjunction": functools.partial(_run_closed, cls=Conjunction),
+    "closed_box": functools.partial(_run_closed, cls=Box),
     "parity_two_player": _run_parity,
     "decision_list": _run_decision_list,
     "sample_shipping": _run_sample_shipping,
@@ -464,24 +493,18 @@ def run_config(path: str, seed_range: str | None = None,
         out = Path(out_dir or _field(cfg, "out", str, None)
                    or os.environ.get(OUT_ROOT_ENV, "results")) \
             / _field(cfg, "name", str, name)
-        runner = PROTOCOLS[name]
+        job = PROTOCOLS[name](cfg)
+        _reject_unread(cfg)
+        # sized after the check, so a k the protocol ignores is not read
+        scopes = ["mixture"] + [f"p{i + 1}"
+                                for i in range(_count(cfg, "k", 1))]
         counters = channel.CostLedger.COUNTERS
         rows, counts, mixture, trace_rows = [], [], [], []
         wall_total = 0.0
         for seed in seeds:
             t0 = time.perf_counter()
-            try:
-                res = runner(cfg, seed)
-            except (ProtocolError, ConfigurationError):
-                _reject_unread(cfg)  # a misspelt key may be the cause
-                raise
+            res = job(seed)
             wall_total += time.perf_counter() - t0
-            if not rows:  # the first seed has read every field it will
-                _reject_unread(cfg)
-                # sized only now: read before, a k the protocol ignores
-                # would pass as read
-                scopes = ["mixture"] + [f"p{i + 1}"
-                                        for i in range(_count(cfg, "k", 1))]
             counts.append([getattr(res.ledger, c) for c in counters])
             errors = [res.errors.get(scope, "") for scope in scopes]
             rows.append([name, seed, *counts[-1], *errors])
@@ -489,7 +512,7 @@ def run_config(path: str, seed_range: str | None = None,
                 mixture.append(errors[:1])
             trace_rows += [[seed, rnd, player] + list(ex) + list(hyp)
                            for (rnd, player, ex, hyp) in res.trace or ()]
-        # only now: a config or protocol error in any seed writes nothing
+        # only now: a protocol error in any seed writes nothing
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "results.csv", ["protocol", "seed", *counters]
                    + [f"error_{scope}" for scope in scopes], rows)

@@ -27,6 +27,7 @@ from .core import (ConfigurationError, Conjunction, DistributionSpec,
 MODE_NONE = "none"
 MODE_DIFFERENTIAL = "differential"
 MODE_DISTRIBUTIONAL = "distributional"
+MODES = (MODE_NONE, MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL)
 
 COND_ALL = "all"
 COND_POSITIVES = "positives"
@@ -72,8 +73,7 @@ class PrivacyBudget:
     spent: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_NONE, MODE_DIFFERENTIAL,
-                             MODE_DISTRIBUTIONAL):
+        if self.mode not in MODES:
             raise ConfigurationError(f"unknown privacy mode {self.mode!r}")
         if self.mode != MODE_NONE and self.alpha_total <= 0:
             raise ConfigurationError("alpha_total must be positive")

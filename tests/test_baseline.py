@@ -60,10 +60,6 @@ class TestSampleShipping:
         # ceil((8/4) * (10/0.1) * ln 10) = ceil(460.517)
         assert shipping_sample_size(10, 0.1, 4) == 461
 
-    def test_agnostic_scales_inverse_eps_squared(self):
-        # same formula with one extra 1/eps factor: ceil(2 * 1000 * ln 10)
-        assert shipping_sample_size(10, 0.1, 4, agnostic=True) == 4606
-
     def test_one_round_and_all_examples_charged(self):
         n, k = 8, 3
         f = Conjunction(n, frozenset({0, 5}))

@@ -260,6 +260,16 @@ class TestConfigValidation:
         (dict(BASE, seeds=[3, 2 ** 64 + 7, 5]), "seeds"),
         # k sizes the error columns, yet this protocol never reads it
         ({"protocol": "adversarial_perceptron", "gamma": 0.1, "k": 5}, "k"),
+        # the update cap divides by gamma^2
+        ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 0.0},
+         "gamma"),
+        ({"protocol": "robust_halving", "k": 2, "eps": 0.1,
+          "noise_rate": 1.5}, "noise_rate"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "noise_rate": -0.5}, "noise_rate"),
+        (dict(BOOST, beta=0.7), "beta"),
+        ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
+          "privacy": {"mode": "bogus"}}, "privacy.mode"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -298,6 +308,28 @@ class TestConfigValidation:
                                                target={"variables": []}))
         assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         assert [t.variables for t in targets] == [frozenset()]
+
+
+class TestValidationBeforeAnyJob(TestConfigValidation):
+    """Every case above with jobs that fail if called: a config is rejected
+    before any seed runs."""
+
+    @pytest.fixture(autouse=True)
+    def refusing_jobs(self, monkeypatch):
+        def refusing(prepare):
+            def prepare_only(cfg):
+                prepare(cfg)
+
+                def job(seed):
+                    raise AssertionError(f"seed {seed} ran before the "
+                                         "config was rejected")
+                return job
+            return prepare_only
+        for name, prepare in list(cli.PROTOCOLS.items()):
+            monkeypatch.setitem(cli.PROTOCOLS, name, refusing(prepare))
+
+    # runs a job on purpose
+    test_empty_target_variables_is_all_true_conjunction = None
 
 
 class TestCompare:
@@ -369,9 +401,9 @@ RESCALED = pytest.mark.xfail(
     pytest.param(name, marks=RESCALED if name == "robust_halving" else ())
     for name in cli.PROTOCOLS])
 def test_ledger_bits_are_per_player_sum_and_replay(name):
-    runner = cli.PROTOCOLS[name]
-    ledger = runner(TINY[name], 0).ledger.to_dict()
-    assert runner(TINY[name], 0).ledger.to_dict() == ledger
+    job = cli.PROTOCOLS[name](TINY[name])
+    ledger = job(0).ledger.to_dict()
+    assert job(0).ledger.to_dict() == ledger
     assert ledger["bits"] == sum(ledger["per_player"].values())
 
 

@@ -40,10 +40,11 @@ def test_no_unused_imports(path):
 
 
 # Parameters a signature keeps on purpose: ``channel.send`` takes the
-# receiver for the message transcript (ROADMAP item 5), and every CLI runner
-# takes ``(cfg, seed)`` so that ``cli.PROTOCOLS`` can call them alike.
-UNREAD_ALLOWED = {("channel.py", "send", "to")}
-RUNNER_PARAMS = ("cfg", "seed")
+# receiver for the message transcript (ROADMAP item 5), and the CLI's job for
+# the adversarial perceptron, a deterministic construction, takes the seed
+# that every job is called with.
+UNREAD_ALLOWED = {("channel.py", "send", "to"),
+                  ("cli.py", "adversarial_job", "seed")}
 
 
 def _abstract(body: list) -> bool:
@@ -84,17 +85,70 @@ def unread_parameters(tree: ast.Module) -> list:
     return sorted(out)
 
 
-def _allowed(path: Path, name: str, param: str) -> bool:
-    if (path.name, name, param) in UNREAD_ALLOWED:
-        return True
-    return path.name == "cli.py" and name.startswith("_run_") and \
-        param in RUNNER_PARAMS
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     found = unread_parameters(ast.parse(path.read_text()))
-    assert [f for f in found if not _allowed(path, f[1], f[2])] == []
+    assert [f for f in found
+            if (path.name, f[1], f[2]) not in UNREAD_ALLOWED] == []
+
+
+# A CLI runner ``_run_*`` is a prepare step: it reads and checks the config
+# and returns the job that runs one seed.  A config read inside the job would
+# come after seeds have run, past the check for unread keys.
+CONFIG_READERS = ("_field", "_count", "_fraction", "_setup",
+                  "build_distribution")
+
+
+def config_reads_in_jobs(tree: ast.Module) -> list:
+    """(line, what) of each call of a config reader, and each use of the
+    name ``cfg``, inside a function or lambda nested in a ``_run_*``."""
+    out = set()
+    for run in ast.walk(tree):
+        if not (isinstance(run, ast.FunctionDef)
+                and run.name.startswith("_run_")):
+            continue
+        for job in ast.walk(run):
+            if job is run or not isinstance(job, (ast.FunctionDef,
+                                                  ast.Lambda)):
+                continue
+            for node in ast.walk(job):
+                if isinstance(node, ast.Call) and \
+                        _callee(node) in CONFIG_READERS:
+                    out.add((node.lineno, _callee(node)))
+                elif isinstance(node, ast.Name) and node.id == "cfg":
+                    out.add((node.lineno, "cfg"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_jobs_read_no_config(path):
+    assert config_reads_in_jobs(ast.parse(path.read_text())) == []
+
+
+def test_config_reads_in_jobs_sees_each_kind():
+    tree = ast.parse("def _run_a(cfg):\n"
+                     "    n = _count(cfg, 'n')\n"
+                     "    def job(seed):\n"
+                     "        return run(n, _field(cfg, 'c', float), seed)\n"
+                     "    return job\n"
+                     "def _run_b(cfg):\n"
+                     "    eps = _fraction(cfg, 'eps')\n"
+                     "    return lambda seed: go(_setup(cfg, 1), seed)\n"
+                     "def _run_c(cfg):\n"
+                     "    def job(seed):\n"
+                     "        return [cli.build_distribution(e, 1)\n"
+                     "                for e in helper(cfg)]\n"
+                     "    return job\n"
+                     "def _run_d(cfg):\n"
+                     "    def job(seed):\n"
+                     "        return lambda: _count(cfg, 'k')\n"
+                     "    return job\n"
+                     "def prepare(cfg):\n"
+                     "    return lambda seed: _field(cfg, 'x', int)\n")
+    assert config_reads_in_jobs(tree) == [
+        (4, "_field"), (4, "cfg"), (8, "_setup"), (8, "cfg"),
+        (11, "build_distribution"), (12, "cfg"), (16, "_count"),
+        (16, "cfg")]
 
 
 # README's replay contract: all randomness flows from the seed through the
