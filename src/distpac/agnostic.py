@@ -99,15 +99,16 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
                 if r < m:
                     first[j] = (i, block.features[r], int(block.labels[r]))
             pending = [j for j in pending if first[j] is None]
-        broadcast: list = []
-        for i, x, lab in filter(None, first):
-            channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, x)
-            broadcast.append((x, lab))
+        sent = list(filter(None, first))
+        if sent:
+            bx = np.stack([x for _, x, _ in sent])
+            for (i, _, _), bits in zip(sent, channel.example_bits(bx)):
+                channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST,
+                                     bits)
         channel.advance_round(ledger, "round")
-        if len(broadcast) <= N / 3:
+        if len(sent) <= N / 3:
             break
-        bx = np.stack([x for x, _ in broadcast])
-        by = np.array([lab for _, lab in broadcast], dtype=np.int8)
+        by = np.array([lab for _, _, lab in sent], dtype=np.int8)
         alive = np.flatnonzero(survivors)
         errs = (predict_matrix([H[i] for i in alive], bx) != by).sum(axis=1)
         survivors[alive[errs > N / 9]] = False

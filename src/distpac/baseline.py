@@ -114,8 +114,8 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
         s = draw_sample(spec, f, m_i, seed, tags=("shipping", i))
         feats.append(s.features)
         labels.append(s.labels)
-        for row in s.features:
-            channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row)
+        for bits in channel.example_bits(s.features):
+            channel.send_example(ledger, f"p{i + 1}", channel.CENTER, bits)
     channel.advance_round(ledger, "round")
     union = Sample(np.vstack(feats), np.concatenate(labels))
     h = learner(union)
@@ -155,7 +155,8 @@ def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
                 f"mistake cap {mistake_cap} exceeded; learner is broken")
         i, idx = sender
         x, lab = samples[i].features[idx], int(samples[i].labels[idx])
-        channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, x)
+        [bits] = channel.example_bits(x[None])
+        channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, bits)
         channel.advance_round(ledger, "round")
         learner.update(x, lab)
     h = learner.hypothesis()

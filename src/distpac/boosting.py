@@ -148,8 +148,8 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
                                       p=wq / wq.sum())
             feats.append(samples[i].features[idx])
             labels.append(samples[i].labels[idx])
-            for row in feats[-1]:
-                channel.send_example(ledger, f"p{i + 1}", channel.CENTER, row)
+            for bits in channel.example_bits(feats[-1]):
+                channel.send_example(ledger, f"p{i + 1}", channel.CENTER, bits)
         h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
         channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
                                 h_t)

@@ -2,9 +2,10 @@
 
 Every protocol charges its traffic through :func:`send`, so a run's ledger
 is an exact replayable record of what crossed the wire.  Broadcast is
-charged once, not k times.  Examples, hypotheses and counts are priced by
-:func:`send_example`, :func:`send_hypothesis` and :func:`send_count`;
-every other payload passes its bit count to :func:`send` itself.
+charged once, not k times.  :func:`example_bits` prices a block of
+examples in one pass and :func:`send_example` charges each as its own
+message; hypotheses and counts are priced by :func:`send_hypothesis` and
+:func:`send_count`; every other payload passes its bit count to :func:`send`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import PRECISION_BITS, Concept, ConfigurationError
 
 BROADCAST = "broadcast"
 CENTER = "center"
-_BOOLEAN = frozenset((0.0, 1.0))
 
 
 class SyncModel(Enum):
@@ -73,13 +73,17 @@ def send(ledger: CostLedger, frm: str, to: str, bits: int, *,
     return ledger
 
 
+def example_bits(X) -> list[int]:
+    """Size of each labeled example in the 2-D block ``X``: d+1 bits for a
+    row of d 0s and 1s, d * PRECISION_BITS + 1 for any other (NaN too)."""
+    X = np.asarray(X)
+    boolean = ((X == 0.0) | (X == 1.0)).all(axis=1)
+    return (np.where(boolean, 1, PRECISION_BITS) * X.shape[1] + 1).tolist()
+
+
 def send_example(ledger: CostLedger, frm: str, to: str,
-                 features) -> CostLedger:
-    """Charge one labeled example: n+1 bits if its features are boolean,
-    d * PRECISION_BITS + 1 if real."""
-    row = np.asarray(features).tolist()
-    d = len(row)
-    bits = d + 1 if _BOOLEAN.issuperset(row) else d * PRECISION_BITS + 1
+                 bits: int) -> CostLedger:
+    """Charge one labeled example of ``bits`` bits (see example_bits)."""
     return send(ledger, frm, to, bits, examples=1)
 
 

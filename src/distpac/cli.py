@@ -252,6 +252,7 @@ def _run_closed(cfg, cls):
                               f"lo <= hi on every axis, got {lo!r}, {hi!r}")
         f = Box(tuple(lo), tuple(hi))
     c = _field(cfg, "c", float, 1.0)
+    _check("c", c, c > 0, "> 0")
     return lambda seed: closed.run_intersection_closed(
         specs, _random_conjunction(dim, seed) if f is None else f, eps, delta,
         seed, c=c)
@@ -261,6 +262,7 @@ def _run_parity(cfg):
     n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n)
     c = _field(cfg, "c", float, 8.0)
+    _check("c", c, c > 0, "> 0")
     return lambda seed: parity_mod.run_parity_two_player(
         specs, _random_parity(n, seed), eps, seed, c=c)
 
@@ -309,6 +311,7 @@ def _run_averaging(cfg):
 def _run_round_robin(cfg):
     gamma = _fraction(cfg, "gamma", 0.2)
     alpha = _field(cfg, "alpha", float, 0.05)
+    _check("alpha", alpha, alpha > 0, "> 0")
     k, m = _count(cfg, "k"), _count(cfg, "per_player", 40)
     cap = linear.default_update_cap(gamma)
 
@@ -394,7 +397,8 @@ def _run_private_conjunction(cfg):
     _check("privacy.mode", mode, mode in privacy_mod.MODES,
            "one of " + ", ".join(privacy_mod.MODES))
     alpha = _field(cfg, "privacy.alpha", float, 1.0)
-    delta = _field(cfg, "privacy.delta", float, 0.05)
+    _check("privacy.alpha", alpha, alpha > 0, "> 0")
+    delta = _fraction(cfg, "privacy.delta", 0.05)
     return lambda seed: privacy_mod.private_conjunction_protocol(
         specs, _random_conjunction(n, seed), eps, seed, mode=mode,
         alpha=alpha, delta=delta)

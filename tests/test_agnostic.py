@@ -13,9 +13,9 @@ from distpac.agnostic import (HalvingCollapseError, SearchFailureError,
                               halving_set_size, merge_summaries, opt_search,
                               player_summary, quantize_fraction,
                               run_interval_summary, run_robust_halving)
-from distpac.core import (IntervalUnion, MajorityOfSet, ProtocolError,
-                          Sample, Threshold, UniformInterval, draw_sample,
-                          predict_matrix, sample_error, stream)
+from distpac.core import (PRECISION_BITS, IntervalUnion, MajorityOfSet,
+                          ProtocolError, Sample, Threshold, UniformInterval,
+                          draw_sample, predict_matrix, sample_error, stream)
 
 from conftest import threshold_grid
 
@@ -124,7 +124,7 @@ def per_part_halving(specs, f, hypotheses, eps, opt_guess, seed, *,
                 mistaken += 1
                 i, x, lab = first
                 channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST,
-                                     x)
+                                     row_bits(x))
                 broadcast.append((x, lab))
         channel.advance_round(ledger, "round")
         if mistaken <= N / 3:
@@ -142,6 +142,16 @@ def per_part_halving(specs, f, hypotheses, eps, opt_guess, seed, *,
                     "survivor_history": history,
                     "survivors": np.flatnonzero(survivors).tolist(),
                     "N": N, "s": s}
+
+
+def row_bits(x) -> int:
+    """The oracle's own price of one example, independent of
+    channel.example_bits: d+1 bits for a 0/1 row, d*PRECISION_BITS+1
+    otherwise."""
+    row = np.asarray(x).tolist()
+    if frozenset((0.0, 1.0)).issuperset(row):
+        return len(row) + 1
+    return len(row) * PRECISION_BITS + 1
 
 
 def halving_outcome(run, *args, **kwargs):

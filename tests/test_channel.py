@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac.channel import (BROADCAST, CENTER, CostLedger, ProtocolViolation,
-                             SyncModel, advance_round, count_width, send,
-                             send_count, send_example, send_hypothesis)
-from distpac.core import (Box, ConfigurationError, Conjunction,
-                          LinearSeparator, rule_bits)
+                             SyncModel, advance_round, count_width,
+                             example_bits, send, send_count, send_example,
+                             send_hypothesis)
+from distpac.core import (PRECISION_BITS, Box, ConfigurationError,
+                          Conjunction, LinearSeparator, rule_bits)
 
 
 def charged(charge, *args) -> CostLedger:
@@ -22,11 +23,11 @@ def charged(charge, *args) -> CostLedger:
 
 class TestMessageSizes:
     def test_boolean_example(self):
-        led = charged(send_example, (1.0, 0.0, 1.0))
+        led = charged(send_example, *example_bits([(1.0, 0.0, 1.0)]))
         assert (led.bits, led.examples, led.hypotheses) == (4, 1, 0)
 
     def test_real_example(self):
-        led = charged(send_example, (0.5, 0.25))
+        led = charged(send_example, *example_bits([(0.5, 0.25)]))
         assert (led.bits, led.examples) == (65, 1)
 
     def test_hypothesis_sizes(self):
@@ -69,7 +70,7 @@ class TestLedger:
 
     def test_send_accumulates(self):
         led = CostLedger()
-        send_example(led, "p1", CENTER, (1.0, 0.0))
+        send_example(led, "p1", CENTER, *example_bits([(1.0, 0.0)]))
         send_hypothesis(led, "p2", CENTER, Conjunction(5, frozenset()))
         send(led, "p2", CENTER, 7, examples=2, hypotheses=3)
         assert led.bits == 3 + 5 + 7
@@ -79,7 +80,7 @@ class TestLedger:
 
     def test_broadcast_charged_once(self):
         led = CostLedger()
-        send_example(led, "p1", BROADCAST, (1.0,))
+        send_example(led, "p1", BROADCAST, *example_bits([(1.0,)]))
         assert led.bits == 2  # not multiplied by any receiver count
 
     def test_upstream_bits_excludes_center(self):
@@ -102,14 +103,17 @@ class TestLedger:
         with pytest.raises(ProtocolViolation):
             send(led, "p2", BROADCAST, 1)
         with pytest.raises(ProtocolViolation):
-            send_example(led, "p2", BROADCAST, (1.0,))
+            send_example(led, "p2", BROADCAST, 2)
         advance_round(led, "round")
         send(led, "p2", BROADCAST, 1)  # fresh slot is fine
 
     def test_send_example_helper(self):
         led = CostLedger()
-        send_example(led, "p1", CENTER, [1.0, 1.0, 0.0])
-        assert led.examples == 1 and led.bits == 4
+        block = np.array([[1.0, 1.0, 0.0], [0.5, 1.0, 0.0]])
+        for bits in example_bits(block):
+            send_example(led, "p1", CENTER, bits)
+        assert led.examples == 2 and led.bits == 4 + 97
+        assert led.per_player == {"p1": 4 + 97}
 
 
 class TestCountWidth:
@@ -135,3 +139,39 @@ def test_property_ledger_is_sum_of_message_sizes(msgs):
         send(led, frm, CENTER, length)
     assert led.bits == sum(length for _, length in msgs)
     assert led.bits == sum(led.per_player.values())
+
+
+_ZERO_ONE = st.sampled_from([0.0, 1.0, -0.0])
+_ANY_FLOAT = st.one_of(_ZERO_ONE, st.just(float("nan")), st.floats())
+_INT = st.integers(-1, 2)
+
+
+@st.composite
+def example_blocks(draw):
+    """A 2-D block (possibly with no rows) mixing 0/1 rows and real rows,
+    with -0.0 and NaN entries, or an integer block."""
+    d = draw(st.integers(0, 5))
+    dtype = draw(st.sampled_from([np.float64, np.int8, np.int64]))
+    real = _ANY_FLOAT if dtype is np.float64 else _INT
+    row = st.one_of(*(st.lists(v, min_size=d, max_size=d)
+                      for v in (_ZERO_ONE, real)))
+    rows = draw(st.lists(row, max_size=8))
+    return np.array(rows, dtype=dtype).reshape(len(rows), d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(example_blocks())
+def test_property_example_bits_is_the_per_row_rule(X):
+    d = X.shape[1]
+    want = [d + 1 if frozenset((0.0, 1.0)).issuperset(row.tolist())
+            else d * PRECISION_BITS + 1 for row in X]
+    got = example_bits(X)
+    assert got == want and all(type(b) is int for b in got)
+    # each priced example is still one message: one per lock-synchronous slot
+    led = CostLedger(sync_model=SyncModel.LOCK_SYNCHRONOUS)
+    for bits in got:
+        send_example(led, "p1", BROADCAST, bits)
+        with pytest.raises(ProtocolViolation):
+            send_example(led, "p1", BROADCAST, bits)
+        advance_round(led, "round")
+    assert (led.bits, led.examples, led.rounds) == (sum(want), len(X), len(X))

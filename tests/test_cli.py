@@ -270,6 +270,16 @@ class TestConfigValidation:
         (dict(BOOST, beta=0.7), "beta"),
         ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
           "privacy": {"mode": "bogus"}}, "privacy.mode"),
+        # these ran (exit 0) or failed inside the protocol (exit 1)
+        (dict(BASE, c=-1.0), "c"),
+        (dict(BOX1, c=0.0), "c"),
+        ({"protocol": "parity_two_player", "n": 8, "k": 2, "eps": 0.1,
+          "c": 0.0}, "c"),
+        ({"protocol": "round_robin_perceptron", "k": 2, "alpha": -1}, "alpha"),
+        ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
+          "privacy": {"alpha": 0}}, "privacy.alpha"),
+        ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
+          "privacy": {"delta": 2.0}}, "privacy.delta"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

@@ -295,6 +295,45 @@ def test_draw_streams_sees_a_second_site():
     assert draw_streams(Path("agnostic.py"), tree) == [2, 5]
 
 
+# Each charged example is one ``channel.send_example`` call, the count the
+# benchmark checks against the examples a run reports: only that function
+# may pass ``examples=`` to ``send``.
+EXAMPLE_OWNER = ("channel.py", "send_example")
+
+
+def example_charges(path: Path, tree: ast.Module) -> list:
+    """Line of each ``send``/``channel.send`` call outside
+    ``channel.send_example`` that passes ``examples=``, or unpacks a mapping
+    that may hold it."""
+    owned = _owned(path, tree, EXAMPLE_OWNER)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in owned
+        and _callee(node) == "send"
+        and any(kw.arg in ("examples", None) for kw in node.keywords))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_examples_charged_only_by_send_example(path):
+    assert example_charges(path, ast.parse(path.read_text())) == []
+
+
+def test_example_charges_sees_each_kind():
+    tree = ast.parse("def send_example(ledger, frm, to, bits):\n"
+                     "    return send(ledger, frm, to, bits, examples=1)\n"
+                     "def ship(ledger, bits):\n"
+                     "    send(ledger, 'p1', CENTER, 7)\n"
+                     "    send(ledger, 'p1', CENTER, 7, hypotheses=1)\n"
+                     "    channel.send(ledger, 'p1', CENTER, sum(bits),\n"
+                     "                 examples=len(bits))\n"
+                     "    send(ledger, 'p1', CENTER, 7, **opts)\n"
+                     "    send_example(ledger, 'p1', CENTER, 7)\n"
+                     "    resend(ledger, examples=2)\n")
+    assert example_charges(Path("channel.py"), tree) == [6, 8]
+    # outside channel.py a function of the same name is no exception
+    assert example_charges(Path("baseline.py"), tree) == [2, 6, 8]
+
+
 def defaulted_parameters(tree: ast.Module) -> list:
     """(line, function, parameter, position) of each defaulted parameter of
     a public module-level function; position is None for keyword-only."""
