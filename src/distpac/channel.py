@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PRECISION_BITS, Concept, ConfigurationError
+from .core import PRECISION_BITS, Concept, ConfigurationError, boolean_rows
 
 BROADCAST = "broadcast"
 CENTER = "center"
@@ -77,8 +77,8 @@ def example_bits(X) -> list[int]:
     """Size of each labeled example in the 2-D block ``X``: d+1 bits for a
     row of d 0s and 1s, d * PRECISION_BITS + 1 for any other (NaN too)."""
     X = np.asarray(X)
-    boolean = ((X == 0.0) | (X == 1.0)).all(axis=1)
-    return (np.where(boolean, 1, PRECISION_BITS) * X.shape[1] + 1).tolist()
+    scale = np.where(boolean_rows(X), 1, PRECISION_BITS)
+    return (scale * X.shape[1] + 1).tolist()
 
 
 def send_example(ledger: CostLedger, frm: str, to: str,

@@ -347,6 +347,14 @@ def _run_boosting(cfg):
         q=q)
 
 
+def _validated(res, party: str, spec, f, m: int, seed: int):
+    """``res`` with its only error: ``party``'s hypothesis on m fresh
+    ("cli_val",) points of ``spec``, reported as the mixture error."""
+    val = draw_sample(spec, f, m, seed, tags=("cli_val",))
+    res.errors = {"mixture": sample_error(res.hypotheses[party], val)}
+    return res
+
+
 def _run_robust_halving(cfg):
     eps, _delta, specs = _setup(cfg, 1)
     H = _threshold_class(_count(cfg, "grid", 201))
@@ -358,10 +366,7 @@ def _run_robust_halving(cfg):
     def job(seed):
         res = agnostic.opt_search(specs, f, H, eps, seed, noise_rate=noise,
                                   shared_randomness=shared)
-        val = draw_sample(specs[0], f, 4000, seed, tags=("cli_val",))
-        res.errors = {"mixture": sample_error(
-            res.hypotheses[channel.BROADCAST], val)}
-        return res
+        return _validated(res, channel.BROADCAST, specs[0], f, 4000, seed)
     return job
 
 
@@ -383,10 +388,8 @@ def _run_interval_summary(cfg):
                                noise_rate=noise, tags=("interval", i))
                    for i in range(k)]
         res = agnostic.run_interval_summary(samples, d, eps)
-        val = draw_sample(UniformInterval(), f, 8000, seed, tags=("cli_val",))
-        res.errors = {"mixture": sample_error(
-            res.hypotheses[channel.CENTER], val)}
-        return res
+        return _validated(res, channel.CENTER, UniformInterval(), f, 8000,
+                          seed)
     return job
 
 

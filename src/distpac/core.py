@@ -181,6 +181,12 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def boolean_rows(X: np.ndarray) -> np.ndarray:
+    """Per-row mask of a 2-D array: True where every entry is 0 or 1
+    (-0.0 counts as 0, NaN as neither)."""
+    return ((X == 0.0) | (X == 1.0)).all(axis=1)
+
+
 @dataclass
 class Sample:
     """An ordered set of labeled examples.
@@ -213,7 +219,7 @@ class Sample:
         return self.features.shape[1]
 
     def is_boolean(self) -> bool:
-        return bool(np.all((self.features == 0.0) | (self.features == 1.0)))
+        return bool(boolean_rows(self.features).all())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """GF(2) linear algebra and the two-player non-proper parity protocol.
 
-Rows are bit-packed into uint64 words (feature bits 0..n-1 plus the label
-bit at position n) and eliminated with vectorized XORs, so samples of a few
-thousand points over a few thousand variables stay cheap.
+A labeled sample is an (m, n+1) boolean matrix: feature bits in columns
+0..n-1 and the label bit (True for a +1 label) in column n.  Elimination
+XORs whole rows, so reconstructing a query from basis rows XORs out its
+predicted label as well.
 """
 
 from __future__ import annotations
@@ -16,34 +17,12 @@ from .core import (Concept, ConfigurationError, ParityFunc, ProtocolResult,
                    RealizabilityError, Sample, draw_sample, measure_errors)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (m, width) 0/1 matrix into (m, ceil(width/64)) uint64 words."""
-    m, width = bits.shape
-    words = (width + 63) // 64
-    out = np.zeros((m, words), dtype=np.uint64)
-    b = bits.astype(np.uint64)
-    for w in range(words):
-        chunk = b[:, w * 64:(w + 1) * 64]
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        out[:, w] = (chunk << shifts).sum(axis=1, dtype=np.uint64)
-    return out
-
-
-def _get_bit(rows: np.ndarray, col: int) -> np.ndarray:
-    w, b = col >> 6, np.uint64(col & 63)
-    return (rows[:, w] >> b) & np.uint64(1)
-
-
 @dataclass(frozen=True)
 class GF2Basis:
-    """Row-reduced basis of a labeled sample's feature row space.
-
-    Each stored row carries its label bit at position n, so reconstructing a
-    query from basis rows XORs out the predicted label for free.
-    """
+    """Row-reduced basis of a labeled sample's feature row space."""
 
     n: int
-    rows: np.ndarray  # (r, words) uint64, RREF over feature columns
+    rows: np.ndarray  # (r, n+1) bool: features in RREF, then the label
     pivots: tuple  # strictly increasing pivot columns, one per row
 
     @property
@@ -54,83 +33,54 @@ class GF2Basis:
         """A parity consistent with the reduced sample: each pivot variable
         takes its row's label bit, every free variable is 0."""
         v = [0] * self.n
-        for p, bit in zip(self.pivots, _get_bit(self.rows, self.n)):
+        for p, bit in zip(self.pivots, self.rows[:, self.n]):
             v[p] = int(bit)
         return ParityFunc(self.n, tuple(v))
-
-    def _reduce_queries(self, X: np.ndarray) -> np.ndarray:
-        packed = _pack_bits(np.column_stack(
-            [X.astype(np.uint64), np.zeros(X.shape[0], dtype=np.uint64)]))
-        for i, p in enumerate(self.pivots):
-            hit = _get_bit(packed, p).astype(bool)
-            packed[hit] ^= self.rows[i]
-        return packed
 
     def classify(self, X: np.ndarray) -> tuple:
         """(labels +/-1, known mask): answers only for queries in the span."""
         if X.shape[1] != self.n:
             raise ConfigurationError("query dimension mismatch")
-        residual = self._reduce_queries(X)
-        label = _get_bit(residual, self.n).copy()
-        words = residual.shape[1]
-        wlast, blast = self.n >> 6, np.uint64(self.n & 63)
-        residual[:, wlast] &= ~(np.uint64(1) << blast)
-        known = ~residual.any(axis=1)
-        labels = np.where(label == 1, 1, -1).astype(np.int8)
+        Q = np.zeros((X.shape[0], self.n + 1), dtype=bool)
+        Q[:, :self.n] = X
+        for p, row in zip(self.pivots, self.rows):
+            Q ^= np.outer(Q[:, p], row)
+        known = ~Q[:, :self.n].any(axis=1)
+        labels = np.where(Q[:, self.n], 1, -1).astype(np.int8)
         return labels, known
 
 
-def _labels_to_bits(labels: np.ndarray) -> np.ndarray:
-    return (labels == 1).astype(np.uint64)
-
-
-def _rref(packed: np.ndarray, n: int) -> tuple:
-    """In-place RREF over feature columns 0..n-1.  Returns (rows, pivots)."""
+def _rref(A: np.ndarray, n: int) -> tuple:
+    """In-place RREF of the bool matrix ``A`` over feature columns 0..n-1.
+    Returns (rows, pivots)."""
     pivots = []
     pivot_rows = []
-    available = np.ones(packed.shape[0], dtype=bool)
+    available = np.ones(A.shape[0], dtype=bool)
     for col in range(n):
-        hit = _get_bit(packed, col).astype(bool)
-        candidates = np.flatnonzero(hit & available)
+        candidates = np.flatnonzero(A[:, col] & available)
         if candidates.size == 0:
             continue
         p = candidates[0]
-        row = packed[p].copy()
-        others = hit.copy()
-        others[p] = False
-        packed[others] ^= row
-        packed[p] = row
+        row = A[p].copy()
+        A ^= np.outer(A[:, col], row)
+        A[p] = row
         available[p] = False
         pivots.append(col)
         pivot_rows.append(p)
-        if len(pivots) == n:
-            break
-    # any leftover row reduced to pure-label is a contradiction
-    leftovers = packed[available]
-    if leftovers.size:
-        label_only = _get_bit(leftovers, n).astype(bool)
-        feat = leftovers.copy()
-        wlast, blast = n >> 6, np.uint64(n & 63)
-        feat[:, wlast] &= ~(np.uint64(1) << blast)
-        if np.any(label_only & ~feat.any(axis=1)):
-            raise RealizabilityError("sample is inconsistent over GF(2)")
-    rows = packed[pivot_rows] if pivot_rows else \
-        np.zeros((0, packed.shape[1]), dtype=np.uint64)
-    return rows, tuple(pivots)
+    # a row that never became a pivot has no feature bit left, so a set
+    # label bit there says 0 = 1
+    if A[available, n].any():
+        raise RealizabilityError("sample is inconsistent over GF(2)")
+    return A[pivot_rows], tuple(pivots)
 
 
 def gf2_reduce(sample: Sample) -> GF2Basis:
     """Row-reduce a boolean labeled sample into a reliable parity predictor."""
-    if len(sample) and not sample.is_boolean():
+    if not sample.is_boolean():
         raise ConfigurationError("gf2_reduce needs boolean features")
-    n = sample.dim
-    if len(sample) == 0:
-        words = (n + 1 + 63) // 64
-        return GF2Basis(n, np.zeros((0, words), dtype=np.uint64), ())
-    packed = _pack_bits(np.column_stack(
-        [sample.features.astype(np.uint64), _labels_to_bits(sample.labels)]))
-    rows, pivots = _rref(packed, n)
-    return GF2Basis(n, rows, pivots)
+    A = np.column_stack([sample.features.astype(bool), sample.labels == 1])
+    rows, pivots = _rref(A, sample.dim)
+    return GF2Basis(sample.dim, rows, pivots)
 
 
 @dataclass(frozen=True)
@@ -157,14 +107,11 @@ class ParityNonProper(Concept):
 
 
 def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
-                          m: int | None = None,
                           c: float = 8.0) -> ProtocolResult:
     """One round, 2 proper hypotheses exchanged, 2n bits total."""
     if len(specs) != 2:
         raise ConfigurationError("parity protocol requires exactly 2 players")
-    n = f.dim
-    if m is None:
-        m = int(np.ceil(c * n / eps))
+    m = int(np.ceil(c * f.dim / eps))
     ledger = channel.CostLedger()
     samples = [draw_sample(spec, f, m, seed, tags=("parity", i))
                for i, spec in enumerate(specs)]

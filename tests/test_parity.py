@@ -63,6 +63,87 @@ class TestGF2Reduce:
         assert list(basis.pivots) == sorted(set(basis.pivots))
 
 
+def to_matrix(ints, n):
+    """0/1 feature matrix of int bitsets, bit j in column j."""
+    return np.array([[(r >> j) & 1 for j in range(n)] for r in ints],
+                    dtype=float).reshape(len(ints), n)
+
+
+def oracle_reduce(basis, r):
+    """Reduce the int bitset ``r`` by an echelon basis {pivot: row}."""
+    for p in sorted(basis):
+        if r >> p & 1:
+            r ^= basis[p]
+    return r
+
+
+def oracle_basis(rows, n):
+    """Echelon basis {lowest feature bit: row} of labeled int bitsets
+    (feature j at bit j, label at bit n), or None if some combination of
+    rows keeps the label bit and no feature bit."""
+    basis = {}
+    for r in rows:
+        r = oracle_reduce(basis, r)
+        feats = r & ((1 << n) - 1)
+        if feats:
+            basis[(feats & -feats).bit_length() - 1] = r
+        elif r:
+            return None
+    return basis
+
+
+@st.composite
+def gf2_problems(draw):
+    """(n, feature ints, label bools, query ints) across the 64-bit word
+    boundary; samples may be low rank, noisy or contain a flipped repeat."""
+    n = draw(st.integers(1, 130))
+    m = draw(st.integers(0, 3 * n))
+    word = st.integers(0, 2 ** n - 1)
+    mask = draw(st.just(2 ** n - 1) | word)
+    rows = [r & mask for r in draw(st.lists(word, min_size=m, max_size=m))]
+    planted = draw(st.none() | word)
+    if planted is None:
+        labels = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    else:
+        labels = [bin(r & planted).count("1") % 2 == 1 for r in rows]
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        rows.append(rows[i])
+        labels.append(not labels[i])
+    queries = draw(st.lists(word, max_size=6))
+    if rows:  # sums of sample rows lie in the span; one bit off may not
+        for subset in draw(st.lists(st.lists(st.sampled_from(rows)),
+                                    max_size=6)):
+            q = 0
+            for r in subset:
+                q ^= r
+            queries += [q, q ^ 1 << draw(st.integers(0, n - 1))]
+    return n, rows, labels, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf2_problems())
+def test_property_gf2_matches_int_bitset_oracle(problem):
+    n, rows, labels, queries = problem
+    sample = Sample(to_matrix(rows, n), np.where(labels, 1, -1))
+    oracle = oracle_basis([r | (y << n) for r, y in zip(rows, labels)], n)
+    if oracle is None:
+        with pytest.raises(RealizabilityError):
+            gf2_reduce(sample)
+        return
+    basis = gf2_reduce(sample)
+    assert basis.pivots == tuple(sorted(oracle))
+    assert basis.rank == len(oracle)
+    v = sum(bit << j for j, bit in enumerate(basis.proper().vector))
+    assert [bin(r & v).count("1") % 2 == 1 for r in rows] == labels
+    got_labels, got_known = basis.classify(to_matrix(queries, n))
+    reduced = [oracle_reduce(oracle, q) for q in queries]
+    known = [r & ((1 << n) - 1) == 0 for r in reduced]
+    assert got_known.tolist() == known
+    assert [int(y) for y, k in zip(got_labels, known) if k] == \
+        [1 if r >> n else -1 for r, k in zip(reduced, known) if k]
+
+
 class TestProperLearn:
     def test_consistent_with_sample(self):
         f, s = planted_sample(24, 6, 300, 7)
@@ -91,7 +172,7 @@ class TestProtocol:
         n = 40
         f = ParityFunc(n, tuple([1] + [0] * (n - 1)))
         specs = [UniformBoolean(n), UniformBoolean(n)]
-        res = run_parity_two_player(specs, f, 0.05, 0, m=200)
+        res = run_parity_two_player(specs, f, 0.05, 0, c=0.25)
         assert res.ledger.bits == 2 * n
         assert res.ledger.hypotheses == 2
         assert res.ledger.rounds == 1
