@@ -114,8 +114,9 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
         s = draw_sample(spec, f, m_i, seed, tags=("shipping", i))
         feats.append(s.features)
         labels.append(s.labels)
+        sender = f"p{i + 1}"
         for bits in channel.example_bits(s.features):
-            channel.send_example(ledger, f"p{i + 1}", channel.CENTER, bits)
+            channel.send_example(ledger, sender, channel.CENTER, bits)
     channel.advance_round(ledger, "round")
     union = Sample(np.vstack(feats), np.concatenate(labels))
     h = learner(union)

@@ -136,12 +136,13 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     telemetry: list = []
     bound = 1.0
     cw = channel.count_width(m_weak)
+    players = [f"p{i + 1}" for i in range(k)]
     for t in range(T):
         totals = quantize(np.array([w.sum() for w in weights]), q)
         counts = split_rng.multinomial(m_weak, totals / totals.sum())
         feats, labels = [], []
         for i in range(k):
-            channel.send_count(ledger, channel.CENTER, f"p{i + 1}",
+            channel.send_count(ledger, channel.CENTER, players[i],
                                int(counts[i]), cw)
             wq = quantize(weights[i], q)
             idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
@@ -149,7 +150,7 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             feats.append(samples[i].features[idx])
             labels.append(samples[i].labels[idx])
             for bits in channel.example_bits(feats[-1]):
-                channel.send_example(ledger, f"p{i + 1}", channel.CENTER, bits)
+                channel.send_example(ledger, players[i], channel.CENTER, bits)
         h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
         channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
                                 h_t)
@@ -161,7 +162,7 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
             m_i = quantize(float(weights[i][~corrects[i]].sum()), q)
             mistake_w += m_i
             total_w += float(totals[i])
-            channel.send(ledger, f"p{i + 1}", channel.CENTER,
+            channel.send(ledger, players[i], channel.CENTER,
                          2 * (64 if q is None else q))
         eps_t = min(max(mistake_w / total_w, 1e-12), 1.0 - 1e-12)
         alpha_t = 0.5 * math.log((1.0 - eps_t) / eps_t)

@@ -29,7 +29,7 @@ from .core import (Box, ConfigurationError, Conjunction, IntervalUnion,
                    LinearSeparator, ParityFunc, PointMassList,
                    ProductBernoulli, ProtocolError, ProtocolResult,
                    Threshold, UniformBoolean, UniformInterval, UniformSphere,
-                   draw_sample, sample_error, stream)
+                   boolean_rows, draw_sample, sample_error, stream)
 
 OUT_ROOT_ENV = "DISTPAC_OUT_ROOT"
 # libyaml's parser when pyyaml was built with it; the resolver, and so the
@@ -153,8 +153,12 @@ def _count(cfg: dict, name: str, default=REQUIRED) -> int:
     return _check(name, value, value >= 1, ">= 1")
 
 
-def build_distribution(entry: dict, dim: int):
+def build_distribution(entry: dict, dim: int, boolean: bool = False):
+    """One ``distributions`` entry's spec, 0/1-valued when ``boolean``."""
     kind = _field(entry, "kind", str, "uniform_boolean")
+    if boolean and kind in ("uniform_sphere", "uniform_interval"):
+        raise ConfigError(f"field 'kind': {kind} draws real features, the "
+                          "protocol needs boolean ones")
     if kind == "uniform_boolean":
         return UniformBoolean(dim)
     if kind == "product_bernoulli":
@@ -183,6 +187,9 @@ def build_distribution(entry: dict, dim: int):
         if any(len(pt) != dim for pt in points):
             raise ConfigError(f"field 'points' must list points of dimension "
                               f"{dim}, got {points!r}")
+        if boolean and not boolean_rows(np.array(points, float)).all():
+            raise ConfigError("field 'points' must have 0/1 coordinates for "
+                              f"a boolean protocol, got {points!r}")
         probs = _field(entry, "probabilities", [float])
         try:
             return PointMassList(tuple(map(tuple, points)), tuple(probs))
@@ -192,9 +199,10 @@ def build_distribution(entry: dict, dim: int):
     raise ConfigError(f"unknown distribution kind '{kind}'")
 
 
-def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean"):
+def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean",
+           boolean: bool = False):
     """(eps, delta, specs): the accuracy fields and one distribution per
-    player, ``default_kind`` for each when ``distributions`` is absent."""
+    player, ``default_kind`` if none are listed, 0/1-valued if ``boolean``."""
     eps = _fraction(cfg, "eps")
     delta = _fraction(cfg, "delta", 0.05)
     k = _count(cfg, "k")
@@ -202,7 +210,7 @@ def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean"):
     if len(entries) != k:
         raise ConfigError(f"'distributions' lists {len(entries)} players, "
                           f"but k = {k}")
-    return eps, delta, [build_distribution(e, dim) for e in entries]
+    return eps, delta, [build_distribution(e, dim, boolean) for e in entries]
 
 
 def _random_conjunction(n: int, seed: int) -> Conjunction:
@@ -230,7 +238,7 @@ def _threshold_class(grid: int) -> list:
 
 def _run_closed(cfg, cls):
     dim = _count(cfg, "n" if cls is Conjunction else "d")
-    eps, delta, specs = _setup(cfg, dim)
+    eps, delta, specs = _setup(cfg, dim, boolean=cls is Conjunction)
     if cls is Conjunction:
         vars_cfg = _field(cfg, "target.variables", [int], None)
         if vars_cfg is None:
@@ -260,7 +268,7 @@ def _run_closed(cfg, cls):
 
 def _run_parity(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n)
+    eps, _delta, specs = _setup(cfg, n, boolean=True)
     c = _field(cfg, "c", float, 8.0)
     _check("c", c, c > 0, "> 0")
     return lambda seed: parity_mod.run_parity_two_player(
@@ -269,7 +277,7 @@ def _run_parity(cfg):
 
 def _run_decision_list(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n)
+    eps, delta, specs = _setup(cfg, n, boolean=True)
     n_rules = _count(cfg, "n_rules", 10)
     if n_rules > 2 * n:
         raise ConfigError(f"field 'n_rules' must be <= 2n = {2 * n}, "
@@ -281,7 +289,7 @@ def _run_decision_list(cfg):
 
 def _run_sample_shipping(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n)
+    eps, _delta, specs = _setup(cfg, n, boolean=True)
     learner = lambda s: closed.smallest_consistent(s, Conjunction)
     return lambda seed: baseline.sample_shipping(
         specs, _random_conjunction(n, seed), eps, learner, n, seed)
@@ -289,7 +297,7 @@ def _run_sample_shipping(cfg):
 
 def _run_eq_conjunction(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n)
+    eps, delta, specs = _setup(cfg, n, boolean=True)
     m = closed.pac_sample_size(n, eps, len(specs), delta)
 
     def job(seed):
@@ -337,7 +345,7 @@ def _run_adversarial_perceptron(cfg):
 
 def _run_boosting(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n)
+    eps, delta, specs = _setup(cfg, n, boolean=True)
     q = _field(cfg, "q", (int, type(None)), 32)
     _check("q", q, q is None or q >= 1, ">= 1 or null")
     beta = _fraction(cfg, "beta", 0.25)
@@ -395,7 +403,7 @@ def _run_interval_summary(cfg):
 
 def _run_private_conjunction(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n)
+    eps, _delta, specs = _setup(cfg, n, boolean=True)
     mode = _field(cfg, "privacy.mode", str, privacy_mod.MODE_DIFFERENTIAL)
     _check("privacy.mode", mode, mode in privacy_mod.MODES,
            "one of " + ", ".join(privacy_mod.MODES))

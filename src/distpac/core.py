@@ -245,7 +245,8 @@ class UniformBoolean(DistributionSpec):
         return self.n
 
     def draw(self, rng, m):
-        return rng.integers(0, 2, size=(m, self.n)).astype(np.float64)
+        # int32 draws the same bits as int64 for a range below 2**32
+        return rng.integers(0, 2, (m, self.n), np.int32).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -471,13 +472,14 @@ class DecisionListFunc(Concept):
         return self.n
 
     def predict(self, X):
-        out = np.full(X.shape[0], self.default, dtype=np.int8)
-        undecided = np.ones(X.shape[0], dtype=bool)
-        for (j, b, c) in self.rules:
-            fires = undecided & (X[:, j - 1] == float(b))
-            out[fires] = c
-            undecided &= ~fires
-        return out
+        # columns b*n + j-1 of [X == 0 | X == 1 | True]: each row's first
+        # firing rule, the default as a last rule that always fires
+        cols = [b * self.n + j - 1 for (j, b, _c) in self.rules]
+        outs = [c for (_j, _b, c) in self.rules] + [self.default]
+        fires = np.concatenate([X == 0.0, X == 1.0,
+                                np.ones((len(X), 1), dtype=bool)], axis=1)
+        first = fires[:, cols + [2 * self.n]].argmax(axis=1)
+        return np.array(outs, dtype=np.int8)[first]
 
     def encoded_bits(self) -> int:
         return (len(self.rules) + 1) * rule_bits(self.n)

@@ -22,6 +22,12 @@ from .core import (ConfigurationError, DecisionListFunc, DistributionSpec,
 # b in {0,1}, c in {0,1} with bit 1 meaning label +1
 
 
+def _boolean(sample: Sample) -> Sample:
+    if len(sample) and not sample.is_boolean():
+        raise ConfigurationError("decision lists need boolean features")
+    return sample
+
+
 def consistent_triplets(sample: Sample, alive: np.ndarray | None = None) -> set:
     """All triplets consistent with the (alive part of the) sample.
 
@@ -29,36 +35,33 @@ def consistent_triplets(sample: Sample, alive: np.ndarray | None = None) -> set:
     vacuously when no alive example has x_j = b.  The else triplets (0,.,c)
     require every alive example to have label c.
     """
-    if len(sample) and not sample.is_boolean():
-        raise ConfigurationError("decision lists need boolean features")
-    if alive is None:
-        alive = np.ones(len(sample), dtype=bool)
-    feats = sample.features[alive]
-    labels = sample.labels[alive]
-    out = set()
-    pos = feats[labels == 1]
-    neg = feats[labels == -1]
-    n_pos_at = {1: (pos == 1.0).sum(axis=0), 0: (pos == 0.0).sum(axis=0)}
-    n_neg_at = {1: (neg == 1.0).sum(axis=0), 0: (neg == 0.0).sum(axis=0)}
-    for b in (0, 1):
-        for j in np.flatnonzero(n_neg_at[b] == 0):
-            out.add((int(j) + 1, b, 1))
-        for j in np.flatnonzero(n_pos_at[b] == 0):
-            out.add((int(j) + 1, b, 0))
-    if not np.any(labels == -1):
-        out.add((0, 0, 1))
-    if not np.any(labels == 1):
-        out.add((0, 0, 0))
+    return _triplets(_boolean(sample), np.ones(len(sample), dtype=bool)
+                     if alive is None else alive)
+
+
+def _triplets(sample: Sample, alive: np.ndarray) -> set:
+    """``consistent_triplets`` of a sample known to be boolean."""
+    pos, neg = alive & (sample.labels == 1), alive & (sample.labels == -1)
+    # counts[b, c, j-1]: alive examples labelled not-c (row 0 positives,
+    # row 1 negatives) with x_j = b, so (j, b, c) is consistent iff it is 0;
+    # x_j = 1 by one product of 0/1 entries (exact in float64), x_j = 0 by
+    # subtraction
+    totals = np.array([[pos.sum()], [neg.sum()]], dtype=np.float64)
+    ones = np.stack([pos, neg]).astype(np.float64) @ sample.features
+    counts = np.stack([totals - ones, ones])
+    out = {(j + 1, b, c) for b, c, j in np.argwhere(counts == 0).tolist()}
+    out.update((0, 0, c) for c in (0, 1) if totals[c, 0] == 0)
     return out
 
 
 def _kill_satisfied(sample: Sample, alive: np.ndarray, rules) -> np.ndarray:
     """An example dies once any broadcast rule fires on it."""
-    for (j, b, _c) in rules:
-        if j == 0:
-            alive[:] = False
-        else:
-            alive &= sample.features[:, j - 1] != float(b)
+    if any(j == 0 for (j, _b, _c) in rules):
+        alive[:] = False
+    else:
+        cols = [j - 1 for (j, _b, _c) in rules]
+        alive &= (sample.features[:, cols]
+                  != [float(b) for (_j, b, _c) in rules]).all(axis=1)
     return alive
 
 
@@ -77,7 +80,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
     k = len(specs)
     n = f.dim
     m = pac_sample_size(n, eps, k, delta)
-    samples = [draw_sample(spec, f, m, seed, tags=("declist", i))
+    samples = [_boolean(draw_sample(spec, f, m, seed, tags=("declist", i)))
                for i, spec in enumerate(specs)]
     alive = [np.ones(len(s), dtype=bool) for s in samples]
     announced = [set() for _ in range(k)]  # T_i as known to the center
@@ -93,7 +96,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
             raise RealizabilityError("decision-list protocol exceeded the "
                                      "round cap without an else-rule")
         for i in range(k):
-            fresh = consistent_triplets(samples[i], alive[i]) - announced[i]
+            fresh = _triplets(samples[i], alive[i]) - announced[i]
             for _rule in fresh:
                 channel.send(ledger, f"p{i + 1}", channel.CENTER, rule_bits(n))
             announced[i] |= fresh

@@ -25,6 +25,12 @@ BASE = {"protocol": "closed_conjunction", "n": 20, "k": 3, "eps": 0.05,
         "seeds": [0, 4], "name": "conj"}
 BOOST = {"protocol": "boosting", "n": 10, "k": 2, "eps": 0.2, "seeds": 0}
 BOX1 = {"protocol": "closed_box", "d": 1, "k": 1, "eps": 0.1, "seeds": 0}
+# the protocols whose features are boolean, with a config small enough to run
+BOOLEAN = {name: {"protocol": name, "n": 3, "k": 2, "eps": 0.2, "seeds": 0}
+           for name in ("closed_conjunction", "parity_two_player",
+                        "decision_list", "sample_shipping", "eq_conjunction",
+                        "boosting", "private_conjunction")}
+BOOLEAN["decision_list"]["n_rules"] = 2
 
 
 def point_mass(points, probabilities):
@@ -280,6 +286,19 @@ class TestConfigValidation:
           "privacy": {"alpha": 0}}, "privacy.alpha"),
         ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
           "privacy": {"delta": 2.0}}, "privacy.delta"),
+        # real features for a boolean protocol: these ran (exit 0) or failed
+        # inside the protocol after a seed ran (exit 1)
+        *[(dict(cfg, distributions=[{"kind": "uniform_sphere"}] * 2), "kind")
+          for cfg in BOOLEAN.values()],
+        *[(dict(cfg, n=1, distributions=[{"kind": "uniform_interval"}] * 2),
+           "kind") for cfg in BOOLEAN.values()],
+        *[(dict(cfg, n=2, distributions=point_mass(
+            [[0.0, 1.0], [0.5, 1.0]], [0.5, 0.5]) * 2), "points")
+          for cfg in BOOLEAN.values()],
+        (dict(BOOLEAN["decision_list"], n=2, distributions=point_mass(
+            [[1.0, float("nan")]], [1.0]) * 2), "points"),
+        (dict(BOOLEAN["boosting"], n=2, distributions=point_mass(
+            [[2.0, 1.0]], [1.0]) * 2), "points"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -289,6 +308,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"'{field}'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(BOOLEAN))
+    def test_boolean_point_mass_still_runs(self, tmp_path, name):
+        cfg = dict(BOOLEAN[name], distributions=point_mass(
+            [[-0.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5]) * 2)
+        path = write_config(tmp_path, "c", cfg)
+        # the private learner itself refuses a non-product distribution
+        want = 1 if name == "private_conjunction" else 0
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == want
 
     @pytest.mark.parametrize("seed_range", [
         "-1..-1", "-3..2", f"{2 ** 64 - 1}..{2 ** 64}",
@@ -338,8 +366,9 @@ class TestValidationBeforeAnyJob(TestConfigValidation):
         for name, prepare in list(cli.PROTOCOLS.items()):
             monkeypatch.setitem(cli.PROTOCOLS, name, refusing(prepare))
 
-    # runs a job on purpose
+    # run a job on purpose
     test_empty_target_variables_is_all_true_conjunction = None
+    test_boolean_point_mass_still_runs = None
 
 
 class TestCompare:

@@ -404,3 +404,49 @@ def test_property_predict_matrix_stacks_predict(grid, xs, kind):
         assert np.array_equal(M, np.stack([h.predict(X) for h in H]))
         vote = sign_pm1(sum(h.predict(X).astype(np.int64) for h in H))
         assert np.array_equal(MajorityOfSet(tuple(H)).predict(X), vote)
+
+
+def first_firing_rule(f, X):
+    """Per-row oracle of DecisionListFunc.predict: the output of the row's
+    first rule with x_j == b, else the default."""
+    return np.array([next((c for (j, b, c) in f.rules if x[j - 1] == b),
+                          f.default) for x in X], dtype=np.int8)
+
+
+# 0/1 entries (with a negative zero) and two that no rule matches
+ENTRIES = (0.0, -0.0, 1.0, 0.5, math.nan)
+
+
+@st.composite
+def lists_and_rows(draw):
+    n = draw(st.integers(1, 8))
+    rules = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, 1),
+                                    st.sampled_from((-1, 1))),
+                          max_size=2 * n))  # (j, b) may repeat
+    m = draw(st.integers(0, 12))
+    X = np.array(draw(st.lists(st.lists(st.sampled_from(ENTRIES),
+                                        min_size=n, max_size=n),
+                               min_size=m, max_size=m)),
+                 dtype=np.float64).reshape(m, n)
+    return DecisionListFunc(n, tuple(rules), draw(st.sampled_from((-1, 1)))), X
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists_and_rows())
+def test_property_decision_list_predict_is_first_firing_rule(case):
+    f, X = case
+    got = f.predict(X)
+    assert got.dtype == np.int8 and got.shape == (len(X),)
+    assert np.array_equal(got, first_firing_rule(f, X))
+
+
+@pytest.mark.parametrize("shape", [(0, 7), (1, 1), (3084, 50), (6400, 40)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 63))
+def test_property_uniform_boolean_draw_is_the_int64_draw(shape, seed):
+    m, n = shape
+    rng, ref = stream(seed, "ub"), stream(seed, "ub")
+    X = UniformBoolean(n).draw(rng, m)
+    want = ref.integers(0, 2, size=(m, n)).astype(np.float64)
+    assert X.dtype == np.float64 and X.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()  # and leaves the stream in step

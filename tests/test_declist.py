@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac import channel
-from distpac.core import (DecisionListFunc, RealizabilityError, Sample,
-                          UniformBoolean, draw_sample, rule_bits,
-                          sample_error, stream)
-from distpac.declist import (consistent_triplets, random_decision_list,
-                             run_decision_list)
+from distpac.core import (ConfigurationError, DecisionListFunc,
+                          PointMassList, RealizabilityError, Sample,
+                          UniformBoolean, UniformSphere, draw_sample,
+                          rule_bits, sample_error, stream)
+from distpac.declist import (_kill_satisfied, consistent_triplets,
+                             random_decision_list, run_decision_list)
 
 
 def brute_force_triplets(sample, alive=None):
@@ -50,6 +51,7 @@ class TestConsistentTriplets:
     def test_property_matches_brute_force(self, seed, n, m):
         rng = stream(seed, "dl_prop")
         X = rng.integers(0, 2, size=(m, n)).astype(float)
+        X[(X == 0.0) & (rng.random((m, n)) < 0.5)] = -0.0  # also boolean
         y = np.where(rng.random(m) < 0.5, 1, -1)
         s = Sample(X, y)
         alive = rng.random(m) < 0.7
@@ -95,3 +97,49 @@ class TestProtocol:
         with pytest.raises(RealizabilityError):
             run_decision_list([UniformBoolean(8)] * 2, f, 0.05, 0.05, 3,
                               max_rounds=0)
+
+    def test_non_boolean_player_raises(self, monkeypatch):
+        n = 4
+        f = random_decision_list(n, 3, 0)
+        calls = []
+        is_boolean = Sample.is_boolean
+        monkeypatch.setattr(Sample, "is_boolean",
+                            lambda s: calls.append(s) or is_boolean(s))
+        run_decision_list([UniformBoolean(n)] * 3, f, 0.2, 0.1, 0)
+        assert len(calls) == 3  # once per player, not once per round
+        half = PointMassList(((0.0, 1.0, 0.5, 1.0), (1.0,) * n), (0.5, 0.5))
+        for bad in ([UniformBoolean(n), UniformSphere(n)],
+                    [UniformBoolean(n)] * 2 + [half]):
+            with pytest.raises(ConfigurationError,
+                               match="^decision lists need boolean features$"):
+                run_decision_list(bad, f, 0.2, 0.1, 0)
+        X = np.array([[0.0, 1.0, 0.5, 1.0]])
+        with pytest.raises(ConfigurationError,
+                           match="^decision lists need boolean features$"):
+            consistent_triplets(Sample(X, np.array([1])))
+
+
+# 0/1 entries (with a negative zero) and two that no rule matches
+ENTRIES = (0.0, -0.0, 1.0, 0.5, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(0, 10))
+def test_property_kill_satisfied_is_the_per_rule_loop(data, n, m):
+    X = np.array(data.draw(st.lists(st.lists(
+        st.sampled_from(ENTRIES), min_size=n, max_size=n),
+        min_size=m, max_size=m)), dtype=np.float64).reshape(m, n)
+    alive = np.array(data.draw(st.lists(st.booleans(), min_size=m,
+                                        max_size=m)), dtype=bool)
+    # (0, 0, c) is the else-rule, which fires on every example
+    rules = data.draw(st.lists(st.one_of(
+        st.tuples(st.integers(1, n), st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.just(0), st.just(0), st.integers(0, 1))), max_size=6))
+    want = alive.copy()
+    for (j, b, _c) in rules:
+        if j == 0:
+            want[:] = False
+        else:
+            want &= X[:, j - 1] != float(b)
+    got = _kill_satisfied(Sample(X, np.ones(m)), alive, rules)
+    assert got is alive and np.array_equal(alive, want)
