@@ -169,10 +169,12 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
 # ---------------------------------------------------------------------------
 
 
-def quantize_fraction(frac: float, bits: int) -> float:
-    """Round to the nearest multiple of 2^-bits; ties round down."""
+def quantize_fraction(x: float | np.ndarray, bits: int) -> float | np.ndarray:
+    """Round to the nearest multiple of 2^-bits; ties round down.  A scalar
+    x gives a float, an ndarray the scalar call's value entry by entry."""
     scale = float(1 << bits)
-    return math.ceil(frac * scale - 0.5) / scale
+    out = np.ceil(np.asarray(x, dtype=np.float64) * scale - 0.5) / scale
+    return out if out.ndim else float(out)
 
 
 def player_summary(sample: Sample, n_borders: int, frac_bits: int) -> list:
@@ -181,59 +183,56 @@ def player_summary(sample: Sample, n_borders: int, frac_bits: int) -> list:
     Returns [(border, positive_fraction, mass_fraction)] per segment; the
     last border is pushed to 1.0 so segments cover all of [0, 1].
     """
-    if len(sample) == 0:
+    m = len(sample)
+    if m == 0:
         return []
     order = np.argsort(sample.features[:, 0], kind="stable")
     xs = sample.features[order, 0]
-    ys = sample.labels[order]
-    cum = np.arange(1, len(xs) + 1, dtype=np.float64)
+    positives = np.concatenate([[0], np.cumsum(sample.labels[order] == 1)])
+    cum = np.arange(1, m + 1, dtype=np.float64)
     total = cum[-1]
-    out = []
-    lo_idx = 0
-    for i in range(n_borders):
-        target = total * (i + 1) / n_borders
-        hi_idx = int(np.searchsorted(cum, target - 1e-12)) + 1
-        hi_idx = min(hi_idx, len(xs))
-        mass = float(hi_idx - lo_idx)
-        frac = np.count_nonzero(ys[lo_idx:hi_idx] == 1) / mass \
-            if mass > 0 else 0.0
-        border = 1.0 if i == n_borders - 1 else float(xs[hi_idx - 1])
-        out.append((border, quantize_fraction(frac, frac_bits),
-                    mass / total))
-        lo_idx = hi_idx
-    return out
+    # segment i ends at the first point whose mass reaches i+1 shares
+    targets = total * np.arange(1, n_borders + 1) / n_borders
+    hi = np.minimum(np.searchsorted(cum, targets - 1e-12) + 1, m)
+    lo = np.concatenate([[0], hi[:-1]])
+    mass = (hi - lo).astype(np.float64)
+    frac = np.divide(positives[hi] - positives[lo], mass,
+                     out=np.zeros(n_borders), where=mass > 0)
+    borders = np.append(xs[hi[:-1] - 1], 1.0)
+    return list(zip(borders.tolist(),
+                    quantize_fraction(frac, frac_bits).tolist(),
+                    (mass / total).tolist()))
 
 
 def merge_summaries(summaries: Sequence[list]) -> tuple:
     """Merge per-player segmentations, spreading each player's segment mass
     uniformly over its width.  Returns (borders, pos_mass, neg_mass) where
     borders has one more entry than the mass arrays."""
-    points = {0.0, 1.0}
-    for summary in summaries:
-        points.update(b for (b, _f, _m) in summary)
-    borders = sorted(points)
-    index = {b: t for t, b in enumerate(borders)}
+    segs = [np.array(s, dtype=np.float64).reshape(-1, 3) for s in summaries]
+    b, frac, mass = np.concatenate([np.empty((0, 3))] + segs).T
+    lo = np.concatenate([[]] + [np.append(0.0, s[:, 0])[:-1] for s in segs])
+    borders = sorted({0.0, 1.0}.union(b.tolist()))
+    grid = np.array(borders)
+    k = max(1, len([s for s in summaries if s]))
+    # lo and b are merged borders too, so [lo, b] covers merged segments
+    # first .. last - 1 whole; a zero-width segment (tied sample values)
+    # credits its whole mass to the merged segment ending at b
+    wide = b - lo > 0.0
+    last = np.searchsorted(grid, b)
+    first = np.where(wide, np.searchsorted(grid, lo), np.maximum(last - 1, 0))
+    n_t = np.where(wide, last - first, 1)
+    # (segment, merged segment t) pairs in the order a per-segment loop
+    # visits them; np.add.at then adds repeated t in that order
+    seg = np.repeat(np.arange(len(b)), n_t)
+    t = first[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(n_t) - n_t,
+                                                     n_t)
+    # mass * 1.0 / 1.0 is mass itself, a zero-width segment's share
+    share = mass[seg] * np.where(wide[seg], grid[t + 1] - grid[t], 1.0) \
+        / np.where(wide, b - lo, 1.0)[seg]
     pos = np.zeros(len(borders) - 1)
     neg = np.zeros(len(borders) - 1)
-    k = max(1, len([s for s in summaries if s]))
-    for summary in summaries:
-        lo = 0.0
-        for (b, frac, mass) in summary:
-            width = b - lo
-            if width <= 0.0:
-                # zero-width segment (tied sample values): its whole mass
-                # sits at the point b; credit the merged segment ending there
-                t = max(0, index[b] - 1)
-                pos[t] += mass * frac / k
-                neg[t] += mass * (1.0 - frac) / k
-            else:
-                # lo and b are merged borders too, so [lo, b] covers merged
-                # segments index[lo] .. index[b] - 1 whole
-                for t in range(index[lo], index[b]):
-                    share = mass * (borders[t + 1] - borders[t]) / width
-                    pos[t] += share * frac / k
-                    neg[t] += share * (1.0 - frac) / k
-            lo = b
+    np.add.at(pos, t, share * frac[seg] / k)
+    np.add.at(neg, t, share * (1.0 - frac[seg]) / k)
     return borders, pos, neg
 
 
@@ -242,34 +241,41 @@ def dp_best_intervals(borders: Sequence[float], pos: np.ndarray,
     """Min-cost labeling of merged segments with at most d positive blocks.
 
     Returns (cost, IntervalUnion).  Labeling a segment positive costs its
-    negative mass and vice versa.
+    negative mass and vice versa.  Ties go to the source and final state
+    met first in the order (0, 0), (1, 1), (1, 0), (2, 1), (2, 0), ...
     """
     S = len(pos)
     INF = float("inf")
-    # cost[b][lab] at each segment; parent pointers for reconstruction
-    cost = {(0, 0): 0.0}
-    parent: dict = {}
-    for t in range(S):
-        nxt: dict = {}
-        for (blocks, lab), c in cost.items():
-            for new_lab in (0, 1):
-                nb = blocks + (1 if (new_lab == 1 and lab == 0) else 0)
-                if nb > d:
-                    continue
-                step = neg[t] if new_lab == 1 else pos[t]
-                key = (nb, new_lab)
-                val = c + step
-                if val < nxt.get(key, INF):
-                    nxt[key] = val
-                    parent[(t, nb, new_lab)] = (blocks, lab)
-        cost = nxt
-    best_key = min(cost, key=lambda key: cost[key])
-    best = cost[best_key]
+    # cost[lab][nb]: cheapest labeling so far that ends in label lab with
+    # nb positive blocks; parents[t][lab][nb] is the label of its source
+    cost = [[0.0] + [INF] * d, [INF] * (d + 1)]
+    parents = []
+    for p, n in zip(pos.tolist(), neg.tolist()):
+        c0, c1 = cost
+        cost, src = [[], [INF]], [[], [1]]
+        for nb in range(d + 1):
+            # into (nb, 0): from (nb, 1), or from (nb, 0) if strictly less
+            end, stay = c1[nb] + p, c0[nb] + p
+            cost[0].append(stay if stay < end else end)
+            src[0].append(0 if stay < end else 1)
+        for nb in range(1, d + 1):
+            # into (nb, 1): from (nb - 1, 0), or from (nb, 1) if strictly less
+            opened, stay = c0[nb - 1] + n, c1[nb] + n
+            cost[1].append(stay if stay < opened else opened)
+            src[1].append(1 if stay < opened else 0)
+        parents.append(src)
+    lab, nb = 0, 0
+    for blocks in range(1, d + 1):
+        for new_lab in (1, 0):
+            if cost[new_lab][blocks] < cost[lab][nb]:
+                lab, nb = new_lab, blocks
+    best = cost[lab][nb]
     labels = []
-    blocks, lab = best_key
     for t in range(S - 1, -1, -1):
         labels.append(lab)
-        blocks, lab = parent[(t, blocks, lab)]
+        src = parents[t][lab][nb]
+        nb -= lab > src  # from (nb - 1, 0): this segment opened a block
+        lab = src
     labels.reverse()
     intervals = []
     t = 0
@@ -298,9 +304,9 @@ def run_interval_summary(samples: Sequence[Sample], d: int,
     for i, sample in enumerate(samples):
         summary = player_summary(sample, B, frac_bits)
         summaries.append(summary)
-        for _ in summary:
+        if summary:
             channel.send(ledger, f"p{i + 1}", channel.CENTER,
-                         PRECISION_BITS + frac_bits)
+                         len(summary) * (PRECISION_BITS + frac_bits))
         values += len(summary)
     channel.advance_round(ledger, "round")
     borders, pos, neg = merge_summaries(summaries)

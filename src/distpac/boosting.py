@@ -124,11 +124,15 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     bit-identical ensembles.
     """
     k = len(samples)
-    weights = [np.ones(len(s), dtype=np.float64) for s in samples]
+    # every player's examples in one block; player i owns rows [a_i, b_i)
+    X = np.concatenate([s.features for s in samples])
+    y = np.concatenate([s.labels for s in samples])
+    ends = np.cumsum([len(s) for s in samples]).tolist()
+    owned = list(zip([0] + ends[:-1], ends))
+    weights = np.ones(len(y), dtype=np.float64)
     # running sum of alpha_t * h_t(x), added in WeightedMajority.predict's
     # member order, so its sign is the ensemble's prediction bit for bit
-    margins = [np.zeros(len(s), dtype=np.float64) for s in samples]
-    total = sum(len(s) for s in samples)
+    margins = np.zeros(len(y), dtype=np.float64)
     split_rng = stream(seed, "boost", "split")
     draw_rngs = [stream(seed, "boost", "draw", i) for i in range(k)]
     hs: list = []
@@ -138,29 +142,30 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     cw = channel.count_width(m_weak)
     players = [f"p{i + 1}" for i in range(k)]
     for t in range(T):
-        totals = quantize(np.array([w.sum() for w in weights]), q)
+        # slice sums: a zero-filled whole-block sum would round differently
+        totals = quantize(np.array([weights[a:b].sum() for a, b in owned]), q)
         counts = split_rng.multinomial(m_weak, totals / totals.sum())
+        wq = quantize(weights, q)
         feats, labels = [], []
-        for i in range(k):
+        for i, (a, b) in enumerate(owned):
             channel.send_count(ledger, channel.CENTER, players[i],
                                int(counts[i]), cw)
-            wq = quantize(weights[i], q)
-            idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
-                                      p=wq / wq.sum())
-            feats.append(samples[i].features[idx])
-            labels.append(samples[i].labels[idx])
+            idx = draw_rngs[i].choice(b - a, size=int(counts[i]),
+                                      p=wq[a:b] / wq[a:b].sum()) + a
+            feats.append(X[idx])
+            labels.append(y[idx])
             for bits in channel.example_bits(feats[-1]):
                 channel.send_example(ledger, players[i], channel.CENTER, bits)
         h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
         channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
                                 h_t)
+        preds = h_t.predict(X)
+        correct = preds == y
+        mistakes = quantize(np.array([weights[a:b][~correct[a:b]].sum()
+                                      for a, b in owned]), q).tolist()
         mistake_w, total_w = 0.0, 0.0
-        preds, corrects = [], []
         for i in range(k):
-            preds.append(h_t.predict(samples[i].features))
-            corrects.append(preds[i] == samples[i].labels)
-            m_i = quantize(float(weights[i][~corrects[i]].sum()), q)
-            mistake_w += m_i
+            mistake_w += mistakes[i]
             total_w += float(totals[i])
             channel.send(ledger, players[i], channel.CENTER,
                          2 * (64 if q is None else q))
@@ -168,17 +173,15 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         alpha_t = 0.5 * math.log((1.0 - eps_t) / eps_t)
         channel.send(ledger, channel.CENTER, channel.BROADCAST, 64)
         channel.advance_round(ledger, "round")
-        wrong = 0
-        for i in range(k):
-            weights[i] = adaboost_reweight(weights[i], corrects[i], alpha_t)
-            margins[i] += alpha_t * preds[i]
-            wrong += int((sign_pm1(margins[i]) != samples[i].labels).sum())
+        weights = adaboost_reweight(weights, correct, alpha_t)
+        margins += alpha_t * preds
+        wrong = int((sign_pm1(margins) != y).sum())
         hs.append(h_t)
         alphas.append(alpha_t)
         bound *= 2.0 * math.sqrt(eps_t * (1.0 - eps_t))
         telemetry.append({"round": t + 1, "eps_t": eps_t, "alpha_t": alpha_t,
                           "examples": int(counts.sum()),
-                          "train_error": wrong / total,
+                          "train_error": wrong / len(y),
                           "train_bound": bound})
     return {"hypothesis": WeightedMajority(tuple(zip(hs, alphas))),
             "telemetry": telemetry, "alphas": alphas, "weak": hs}

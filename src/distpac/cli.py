@@ -404,6 +404,9 @@ def _run_interval_summary(cfg):
 def _run_private_conjunction(cfg):
     n = _count(cfg, "n")
     eps, _delta, specs = _setup(cfg, n, boolean=True)
+    if not all(isinstance(s, privacy_mod.PRODUCT_SPECS) for s in specs):
+        raise ConfigError("field 'kind': private_conjunction needs "
+                          "uniform_boolean or product_bernoulli")
     mode = _field(cfg, "privacy.mode", str, privacy_mod.MODE_DIFFERENTIAL)
     _check("privacy.mode", mode, mode in privacy_mod.MODES,
            "one of " + ", ".join(privacy_mod.MODES))

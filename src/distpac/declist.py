@@ -97,8 +97,9 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
                                      "round cap without an else-rule")
         for i in range(k):
             fresh = _triplets(samples[i], alive[i]) - announced[i]
-            for _rule in fresh:
-                channel.send(ledger, f"p{i + 1}", channel.CENTER, rule_bits(n))
+            if fresh:
+                channel.send(ledger, f"p{i + 1}", channel.CENTER,
+                             len(fresh) * rule_bits(n))
             announced[i] |= fresh
         intersection = set.intersection(*announced) if k else set()
         new_rules = intersection - broadcast_set
@@ -111,9 +112,9 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
         if else_rules:
             ordered = ordered + [else_rules[0]]
             halted = True
-        for _rule in ordered:
+        if ordered:
             channel.send(ledger, channel.CENTER, channel.BROADCAST,
-                         rule_bits(n))
+                         len(ordered) * rule_bits(n))
         broadcast_set |= set(ordered)
         broadcast_order.extend(ordered)
         for i in range(k):

@@ -29,6 +29,9 @@ MODE_DIFFERENTIAL = "differential"
 MODE_DISTRIBUTIONAL = "distributional"
 MODES = (MODE_NONE, MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL)
 
+# the distributions the learner's sufficient statistics are derived for
+PRODUCT_SPECS = (UniformBoolean, ProductBernoulli)
+
 COND_ALL = "all"
 COND_POSITIVES = "positives"
 
@@ -192,7 +195,7 @@ def learn_private_conjunction(spec: DistributionSpec, f: Conjunction,
     Works on sufficient statistics (binomial counts), so m can be huge.
     """
     n = f.dim
-    if not isinstance(spec, (UniformBoolean, ProductBernoulli)):
+    if not isinstance(spec, PRODUCT_SPECS):
         raise ConfigurationError("private conjunction learner needs a "
                                  "product distribution")
     rng = stream(seed, "private_conj", *tags)

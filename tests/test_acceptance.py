@@ -218,19 +218,25 @@ def test_criterion_07_robust_halving():
 
 
 def exhaustive_interval_cost(pos, neg, d):
-    """Prefix-sum exhaustive scan over <= d disjoint positive blocks."""
+    """Prefix-sum exhaustive scan over <= d disjoint positive blocks: every
+    cut set of 2r borders, r = 1..d, priced in numpy chunks."""
     S = len(pos)
     cpos = np.concatenate([[0.0], np.cumsum(pos)])
     cneg = np.concatenate([[0.0], np.cumsum(neg)])
     base = cpos[S]
     best = base  # zero blocks
     for r in range(1, d + 1):
-        for cuts in itertools.combinations(range(S + 1), 2 * r):
-            cost = base
-            for a, b in zip(cuts[::2], cuts[1::2]):
+        combos = itertools.combinations(range(S + 1), 2 * r)
+        while True:
+            cuts = np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, 50_000)), dtype=np.intp)
+            if not len(cuts):
+                break
+            cuts = cuts.reshape(-1, 2 * r)
+            cost = np.full(len(cuts), base)
+            for a, b in zip(cuts[:, 0::2].T, cuts[:, 1::2].T):
                 cost += (cneg[b] - cneg[a]) - (cpos[b] - cpos[a])
-            if cost < best:
-                best = cost
+            best = min(best, cost.min())
     return best
 
 

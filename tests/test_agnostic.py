@@ -276,6 +276,48 @@ class TestSummaries:
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 60), st.integers(1, 80),
+           st.sampled_from(["positive", "negative", "mixed"]),
+           st.integers(1, 10))
+    def test_property_summary_is_the_per_border_loop(self, seed, m, n_borders,
+                                                     labels, frac_bits):
+        rng = stream(seed, "summary_prop")
+        # a coarse grid ties x values; n_borders > m leaves zero-mass
+        # segments
+        X = rng.integers(0, 9, size=(m, 1)) / 8
+        y = {"positive": np.ones(m, dtype=np.int8),
+             "negative": -np.ones(m, dtype=np.int8),
+             "mixed": rng.choice(np.array([-1, 1], dtype=np.int8), m)}[labels]
+        sample = Sample(X, y)
+        assert player_summary(sample, n_borders, frac_bits) == \
+            per_border_summary(sample, n_borders, frac_bits)
+
+
+def per_border_summary(sample, n_borders, frac_bits):
+    """Reference: player_summary with one searchsorted and one count per
+    border."""
+    order = np.argsort(sample.features[:, 0], kind="stable")
+    xs = sample.features[order, 0]
+    ys = sample.labels[order]
+    cum = np.arange(1, len(xs) + 1, dtype=np.float64)
+    total = cum[-1]
+    out = []
+    lo_idx = 0
+    for i in range(n_borders):
+        target = total * (i + 1) / n_borders
+        hi_idx = int(np.searchsorted(cum, target - 1e-12)) + 1
+        hi_idx = min(hi_idx, len(xs))
+        mass = float(hi_idx - lo_idx)
+        frac = np.count_nonzero(ys[lo_idx:hi_idx] == 1) / mass \
+            if mass > 0 else 0.0
+        border = 1.0 if i == n_borders - 1 else float(xs[hi_idx - 1])
+        scale = float(1 << frac_bits)
+        out.append((border, math.ceil(frac * scale - 0.5) / scale,
+                    mass / total))
+        lo_idx = hi_idx
+    return out
+
 
 def overlap_merge(summaries):
     """Reference merge: intersect every player segment with every merged
@@ -324,6 +366,46 @@ def exhaustive_best(borders, pos, neg, d):
     return best
 
 
+def dict_dp(borders, pos, neg, d):
+    """Reference: the interval DP over a dict of (blocks, label) states,
+    whose insertion order decides ties."""
+    S = len(pos)
+    INF = float("inf")
+    cost = {(0, 0): 0.0}
+    parent = {}
+    for t in range(S):
+        nxt = {}
+        for (blocks, lab), c in cost.items():
+            for new_lab in (0, 1):
+                nb = blocks + (1 if (new_lab == 1 and lab == 0) else 0)
+                if nb > d:
+                    continue
+                step = neg[t] if new_lab == 1 else pos[t]
+                val = c + step
+                if val < nxt.get((nb, new_lab), INF):
+                    nxt[(nb, new_lab)] = val
+                    parent[(t, nb, new_lab)] = (blocks, lab)
+        cost = nxt
+    best_key = min(cost, key=lambda key: cost[key])
+    labels = []
+    blocks, lab = best_key
+    for t in range(S - 1, -1, -1):
+        labels.append(lab)
+        blocks, lab = parent[(t, blocks, lab)]
+    labels.reverse()
+    intervals = []
+    t = 0
+    while t < S:
+        if labels[t] == 1:
+            start = borders[t]
+            while t < S and labels[t] == 1:
+                t += 1
+            intervals.append((start, borders[t]))
+        else:
+            t += 1
+    return cost[best_key], tuple(intervals)
+
+
 class TestDP:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(2, 10), st.integers(1, 3))
@@ -336,6 +418,18 @@ class TestDP:
         assert cost == pytest.approx(exhaustive_best(borders, pos, neg, d))
         assert isinstance(h, IntervalUnion)
         assert len(h.intervals) <= d
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(1, 3),
+           st.booleans())
+    def test_property_dp_is_the_dict_dp(self, seed, S, d, ties):
+        rng = stream(seed, "dp_ties")
+        # masses from {0, 1/4, 1/2} make many labelings cost the same
+        pos, neg = (rng.integers(0, 3, size=(2, S)) / 4 if ties
+                    else rng.random((2, S)))
+        borders = np.linspace(0.0, 1.0, S + 1).tolist()
+        cost, h = dp_best_intervals(borders, pos, neg, d)
+        assert (cost, h.intervals) == dict_dp(borders, pos, neg, d)
 
     def test_hand_case(self):
         pos = np.array([0.4, 0.0, 0.4])

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac import channel
-from distpac.boosting import (DecisionStump, adaboost_reweight,
+from distpac.boosting import (DecisionStump, _boost_loop, adaboost_reweight,
                               adaboost_single, best_stump, boosting_rounds,
                               quantize, run_distributed_boosting,
                               weak_sample_size)
 from distpac.closed import pac_sample_size
 from distpac.core import (ConfigurationError, Conjunction, Sample,
                           UniformBoolean, WeightedMajority, draw_sample,
-                          stream)
+                          sign_pm1, stream)
 
 
 class TestQuantize:
@@ -170,3 +170,82 @@ class TestDistributed:
         last = coarse.meta["telemetry"][-1]
         assert last["train_error"] <= 0.05
         assert exact.meta["telemetry"][-1]["train_error"] <= 0.05
+
+
+def per_player_boost_loop(samples, T, m_weak, q, seed, ledger):
+    """Reference: the boosting loop with one weight array per player, every
+    elementwise pass run player by player."""
+    k = len(samples)
+    weights = [np.ones(len(s), dtype=np.float64) for s in samples]
+    margins = [np.zeros(len(s), dtype=np.float64) for s in samples]
+    total = sum(len(s) for s in samples)
+    split_rng = stream(seed, "boost", "split")
+    draw_rngs = [stream(seed, "boost", "draw", i) for i in range(k)]
+    hs, alphas, telemetry = [], [], []
+    bound = 1.0
+    cw = channel.count_width(m_weak)
+    players = [f"p{i + 1}" for i in range(k)]
+    for t in range(T):
+        totals = quantize(np.array([w.sum() for w in weights]), q)
+        counts = split_rng.multinomial(m_weak, totals / totals.sum())
+        feats, labels = [], []
+        for i in range(k):
+            channel.send_count(ledger, channel.CENTER, players[i],
+                               int(counts[i]), cw)
+            wq = quantize(weights[i], q)
+            idx = draw_rngs[i].choice(len(wq), size=int(counts[i]),
+                                      p=wq / wq.sum())
+            feats.append(samples[i].features[idx])
+            labels.append(samples[i].labels[idx])
+            for bits in channel.example_bits(feats[-1]):
+                channel.send_example(ledger, players[i], channel.CENTER, bits)
+        h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
+        channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
+                                h_t)
+        mistake_w, total_w = 0.0, 0.0
+        preds, corrects = [], []
+        for i in range(k):
+            preds.append(h_t.predict(samples[i].features))
+            corrects.append(preds[i] == samples[i].labels)
+            m_i = quantize(float(weights[i][~corrects[i]].sum()), q)
+            mistake_w += m_i
+            total_w += float(totals[i])
+            channel.send(ledger, players[i], channel.CENTER,
+                         2 * (64 if q is None else q))
+        eps_t = min(max(mistake_w / total_w, 1e-12), 1.0 - 1e-12)
+        alpha_t = 0.5 * math.log((1.0 - eps_t) / eps_t)
+        channel.send(ledger, channel.CENTER, channel.BROADCAST, 64)
+        channel.advance_round(ledger, "round")
+        wrong = 0
+        for i in range(k):
+            weights[i] = adaboost_reweight(weights[i], corrects[i], alpha_t)
+            margins[i] += alpha_t * preds[i]
+            wrong += int((sign_pm1(margins[i]) != samples[i].labels).sum())
+        hs.append(h_t)
+        alphas.append(alpha_t)
+        bound *= 2.0 * math.sqrt(eps_t * (1.0 - eps_t))
+        telemetry.append({"round": t + 1, "eps_t": eps_t, "alpha_t": alpha_t,
+                          "examples": int(counts.sum()),
+                          "train_error": wrong / total,
+                          "train_bound": bound})
+    return {"telemetry": telemetry, "alphas": alphas, "weak": hs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 40), min_size=1,
+                                         max_size=5),
+       st.sampled_from([None, 1, 8, 32]), st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 60))
+def test_property_flat_block_loop_is_the_per_player_loop(seed, sizes, q, T, n,
+                                                         m_weak):
+    # unequal sizes and noisy labels, so players' weights drift apart
+    f = Conjunction(n, frozenset(range(0, n, 2)))
+    samples = [draw_sample(UniformBoolean(n), f, m, seed, noise_rate=0.2,
+                           tags=("flat", i)) for i, m in enumerate(sizes)]
+    got_ledger, want_ledger = channel.CostLedger(), channel.CostLedger()
+    got = _boost_loop(samples, T, m_weak, q, seed, got_ledger)
+    want = per_player_boost_loop(samples, T, m_weak, q, seed, want_ledger)
+    assert got["weak"] == want["weak"]
+    assert got["alphas"] == want["alphas"]
+    assert got["telemetry"] == want["telemetry"]
+    assert got_ledger.to_dict() == want_ledger.to_dict()

@@ -299,6 +299,10 @@ class TestConfigValidation:
             [[1.0, float("nan")]], [1.0]) * 2), "points"),
         (dict(BOOLEAN["boosting"], n=2, distributions=point_mass(
             [[2.0, 1.0]], [1.0]) * 2), "points"),
+        # a 0/1 point mass is no product distribution, which the private
+        # learner needs; this failed inside the protocol (exit 1)
+        (dict(BOOLEAN["private_conjunction"], distributions=point_mass(
+            [[-0.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5]) * 2), "kind"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -309,14 +313,13 @@ class TestConfigValidation:
         assert f"'{field}'" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", sorted(BOOLEAN))
+    @pytest.mark.parametrize("name",
+                             sorted(set(BOOLEAN) - {"private_conjunction"}))
     def test_boolean_point_mass_still_runs(self, tmp_path, name):
         cfg = dict(BOOLEAN[name], distributions=point_mass(
             [[-0.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5]) * 2)
         path = write_config(tmp_path, "c", cfg)
-        # the private learner itself refuses a non-product distribution
-        want = 1 if name == "private_conjunction" else 0
-        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == want
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("seed_range", [
         "-1..-1", "-3..2", f"{2 ** 64 - 1}..{2 ** 64}",
