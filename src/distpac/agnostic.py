@@ -23,8 +23,8 @@ class SearchFailureError(ProtocolError):
     pass
 
 
-def halving_set_size(opt_guess: float, eps: float, c_s: float = 0.2) -> int:
-    return math.ceil(c_s / (opt_guess + eps))
+def halving_set_size(opt_guess: float, eps: float) -> int:
+    return math.ceil(0.2 / (opt_guess + eps))
 
 
 def halving_set_count(class_size: int) -> int:

@@ -1,5 +1,5 @@
 """Baseline protocols: one-round sample shipping and the EQ/mistake-bound
-driver, plus the two stock online learners (halving, conjunction
+driver, plus the online learner the driver runs (conjunction
 elimination)."""
 
 from __future__ import annotations
@@ -11,58 +11,16 @@ import numpy as np
 
 from . import channel
 from .core import (Concept, ConfigurationError, Conjunction, DistributionSpec,
-                   MajorityOfSet, ProtocolError, ProtocolResult, Sample,
-                   draw_sample, measure_errors, predict_matrix, sample_error)
+                   ProtocolError, ProtocolResult, Sample, draw_sample,
+                   measure_errors, sample_error)
 
 
 # ---------------------------------------------------------------------------
-# Online learners
+# Online learner
 # ---------------------------------------------------------------------------
 
 
-class OnlineLearner:
-    """predict/update contract for the EQ driver.  Implementations must have
-    a finite mistake bound on realizable sequences."""
-
-    def hypothesis(self) -> Concept:
-        raise NotImplementedError
-
-    def update(self, x: np.ndarray, label: int) -> None:
-        raise NotImplementedError
-
-    def mistake_bound(self) -> int:
-        raise NotImplementedError
-
-
-class HalvingLearner(OnlineLearner):
-    """Majority vote over the surviving hypotheses of a finite class.
-
-    Every counterexample kills at least half of the survivors, so the
-    mistake bound is floor(log2 |H|).
-    """
-
-    def __init__(self, hypotheses: Sequence[Concept]):
-        if not hypotheses:
-            raise ConfigurationError("halving needs a nonempty class")
-        self.survivors = list(hypotheses)
-        self.initial_size = len(self.survivors)
-
-    def hypothesis(self) -> Concept:
-        return MajorityOfSet(tuple(self.survivors))
-
-    def update(self, x, label):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        agree = predict_matrix(self.survivors, x)[:, 0] == label
-        self.survivors = [h for h, ok in zip(self.survivors, agree) if ok]
-        if not self.survivors:
-            raise ProtocolError("halving emptied the class; data not "
-                                "realizable by H")
-
-    def mistake_bound(self) -> int:
-        return int(math.floor(math.log2(self.initial_size)))
-
-
-class ConjunctionElimination(OnlineLearner):
+class ConjunctionElimination:
     """Classic elimination for monotone conjunctions: start from the
     all-variables conjunction and drop variables falsified by positive
     counterexamples.  At most n+1 mistakes."""
@@ -128,9 +86,14 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
                           errors=errors, meta={"m_per_player": m_i})
 
 
-def eq_mistake_bound(samples: Sequence[Sample], learner: OnlineLearner,
-                     *, mistake_cap: int | None = None) -> ProtocolResult:
+def eq_mistake_bound(samples: Sequence[Sample], learner, *,
+                     mistake_cap: int | None = None) -> ProtocolResult:
     """EQ/online driver in the lock-synchronous model.
+
+    ``learner`` is an online learner with a finite mistake bound on
+    realizable sequences: ``hypothesis()`` returns its current Concept,
+    ``update(x, label)`` takes one counterexample, and ``mistake_bound()``
+    gives the bound, which sets the default ``mistake_cap``.
 
     Every party runs a shadow copy of the learner, so only counterexamples
     are charged.  Each time slot is one round; the final quiet slot counts.

@@ -326,8 +326,7 @@ def _run_round_robin(cfg):
     def job(seed):
         samples, _f = linear.well_spread_dataset(k, m, gamma, alpha, seed)
         linear.certify_well_spread(samples, alpha)
-        return linear.round_robin_perceptron(
-            samples, linear.UNTIL_CONSISTENT, 0.0, alpha, update_cap=cap)
+        return linear.round_robin_perceptron(samples, alpha, update_cap=cap)
     return job
 
 

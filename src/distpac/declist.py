@@ -28,19 +28,13 @@ def _boolean(sample: Sample) -> Sample:
     return sample
 
 
-def consistent_triplets(sample: Sample, alive: np.ndarray | None = None) -> set:
-    """All triplets consistent with the (alive part of the) sample.
+def consistent_triplets(sample: Sample, alive: np.ndarray) -> set:
+    """All triplets consistent with the alive part of a boolean sample.
 
     (j,b,c) is included iff every alive example with x_j = b has label c,
     vacuously when no alive example has x_j = b.  The else triplets (0,.,c)
     require every alive example to have label c.
     """
-    return _triplets(_boolean(sample), np.ones(len(sample), dtype=bool)
-                     if alive is None else alive)
-
-
-def _triplets(sample: Sample, alive: np.ndarray) -> set:
-    """``consistent_triplets`` of a sample known to be boolean."""
     pos, neg = alive & (sample.labels == 1), alive & (sample.labels == -1)
     # counts[b, c, j-1]: alive examples labelled not-c (row 0 positives,
     # row 1 negatives) with x_j = b, so (j, b, c) is consistent iff it is 0;
@@ -96,7 +90,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
             raise RealizabilityError("decision-list protocol exceeded the "
                                      "round cap without an else-rule")
         for i in range(k):
-            fresh = _triplets(samples[i], alive[i]) - announced[i]
+            fresh = consistent_triplets(samples[i], alive[i]) - announced[i]
             if fresh:
                 channel.send(ledger, f"p{i + 1}", channel.CENTER,
                              len(fresh) * rule_bits(n))

@@ -2,8 +2,9 @@
 margin perceptron, and the two-player adversarial construction that forces
 quadratically many rounds.
 
-The local perceptron phase always updates on the violating example whose
-raw dot product |w . x| is smallest (ties to the lowest index).  This is
+The local perceptron phase runs until every example sits at functional
+margin >= 1.  It always updates on the violating example whose raw dot
+product |w . x| is smallest (ties to the lowest index).  This is
 deterministic, satisfies every margin-perceptron bound (any violator
 selection does), and is exactly the adversarial choice the two-player
 lower-bound construction needs.
@@ -21,10 +22,6 @@ from . import channel
 from .core import (ConfigurationError, DistributionSpec, LinearSeparator,
                    ProtocolError, ProtocolResult, Sample, draw_sample,
                    measure_errors, stream)
-
-UNTIL_CONSISTENT = "until_consistent"
-UNTIL_EPS_FRACTION = "until_eps_fraction"
-
 
 class NonSeparableDataError(ProtocolError):
     pass
@@ -50,30 +47,22 @@ class MarginPerceptronState:
         return cls(w=np.zeros(d, dtype=np.float64))
 
 
-def margin_perceptron_pass(state: MarginPerceptronState, sample: Sample,
-                           mode: str, eps: float = 0.0, *,
+def margin_perceptron_pass(state: MarginPerceptronState, sample: Sample, *,
                            update_cap: int | None = None,
                            trace: list | None = None,
                            trace_info: tuple = ()) -> MarginPerceptronState:
     """One player's local phase: update until all examples sit at functional
-    margin >= 1 (until_consistent) or until fewer than an eps fraction
-    violate it (until_eps_fraction)."""
+    margin >= 1."""
     if len(sample) == 0:
         raise ConfigurationError("perceptron phase needs a nonempty sample")
-    if mode not in (UNTIL_CONSISTENT, UNTIL_EPS_FRACTION):
-        raise ConfigurationError(f"unknown perceptron mode {mode!r}")
     X = sample.features
     y = sample.labels.astype(np.float64)
     state.pass_updates = 0
     while True:
         dots = X @ state.w
         violating = (y * dots) < 1.0
-        if mode == UNTIL_CONSISTENT:
-            if not violating.any():
-                break
-        else:
-            if violating.mean() < eps:
-                break
+        if not violating.any():
+            break
         cand = np.flatnonzero(violating)
         pick = cand[int(np.argmin(np.abs(dots[cand])))]
         state.w = state.w + y[pick] * X[pick]
@@ -93,22 +82,14 @@ def default_update_cap(gamma: float) -> int:
     return math.ceil(10.0 * 3.0 / (gamma * gamma))
 
 
-def spread_alpha(d: int, k: int, eps: float) -> float:
-    """Spread level alpha = sqrt(4 log(2dk/eps) / d) used by the
-    non-concentrated analysis."""
-    return math.sqrt(4.0 * math.log(2.0 * d * k / eps) / d)
-
-
-def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
-                           alpha: float, *, update_cap: int | None = None,
+def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
+                           update_cap: int | None = None,
                            max_meta_rounds: int = 10000) -> ProtocolResult:
     """Pass one hypothesis vector around the ring of players.
 
-    Each pass charges one hypothesis plus a 32-bit update count.  In
-    until_consistent mode, player 1 halts once the previous meta-round made
-    fewer than 1/alpha updates; in until_eps_fraction mode the run halts
-    after a meta-round with no updates at all (every player then has local
-    violation fraction below eps).
+    Each player runs its local phase to consistency, and each pass charges
+    one hypothesis plus a 32-bit update count.  Player 1 halts once the
+    previous meta-round made fewer than 1/alpha updates.
     """
     if not samples:
         raise ConfigurationError("need at least one player")
@@ -122,8 +103,7 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
                 f"no convergence within {max_meta_rounds} meta-rounds")
         meta_updates = 0
         for i in range(k):
-            margin_perceptron_pass(state, samples[i], mode, eps,
-                                   update_cap=update_cap)
+            margin_perceptron_pass(state, samples[i], update_cap=update_cap)
             meta_updates += state.pass_updates
             nxt = f"p{(i + 1) % k + 1}"
             channel.send_hypothesis(ledger, f"p{i + 1}", nxt,
@@ -133,9 +113,7 @@ def round_robin_perceptron(samples: Sequence[Sample], mode: str, eps: float,
             channel.advance_round(ledger, "round")
         channel.advance_round(ledger, "meta_round")
         state.meta_round_updates.append(meta_updates)
-        if mode == UNTIL_CONSISTENT and meta_updates < 1.0 / alpha:
-            break
-        if mode == UNTIL_EPS_FRACTION and meta_updates == 0:
+        if meta_updates < 1.0 / alpha:
             break
     h = LinearSeparator(tuple(state.w))
     hypotheses = {f"p{i + 1}": h for i in range(k)}
@@ -233,13 +211,6 @@ def certify_well_spread(samples: Sequence[Sample], alpha: float) -> float:
     return worst
 
 
-def data_margin(samples: Sequence[Sample], target: LinearSeparator) -> float:
-    X = np.vstack([s.features for s in samples])
-    y = np.concatenate([s.labels for s in samples]).astype(np.float64)
-    w = np.asarray(target.w)
-    return float((y * (X @ w)).min())
-
-
 # ---------------------------------------------------------------------------
 # Adversarial construction: two players fighting over the first coordinate
 # ---------------------------------------------------------------------------
@@ -277,8 +248,7 @@ def adversarial_lower_bound(gamma: float) -> tuple:
             raise NonConvergenceError("adversarial run exceeded 200000 "
                                       "rounds")
         rounds += 1
-        margin_perceptron_pass(state, samples[turn], UNTIL_CONSISTENT,
-                               trace=trace,
+        margin_perceptron_pass(state, samples[turn], trace=trace,
                                trace_info=(rounds, f"p{turn + 1}"))
         quiet = quiet + 1 if state.pass_updates == 0 else 0
         turn = (turn + 1) % len(samples)

@@ -1,6 +1,6 @@
-"""Statistical-query oracle with differential and distributional privacy,
-plus the SQ-based conjunction learner showing privacy costs sample size but
-never communication.
+"""Private conjunction learning: each player answers its n statistical
+queries with Laplace noise at a differential or distributional privacy
+budget, showing that privacy costs sample size but never communication.
 
 The conjunction protocol never materializes its (very large) private
 samples.  For product distributions and conjunction targets the per-player
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import channel
 from .closed import combine
 from .core import (ConfigurationError, Conjunction, DistributionSpec,
-                   ProductBernoulli, ProtocolError, ProtocolResult, Sample,
+                   ProductBernoulli, ProtocolError, ProtocolResult,
                    UniformBoolean, measure_errors, stream)
 
 MODE_NONE = "none"
@@ -32,37 +32,9 @@ MODES = (MODE_NONE, MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL)
 # the distributions the learner's sufficient statistics are derived for
 PRODUCT_SPECS = (UniformBoolean, ProductBernoulli)
 
-COND_ALL = "all"
-COND_POSITIVES = "positives"
-
 
 class BudgetError(ProtocolError):
     pass
-
-
-class DegenerateConditioningError(ProtocolError):
-    pass
-
-
-@dataclass(frozen=True)
-class SQQuery:
-    """A statistical query: the mean of a 0/1 predicate over the sample.
-
-    ``predicate`` maps (features matrix, labels vector) to a 0/1 vector;
-    ``descriptor`` is a stable name used to derive the noise stream.
-    """
-
-    descriptor: str
-    predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    tolerance: float
-    conditioning: str = COND_ALL
-
-    def __post_init__(self):
-        if not (0 < self.tolerance < 1):
-            raise ConfigurationError("tolerance must lie in (0, 1)")
-        if self.conditioning not in (COND_ALL, COND_POSITIVES):
-            raise ConfigurationError(
-                f"unknown conditioning {self.conditioning!r}")
 
 
 @dataclass
@@ -128,23 +100,6 @@ def _noisy(value: float, budget: PrivacyBudget, n_sample: int, seed: int,
     if scale == 0.0:
         return value
     return value + laplace_noise(stream(seed, *tags), scale)
-
-
-def sq_answer(sample: Sample, q: SQQuery, budget: PrivacyBudget,
-              seed: int) -> float:
-    """Noisy empirical mean of the query predicate; decrements the budget."""
-    if len(sample) == 0:
-        raise DegenerateConditioningError("empty sample")
-    X, y = sample.features, sample.labels
-    if q.conditioning == COND_POSITIVES:
-        pos = y == 1
-        if not pos.any():
-            raise DegenerateConditioningError("no positive examples to "
-                                              "condition on")
-        X, y = X[pos], y[pos]
-    budget.charge()
-    return _noisy(float(np.mean(q.predicate(X, y))), budget, len(y), seed,
-                  "sq_answer", q.descriptor, budget.spent)
 
 
 def private_sample_size(M: int, alpha: float, tau: float, delta: float,
@@ -225,9 +180,7 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
     k = len(specs)
     n = f.dim
     tau = eps / (2 * n)
-    m = private_sample_size(n, alpha, tau, delta, mode) \
-        if mode != MODE_NONE else \
-        private_sample_size(n, 1.0, tau, delta, MODE_NONE)
+    m = private_sample_size(n, alpha, tau, delta, mode)
     ledger = channel.CostLedger()
     locals_ = []
     budgets = []

@@ -98,7 +98,7 @@ def test_criterion_03_decision_lists():
         X = rng.integers(0, 2, size=(m, dim)).astype(float)
         y = np.where(rng.random(m) < 0.5, 1, -1)
         s = Sample(X, y)
-        oracle_ok &= (declist.consistent_triplets(s)
+        oracle_ok &= (declist.consistent_triplets(s, np.ones(m, dtype=bool))
                       == brute_force_triplets(s))
     report(3, "decision lists",
            rounds_ok and bits_ok and consistent_ok and oracle_ok,
@@ -142,8 +142,7 @@ def test_criterion_05_well_spread_perceptron():
                                                       seed)
         linear.certify_well_spread(samples, alpha)
         res = linear.round_robin_perceptron(
-            samples, linear.UNTIL_CONSISTENT, 0.0, alpha,
-            update_cap=linear.default_update_cap(gamma))
+            samples, alpha, update_cap=linear.default_update_cap(gamma))
         ok &= res.ledger.meta_rounds <= bound
         h = res.hypotheses["p1"]
         for s in samples:

@@ -29,8 +29,8 @@ def threshold_setup(points=201):
 
 class TestSetSizes:
     def test_set_size(self):
-        assert halving_set_size(0.05, 0.05, c_s=0.2) == 2
-        assert halving_set_size(0.05, 0.05, c_s=1.0) == 10
+        assert halving_set_size(0.05, 0.05) == 2
+        assert halving_set_size(0.015, 0.005) == 10
 
     def test_set_count_floor(self):
         assert halving_set_count(2) == 9  # log2 log2 2 = 0 -> floor applies

@@ -2,41 +2,15 @@ import numpy as np
 import pytest
 
 from distpac import channel
-from distpac.baseline import (ConjunctionElimination, HalvingLearner,
-                              eq_mistake_bound, sample_shipping,
-                              shipping_sample_size)
+from distpac.baseline import (ConjunctionElimination, eq_mistake_bound,
+                              sample_shipping, shipping_sample_size)
 from distpac.closed import smallest_consistent
-from distpac.core import (Conjunction, ProtocolError, Sample, UniformBoolean,
-                          draw_sample, sample_error, stream)
-
-from conftest import threshold_grid
+from distpac.core import (Conjunction, ProtocolError, UniformBoolean,
+                          draw_sample, sample_error)
 
 
 def boolean_sample(n, f, m, seed):
     return draw_sample(UniformBoolean(n), f, m, seed, tags=("bl", n))
-
-
-class TestHalving:
-    def test_mistake_bound_is_log_class_size(self):
-        assert HalvingLearner(threshold_grid(128)).mistake_bound() == 8
-
-    def test_counterexample_halves_survivors(self):
-        learner = HalvingLearner(threshold_grid())
-        before = len(learner.survivors)
-        h = learner.hypothesis()
-        x = np.array([0.3])
-        wrong_label = -int(h.predict(x[None, :])[0])
-        learner.update(x, wrong_label)
-        assert len(learner.survivors) <= before // 2
-        assert all(int(g.predict(x[None, :])[0]) == wrong_label
-                   for g in learner.survivors)
-
-    def test_empty_class_raises(self):
-        learner = HalvingLearner(threshold_grid(3))
-        with pytest.raises(ProtocolError):
-            # same point with both labels wipes everything out
-            learner.update(np.array([0.5]), 1)
-            learner.update(np.array([0.5]), -1)
 
 
 class TestConjunctionElimination:
@@ -84,15 +58,6 @@ class TestEqDriver:
         assert res.ledger.rounds == res.ledger.examples + 1
         h = res.hypotheses[channel.CENTER]
         assert all(sample_error(h, s) == 0.0 for s in samples)
-
-    def test_halving_under_log_bound(self):
-        grid = threshold_grid(64)
-        target = grid[40]
-        rng = stream(5, "eq_halving")
-        X = rng.random((120, 1))
-        s = Sample(X, target.predict(X))
-        res = eq_mistake_bound([s], HalvingLearner(grid))
-        assert res.ledger.examples <= 7  # floor(log2 128)
 
     def test_counterexamples_broadcast_only(self):
         n = 6

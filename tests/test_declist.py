@@ -35,7 +35,7 @@ class TestConsistentTriplets:
     def test_hand_case(self):
         X = np.array([[1, 0], [1, 1], [0, 1]], float)
         y = np.array([1, 1, -1])
-        trips = consistent_triplets(Sample(X, y))
+        trips = consistent_triplets(Sample(X, y), np.ones(3, dtype=bool))
         # x0=1 always positive; x0=0 always negative
         assert (1, 1, 1) in trips and (1, 0, 0) in trips
         assert (0, 0, 1) not in trips and (0, 0, 0) not in trips
@@ -43,7 +43,8 @@ class TestConsistentTriplets:
 
     def test_vacuous_condition_included(self):
         X = np.array([[1.0, 1.0]])
-        trips = consistent_triplets(Sample(X, np.array([1])))
+        trips = consistent_triplets(Sample(X, np.array([1])),
+                                    np.ones(1, dtype=bool))
         assert (1, 0, 0) in trips and (1, 0, 1) in trips
 
     @settings(max_examples=200, deadline=None)
@@ -90,7 +91,8 @@ class TestProtocol:
         # consistent and the protocol could make no progress on such data
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         y = np.array([1, 1, -1, -1])
-        assert consistent_triplets(Sample(X, y)) == set()
+        assert consistent_triplets(Sample(X, y),
+                                   np.ones(4, dtype=bool)) == set()
 
     def test_round_cap_raises(self):
         f = random_decision_list(8, 4, 3)
@@ -113,10 +115,6 @@ class TestProtocol:
             with pytest.raises(ConfigurationError,
                                match="^decision lists need boolean features$"):
                 run_decision_list(bad, f, 0.2, 0.1, 0)
-        X = np.array([[0.0, 1.0, 0.5, 1.0]])
-        with pytest.raises(ConfigurationError,
-                           match="^decision lists need boolean features$"):
-            consistent_triplets(Sample(X, np.array([1])))
 
 
 # 0/1 entries (with a negative zero) and two that no rule matches

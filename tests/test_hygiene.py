@@ -7,8 +7,13 @@ import pytest
 
 import distpac
 
-SOURCES = sorted(Path(distpac.__file__).parent.glob("*.py"))
+PACKAGE = Path(distpac.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def _parsed(paths) -> dict:
+    return {p: ast.parse(p.read_text()) for p in paths}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -418,12 +423,52 @@ def unused_defaults(tree: ast.Module, passed: set) -> list:
             (i is None or not {(fn, i), (fn, "*")} & passed)]
 
 
+def src_unused_defaults(trees: dict) -> list:
+    """(file, line, function, parameter) of each defaulted parameter of a
+    public package function that no call in the package sets.  ``trees``
+    maps paths, in the package or not, to parsed modules; a call outside
+    the package (a test's) does not count, because a parameter that only
+    tests set is a knob of the tests, not of any protocol."""
+    src = {p: t for p, t in trees.items() if p.parent == PACKAGE}
+    passed = passed_arguments(list(src.values()))
+    return [(p.name, *f) for p, t in src.items()
+            for f in unused_defaults(t, passed)]
+
+
+# Defaulted parameters that only tests set, each kept on purpose: the guard
+# caps ``c_l``, ``mistake_cap``, ``max_rounds`` and ``max_meta_rounds``,
+# which tests trip to see the guard raise; the averaging sample-size
+# constant ``c``, which a test raises to check accuracy at a larger sample;
+# and the entry point's ``argv``, which the console script leaves unset.
+DEFAULTS_ALLOWED = {("agnostic.py", "run_robust_halving", "c_l"),
+                    ("baseline.py", "eq_mistake_bound", "mistake_cap"),
+                    ("declist.py", "run_decision_list", "max_rounds"),
+                    ("linear.py", "round_robin_perceptron",
+                     "max_meta_rounds"),
+                    ("linear.py", "averaging_protocol", "c"),
+                    ("cli.py", "main", "argv")}
+
+
 def test_no_unused_default_parameters():
-    passed = passed_arguments([ast.parse(p.read_text())
-                               for p in SOURCES + TESTS])
-    found = [(path.name, *f) for path in SOURCES
-             for f in unused_defaults(ast.parse(path.read_text()), passed)]
-    assert found == []
+    found = {(name, fn, param) for name, _line, fn, param
+             in src_unused_defaults(_parsed(SOURCES + TESTS))}
+    assert sorted(found - DEFAULTS_ALLOWED) == []
+    assert sorted(DEFAULTS_ALLOWED - found) == []  # no stale entry
+
+
+def test_src_unused_defaults_sees_each_kind():
+    trees = {PACKAGE / "run.py": ast.parse(
+                 "def run(f, *, beta=0.25, cap=None, weak=None):\n"
+                 "    return helper(f, beta=beta)\n"
+                 "def helper(f, beta=0.5, knob=1):\n"
+                 "    pass\n"),
+             PACKAGE / "cli.py": ast.parse("run(f, beta=0.1, weak=g)\n"),
+             Path("tests") / "test_run.py": ast.parse(
+                 "run(f, cap=3)\nhelper(f, 0.2, 2)\n")}
+    # set in the package, by keyword from another module or from the
+    # same one, counts; set only by a test does not
+    assert src_unused_defaults(trees) == [
+        ("run.py", 1, "run", "cap"), ("run.py", 3, "helper", "knob")]
 
 
 def test_unused_defaults_sees_each_kind():
@@ -465,3 +510,78 @@ def test_unused_defaults_sees_each_kind():
                       "    run(f, 0, **opts)\n")
     assert unused_defaults(tree, passed_arguments([calls])) == [
         (1, "run", "beta"), (3, "size", "k"), (3, "size", "agnostic")]
+
+
+def unreferenced_public_names(trees: dict) -> list:
+    """(file, line, name) of each public module-level function or class of
+    the package that no package module names outside its own definition:
+    not its own recursion or methods, and not a test (``trees`` maps paths,
+    in the package or not, to parsed modules).  A name counts as referenced
+    by a ``Name``, an attribute (``mod.f``) or a ``from ... import``, all
+    matched by name alone."""
+    src = {p: t for p, t in trees.items() if p.parent == PACKAGE}
+    owners = {}  # name -> {(file, top-level definition) that names it}
+    for path, tree in src.items():
+        for top in tree.body:
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                for name in names:
+                    owners.setdefault(name, set()).add(owner)
+    return sorted((path.name, top.lineno, top.name)
+                  for path, tree in src.items() for top in tree.body
+                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  and not top.name.startswith("_")
+                  and not owners.get(top.name, set()) - {(path.name,
+                                                          top.name)})
+
+
+# Public names no protocol reaches, each kept on purpose: the single-machine
+# AdaBoost that the boosting tests compare the distributed run against.
+REFERENCE_ALLOWED = {("boosting.py", "adaboost_single")}
+
+
+def test_public_names_referenced_from_src():
+    found = {(name, what) for name, _line, what
+             in unreferenced_public_names(_parsed(SOURCES + TESTS))}
+    assert sorted(found - REFERENCE_ALLOWED) == []
+    assert sorted(REFERENCE_ALLOWED - found) == []  # no stale entry
+
+
+def test_unreferenced_public_names_sees_each_kind():
+    trees = {PACKAGE / "a.py": ast.parse(
+                 "def used():\n"
+                 "    pass\n"
+                 "def recursive(n):\n"
+                 "    return recursive(n - 1)\n"
+                 "class Shape:\n"
+                 "    def copy(self) -> Shape:\n"
+                 "        return Shape()\n"
+                 "def tested():\n"
+                 "    pass\n"
+                 "def imported():\n"
+                 "    pass\n"
+                 "def _private():\n"
+                 "    pass\n"
+                 "class Base:\n"
+                 "    pass\n"
+                 "def caller():\n"
+                 "    return Base\n"),
+             PACKAGE / "b.py": ast.parse(
+                 "from .a import imported\n"
+                 "from . import a\n"
+                 "x = a.used()\n"
+                 "def _helper():\n"
+                 "    return a.caller()\n"),
+             Path("tests") / "test_a.py": ast.parse(
+                 "from distpac.a import tested\n"
+                 "tested()\n")}
+    assert unreferenced_public_names(trees) == [
+        ("a.py", 3, "recursive"), ("a.py", 5, "Shape"), ("a.py", 8, "tested")]

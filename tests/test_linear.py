@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,13 +5,11 @@ from hypothesis import strategies as st
 
 from distpac.core import (ConfigurationError, LinearSeparator, Sample,
                           UniformSphere, stream)
-from distpac.linear import (UNTIL_CONSISTENT, UNTIL_EPS_FRACTION,
-                            MarginPerceptronState, NonConvergenceError,
+from distpac.linear import (MarginPerceptronState, NonConvergenceError,
                             NonSeparableDataError, adversarial_two_player_data,
                             adversarial_lower_bound, averaging_protocol,
-                            certify_well_spread, data_margin,
-                            default_update_cap, margin_perceptron_pass,
-                            round_robin_perceptron, spread_alpha,
+                            certify_well_spread, default_update_cap,
+                            margin_perceptron_pass, round_robin_perceptron,
                             well_spread_dataset)
 
 G = 0.1
@@ -36,8 +32,8 @@ class TestPerceptronPass:
         samples, _ = adversarial_two_player_data(G)
         state = MarginPerceptronState.zero(3)
         trace = []
-        margin_perceptron_pass(state, samples[0], UNTIL_CONSISTENT,
-                               trace=trace, trace_info=("p1",))
+        margin_perceptron_pass(state, samples[0], trace=trace,
+                               trace_info=("p1",))
         assert trace[0][0] == "p1"
         assert trace[0][1] == pytest.approx((1, G, G))
 
@@ -49,32 +45,20 @@ class TestPerceptronPass:
         X[:, 0] += y * 1.0  # push points away from the boundary
         s = Sample(X, y)
         state = margin_perceptron_pass(MarginPerceptronState.zero(4), s,
-                                       UNTIL_CONSISTENT,
                                        update_cap=100000)
         assert (s.labels * (s.features @ state.w) >= 1.0).all()
-
-    def test_eps_fraction_halts_earlier(self):
-        samples, _ = adversarial_two_player_data(G)
-        both = Sample(np.vstack([samples[0].features, samples[1].features]),
-                      np.concatenate([samples[0].labels, samples[1].labels]))
-        full = margin_perceptron_pass(MarginPerceptronState.zero(3), both,
-                                      UNTIL_CONSISTENT, update_cap=100000)
-        part = margin_perceptron_pass(MarginPerceptronState.zero(3), both,
-                                      UNTIL_EPS_FRACTION, eps=0.5,
-                                      update_cap=100000)
-        assert part.update_count <= full.update_count
 
     def test_update_cap_raises_on_nonseparable(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         s = Sample(X, np.array([1, -1]))
         with pytest.raises(NonSeparableDataError):
             margin_perceptron_pass(MarginPerceptronState.zero(2), s,
-                                   UNTIL_CONSISTENT, update_cap=50)
+                                   update_cap=50)
 
-    def test_bad_mode_rejected(self):
-        s = Sample(np.ones((1, 2)), np.array([1]))
+    def test_empty_sample_rejected(self):
+        s = Sample(np.ones((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ConfigurationError):
-            margin_perceptron_pass(MarginPerceptronState.zero(2), s, "bogus")
+            margin_perceptron_pass(MarginPerceptronState.zero(2), s)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -92,8 +76,7 @@ class TestPerceptronPass:
         s = Sample(X, y)
         state = MarginPerceptronState(w=w.copy())
         trace = []
-        margin_perceptron_pass(state, s, UNTIL_CONSISTENT, update_cap=2000,
-                               trace=trace)
+        margin_perceptron_pass(state, s, update_cap=2000, trace=trace)
         prev = w
         for _x, w_after in trace:
             w_after = np.asarray(w_after)
@@ -127,24 +110,19 @@ class TestRoundRobin:
         gamma, alpha = 0.3, 0.2
         samples, target = well_spread_dataset(4, 10, gamma, alpha, 0)
         certify_well_spread(samples, alpha)
-        assert data_margin(samples, target) == pytest.approx(gamma)
-        res = round_robin_perceptron(samples, UNTIL_CONSISTENT, 0.0, alpha,
+        X = np.vstack([s.features for s in samples])
+        y = np.concatenate([s.labels for s in samples])
+        assert min(y * (X @ np.asarray(target.w))) == pytest.approx(gamma)
+        res = round_robin_perceptron(samples, alpha,
                                      update_cap=default_update_cap(gamma))
         assert res.ledger.meta_rounds <= 1 + 3 * alpha / (gamma * gamma)
         h = res.hypotheses["p1"]
         for s in samples:
             assert (s.labels == h.predict(s.features)).all()
 
-    def test_eps_fraction_mode_halts(self):
-        samples, _ = well_spread_dataset(3, 8, 0.3, 0.2, 5)
-        res = round_robin_perceptron(samples, UNTIL_EPS_FRACTION, 0.1, 0.2,
-                                     update_cap=10000)
-        assert res.meta["meta_round_updates"][-1] == 0
-
     def test_ledger_per_pass_charges(self):
         samples, _ = well_spread_dataset(2, 5, 0.3, 0.2, 1)
-        res = round_robin_perceptron(samples, UNTIL_CONSISTENT, 0.0, 0.2,
-                                     update_cap=10000)
+        res = round_robin_perceptron(samples, 0.2, update_cap=10000)
         d = samples[0].dim
         passes = res.ledger.rounds
         assert res.ledger.hypotheses == passes
@@ -156,16 +134,11 @@ class TestRoundRobin:
         # updates, so the cap is the only way out
         samples, _ = adversarial_two_player_data(0.05)
         with pytest.raises(NonConvergenceError):
-            round_robin_perceptron(samples, UNTIL_CONSISTENT, 0.0, 0.5,
-                                   update_cap=10 ** 6, max_meta_rounds=2)
+            round_robin_perceptron(samples, 0.5, update_cap=10 ** 6,
+                                   max_meta_rounds=2)
 
 
 class TestSupport:
-    def test_spread_alpha_value(self):
-        d, k, eps = 100, 4, 0.05
-        expected = math.sqrt(4 * math.log(2 * d * k / eps) / d)
-        assert spread_alpha(d, k, eps) == pytest.approx(expected)
-
     def test_default_update_cap(self):
         assert default_update_cap(0.1) == 3000
 

@@ -6,15 +6,14 @@ import sympy
 
 from distpac import channel
 from distpac.closed import run_intersection_closed
-from distpac.core import (ConfigurationError, Conjunction, Sample,
-                          UniformBoolean, stream)
-from distpac.privacy import (COND_POSITIVES, MODE_DIFFERENTIAL,
-                             MODE_DISTRIBUTIONAL, MODE_NONE, BudgetError,
-                             DegenerateConditioningError, PrivacyBudget,
-                             SQQuery, distributional_beta, laplace_noise,
+from distpac.core import (ConfigurationError, Conjunction, UniformBoolean,
+                          stream)
+from distpac.privacy import (MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL,
+                             MODE_NONE, BudgetError, PrivacyBudget,
+                             distributional_beta, laplace_noise,
                              learn_private_conjunction, noise_scale,
                              private_conjunction_protocol,
-                             private_sample_size, sq_answer)
+                             private_sample_size)
 
 
 class TestBudget:
@@ -99,39 +98,6 @@ class TestNoiseScale:
         assert noise_scale(none, 100) == 0.0
 
 
-class TestSqAnswer:
-    def test_exact_without_privacy(self):
-        X = np.array([[1.0], [0.0], [1.0], [1.0]])
-        s = Sample(X, np.array([1, -1, 1, -1]))
-        q = SQQuery("ones", lambda X, y: (X[:, 0] == 1.0).astype(float), 0.1)
-        b = PrivacyBudget(MODE_NONE, 1.0, 0.05, M=3)
-        assert sq_answer(s, q, b, 0) == 0.75
-        assert b.spent == 1
-
-    def test_positives_conditioning(self):
-        X = np.array([[1.0], [0.0], [1.0]])
-        s = Sample(X, np.array([1, 1, -1]))
-        q = SQQuery("ones", lambda X, y: (X[:, 0] == 1.0).astype(float), 0.1,
-                    conditioning=COND_POSITIVES)
-        b = PrivacyBudget(MODE_NONE, 1.0, 0.05, M=3)
-        assert sq_answer(s, q, b, 0) == 0.5
-
-    def test_degenerate_conditioning_raises(self):
-        s = Sample(np.ones((2, 1)), np.array([-1, -1]))
-        q = SQQuery("ones", lambda X, y: np.ones(len(y)), 0.1,
-                    conditioning=COND_POSITIVES)
-        b = PrivacyBudget(MODE_NONE, 1.0, 0.05, M=3)
-        with pytest.raises(DegenerateConditioningError):
-            sq_answer(s, q, b, 0)
-
-    def test_noise_is_seeded(self):
-        s = Sample(np.ones((50, 1)), np.ones(50, dtype=int))
-        q = SQQuery("c", lambda X, y: np.ones(len(y)), 0.1)
-        a = sq_answer(s, q, PrivacyBudget(MODE_DIFFERENTIAL, 1, 0.05, M=2), 7)
-        b = sq_answer(s, q, PrivacyBudget(MODE_DIFFERENTIAL, 1, 0.05, M=2), 7)
-        assert a == b != 1.0
-
-
 class TestPrivateSampleSize:
     def test_differential_value(self):
         # ceil(max(10/0.1, 10/0.01) * ln 100) = ceil(1000 * 4.6052)
@@ -174,6 +140,18 @@ class TestConjunctionProtocol:
         f = Conjunction(n, frozenset({2}))
         res = private_conjunction_protocol([UniformBoolean(n)], f, 0.05, 1)
         assert res.meta["budgets_spent"] == [n]
+
+    def test_no_privacy_size_ignores_alpha_but_needs_it_positive(self):
+        n = 6
+        f = Conjunction(n, frozenset({1}))
+        m = private_sample_size(n, 1.0, 0.05 / (2 * n), 0.05, MODE_NONE)
+        for alpha in (0.3, 1.0, 4.0):
+            res = private_conjunction_protocol([UniformBoolean(n)], f, 0.05,
+                                               0, mode=MODE_NONE, alpha=alpha)
+            assert res.meta["m_per_player"] == m
+        with pytest.raises(ConfigurationError):
+            private_conjunction_protocol([UniformBoolean(n)], f, 0.05, 0,
+                                         mode=MODE_NONE, alpha=0.0)
 
     def test_zero_positives_falls_back_to_identity(self):
         n = 6
