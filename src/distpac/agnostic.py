@@ -310,9 +310,6 @@ def run_interval_summary(samples: Sequence[Sample], d: int,
         values += len(summary)
     channel.advance_round(ledger, "round")
     borders, pos, neg = merge_summaries(summaries)
-    cost, h = dp_best_intervals(borders, pos, neg, d)
-    return ProtocolResult(
-        hypotheses={channel.CENTER: h}, ledger=ledger,
-        meta={"borders": borders, "pos_mass": pos.tolist(),
-              "neg_mass": neg.tolist(), "dp_cost": cost,
-              "values": values, "n_borders": B, "frac_bits": frac_bits})
+    _cost, h = dp_best_intervals(borders, pos, neg, d)
+    return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
+                          meta={"values": values})

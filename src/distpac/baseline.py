@@ -5,11 +5,12 @@ elimination)."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import channel
+from .closed import class_dimension, smallest_consistent
 from .core import (Concept, ConfigurationError, Conjunction, DistributionSpec,
                    ProtocolError, ProtocolResult, Sample, draw_sample,
                    measure_errors, sample_error)
@@ -60,12 +61,15 @@ def shipping_sample_size(d_class: int, eps: float, k: int) -> int:
 
 
 def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
-                    learner: Callable[[Sample], Concept], d_class: int,
                     seed: int) -> ProtocolResult:
     """Everyone ships a random sample to the center, which learns on the
-    union.  One round; communication is all examples."""
+    union.  One round; communication is all examples.
+
+    The class is that of ``f``, a conjunction or a box: the budget is sized
+    by its VC dimension (``closed.class_dimension``) and the center learns
+    its smallest consistent hypothesis (``closed.smallest_consistent``)."""
     k = len(specs)
-    m_i = shipping_sample_size(d_class, eps, k)
+    m_i = shipping_sample_size(class_dimension(f), eps, k)
     ledger = channel.CostLedger()
     feats, labels = [], []
     for i, spec in enumerate(specs):
@@ -77,7 +81,7 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
             channel.send_example(ledger, sender, channel.CENTER, bits)
     channel.advance_round(ledger, "round")
     union = Sample(np.vstack(feats), np.concatenate(labels))
-    h = learner(union)
+    h = smallest_consistent(union, type(f))
     if sample_error(h, union) > 0.0:
         raise ProtocolError("center's learner returned an inconsistent "
                             "hypothesis")
@@ -86,20 +90,19 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
                           errors=errors, meta={"m_per_player": m_i})
 
 
-def eq_mistake_bound(samples: Sequence[Sample], learner, *,
-                     mistake_cap: int | None = None) -> ProtocolResult:
+def eq_mistake_bound(samples: Sequence[Sample], learner) -> ProtocolResult:
     """EQ/online driver in the lock-synchronous model.
 
     ``learner`` is an online learner with a finite mistake bound on
     realizable sequences: ``hypothesis()`` returns its current Concept,
     ``update(x, label)`` takes one counterexample, and ``mistake_bound()``
-    gives the bound, which sets the default ``mistake_cap``.
+    gives the bound.  A learner still wrong after 10 * max(1, bound)
+    counterexamples is broken, and the run raises ProtocolError.
 
     Every party runs a shadow copy of the learner, so only counterexamples
     are charged.  Each time slot is one round; the final quiet slot counts.
     """
-    if mistake_cap is None:
-        mistake_cap = 10 * max(1, learner.mistake_bound())
+    cap = 10 * max(1, learner.mistake_bound())
     ledger = channel.CostLedger(sync_model=channel.SyncModel.LOCK_SYNCHRONOUS)
     while True:
         h = learner.hypothesis()
@@ -114,9 +117,9 @@ def eq_mistake_bound(samples: Sequence[Sample], learner, *,
         if sender is None:
             channel.advance_round(ledger, "round")  # silent slot
             break
-        if ledger.examples >= mistake_cap:
+        if ledger.examples >= cap:
             raise ProtocolError(
-                f"mistake cap {mistake_cap} exceeded; learner is broken")
+                f"mistake cap {cap} exceeded; learner is broken")
         i, idx = sender
         x, lab = samples[i].features[idx], int(samples[i].labels[idx])
         [bits] = channel.example_bits(x[None])

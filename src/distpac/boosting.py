@@ -215,5 +215,4 @@ def run_distributed_boosting(specs: Sequence[DistributionSpec], f: Concept,
                           errors=errors,
                           meta={"telemetry": out["telemetry"],
                                 "m_weak": m_weak, "m_per_player": m_i,
-                                "rounds_T": T, "weak": out["weak"],
-                                "alphas": out["alphas"]})
+                                "weak": out["weak"], "alphas": out["alphas"]})

@@ -201,16 +201,15 @@ def build_distribution(entry: dict, dim: int, boolean: bool = False):
 
 def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean",
            boolean: bool = False):
-    """(eps, delta, specs): the accuracy fields and one distribution per
-    player, ``default_kind`` if none are listed, 0/1-valued if ``boolean``."""
+    """(eps, specs): the accuracy field and one distribution per player,
+    ``default_kind`` if none are listed, 0/1-valued if ``boolean``."""
     eps = _fraction(cfg, "eps")
-    delta = _fraction(cfg, "delta", 0.05)
     k = _count(cfg, "k")
     entries = _field(cfg, "distributions", [dict], [{"kind": default_kind}] * k)
     if len(entries) != k:
         raise ConfigError(f"'distributions' lists {len(entries)} players, "
                           f"but k = {k}")
-    return eps, delta, [build_distribution(e, dim, boolean) for e in entries]
+    return eps, [build_distribution(e, dim, boolean) for e in entries]
 
 
 def _random_conjunction(n: int, seed: int) -> Conjunction:
@@ -238,7 +237,8 @@ def _threshold_class(grid: int) -> list:
 
 def _run_closed(cfg, cls):
     dim = _count(cfg, "n" if cls is Conjunction else "d")
-    eps, delta, specs = _setup(cfg, dim, boolean=cls is Conjunction)
+    eps, specs = _setup(cfg, dim, boolean=cls is Conjunction)
+    delta = _fraction(cfg, "delta", 0.05)
     if cls is Conjunction:
         vars_cfg = _field(cfg, "target.variables", [int], None)
         if vars_cfg is None:
@@ -268,7 +268,7 @@ def _run_closed(cfg, cls):
 
 def _run_parity(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n, boolean=True)
+    eps, specs = _setup(cfg, n, boolean=True)
     c = _field(cfg, "c", float, 8.0)
     _check("c", c, c > 0, "> 0")
     return lambda seed: parity_mod.run_parity_two_player(
@@ -277,7 +277,8 @@ def _run_parity(cfg):
 
 def _run_decision_list(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n, boolean=True)
+    eps, specs = _setup(cfg, n, boolean=True)
+    delta = _fraction(cfg, "delta", 0.05)
     n_rules = _count(cfg, "n_rules", 10)
     if n_rules > 2 * n:
         raise ConfigError(f"field 'n_rules' must be <= 2n = {2 * n}, "
@@ -289,15 +290,15 @@ def _run_decision_list(cfg):
 
 def _run_sample_shipping(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n, boolean=True)
-    learner = lambda s: closed.smallest_consistent(s, Conjunction)
+    eps, specs = _setup(cfg, n, boolean=True)
     return lambda seed: baseline.sample_shipping(
-        specs, _random_conjunction(n, seed), eps, learner, n, seed)
+        specs, _random_conjunction(n, seed), eps, seed)
 
 
 def _run_eq_conjunction(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n, boolean=True)
+    eps, specs = _setup(cfg, n, boolean=True)
+    delta = _fraction(cfg, "delta", 0.05)
     m = closed.pac_sample_size(n, eps, len(specs), delta)
 
     def job(seed):
@@ -311,7 +312,7 @@ def _run_eq_conjunction(cfg):
 
 def _run_averaging(cfg):
     d = _count(cfg, "d")
-    eps, _delta, specs = _setup(cfg, d, "uniform_sphere")
+    eps, specs = _setup(cfg, d, "uniform_sphere")
     f = LinearSeparator(tuple([1.0] + [0.0] * (d - 1)))
     return lambda seed: linear.averaging_protocol(specs, f, eps, seed)
 
@@ -337,14 +338,14 @@ def _run_adversarial_perceptron(cfg):
         rounds, trace = linear.adversarial_lower_bound(gamma)
         return ProtocolResult(
             hypotheses={}, ledger=channel.CostLedger(rounds=rounds),
-            trace=trace, meta={"rounds_to_consistency": rounds,
-                               "gamma": gamma})
+            trace=trace)
     return adversarial_job
 
 
 def _run_boosting(cfg):
     n = _count(cfg, "n")
-    eps, delta, specs = _setup(cfg, n, boolean=True)
+    eps, specs = _setup(cfg, n, boolean=True)
+    delta = _fraction(cfg, "delta", 0.05)
     q = _field(cfg, "q", (int, type(None)), 32)
     _check("q", q, q is None or q >= 1, ">= 1 or null")
     beta = _fraction(cfg, "beta", 0.25)
@@ -363,7 +364,7 @@ def _validated(res, party: str, spec, f, m: int, seed: int):
 
 
 def _run_robust_halving(cfg):
-    eps, _delta, specs = _setup(cfg, 1)
+    eps, specs = _setup(cfg, 1)
     H = _threshold_class(_count(cfg, "grid", 201))
     f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
     noise = _field(cfg, "noise_rate", float, 0.0)
@@ -402,7 +403,7 @@ def _run_interval_summary(cfg):
 
 def _run_private_conjunction(cfg):
     n = _count(cfg, "n")
-    eps, _delta, specs = _setup(cfg, n, boolean=True)
+    eps, specs = _setup(cfg, n, boolean=True)
     if not all(isinstance(s, privacy_mod.PRODUCT_SPECS) for s in specs):
         raise ConfigError("field 'kind': private_conjunction needs "
                           "uniform_boolean or product_bernoulli")

@@ -114,5 +114,4 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
                                      "a player's sample")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
-                          errors=errors,
-                          meta={"m_per_player": m, "local_hypotheses": locals_})
+                          errors=errors, meta={"m_per_player": m})

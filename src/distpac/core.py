@@ -6,8 +6,9 @@ true.  All randomness flows through :func:`streams`, which derives one
 independent generator per tag tuple from an integer seed (:func:`stream` is
 its one-tuple case), so any protocol trace can be replayed exactly.  A set
 of hypotheses is evaluated on many points one way (:func:`predict_matrix`,
-which :class:`MajorityOfSet` votes through), and a final hypothesis's error
-is estimated one way (:func:`measure_errors`).
+which :class:`MajorityOfSet` votes through).  Most protocols estimate a final
+hypothesis's error with :func:`measure_errors`; README's list of error
+columns names the ones that measure it otherwise.
 """
 
 from __future__ import annotations

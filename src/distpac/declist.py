@@ -123,8 +123,7 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
                           meta={"m_per_player": m,
-                                "broadcast_order": broadcast_order,
-                                "alternations": f.alternations()})
+                                "broadcast_order": broadcast_order})
 
 
 def random_decision_list(n: int, n_rules: int, seed: int) -> DecisionListFunc:

@@ -119,18 +119,16 @@ def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
     hypotheses = {f"p{i + 1}": h for i in range(k)}
     return ProtocolResult(
         hypotheses=hypotheses, ledger=ledger,
-        meta={"state": state,
-              "meta_round_updates": list(state.meta_round_updates),
-              "total_updates": state.update_count})
+        meta={"meta_round_updates": list(state.meta_round_updates)})
 
 
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
-                       eps: float, seed: int, *, c: float = 1.0
-                       ) -> ProtocolResult:
+                       eps: float, seed: int) -> ProtocolResult:
     """For radially symmetric D_i, the mean of l(x) x/||x|| points along the
-    target; one vector per player, one round."""
+    target; one vector per player, one round.  Each player averages
+    m = ceil(d / eps^2) points."""
     d = f.dim
-    m = math.ceil(c * d / (eps * eps))
+    m = math.ceil(d / (eps * eps))
     ledger = channel.CostLedger()
     vectors = []
     for i, spec in enumerate(specs):

@@ -125,11 +125,8 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
         "p1": ParityNonProper(bases[0], propers[1]),
         "p2": ParityNonProper(bases[1], propers[0]),
     }
-    errors = {}
-    for pid, h in combined.items():
-        errs = measure_errors(h, specs, f, seed)
-        errors.update({f"{pid}:{key}": val for key, val in errs.items()})
-        errors[pid] = errs["mixture"]
+    errors = {pid: measure_errors(h, specs, f, seed)["mixture"]
+              for pid, h in combined.items()}
     errors["mixture"] = max(errors["p1"], errors["p2"])
     return ProtocolResult(hypotheses=combined, ledger=ledger, errors=errors,
                           meta={"m_per_player": m})

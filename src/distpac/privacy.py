@@ -196,7 +196,6 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,
-                          meta={"m_per_player": m, "mode": mode,
-                                "local_hypotheses": locals_,
+                          meta={"m_per_player": m,
                                 "budgets_spent": [b.spent for b in budgets]})
 

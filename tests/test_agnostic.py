@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac import channel
-from distpac.agnostic import (HalvingCollapseError, SearchFailureError,
-                              dp_best_intervals, halving_set_count,
-                              halving_set_size, merge_summaries, opt_search,
-                              player_summary, quantize_fraction,
-                              run_interval_summary, run_robust_halving)
+from distpac.agnostic import (HalvingCollapseError, dp_best_intervals,
+                              halving_set_count, halving_set_size,
+                              merge_summaries, opt_search, player_summary,
+                              quantize_fraction, run_interval_summary,
+                              run_robust_halving)
 from distpac.core import (PRECISION_BITS, IntervalUnion, MajorityOfSet,
                           ProtocolError, Sample, Threshold, UniformInterval,
                           draw_sample, predict_matrix, sample_error, stream)

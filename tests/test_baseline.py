@@ -4,9 +4,9 @@ import pytest
 from distpac import channel
 from distpac.baseline import (ConjunctionElimination, eq_mistake_bound,
                               sample_shipping, shipping_sample_size)
-from distpac.closed import smallest_consistent
-from distpac.core import (Conjunction, ProtocolError, UniformBoolean,
-                          draw_sample, sample_error)
+from distpac.core import (PRECISION_BITS, Box, Conjunction, ProtocolError,
+                          UniformBoolean, UniformInterval, draw_sample,
+                          sample_error)
 
 
 def boolean_sample(n, f, m, seed):
@@ -37,13 +37,24 @@ class TestSampleShipping:
     def test_one_round_and_all_examples_charged(self):
         n, k = 8, 3
         f = Conjunction(n, frozenset({0, 5}))
-        res = sample_shipping([UniformBoolean(n)] * k, f, 0.1,
-                              lambda s: smallest_consistent(s, Conjunction),
-                              n, 0)
+        res = sample_shipping([UniformBoolean(n)] * k, f, 0.1, 0)
         m_i = res.meta["m_per_player"]
+        assert m_i == shipping_sample_size(n, 0.1, k)  # VC dimension n
         assert res.ledger.rounds == 1
         assert res.ledger.examples == k * m_i
         assert res.ledger.bits == k * m_i * (n + 1)
+        assert res.errors["mixture"] <= 0.1
+
+    def test_box_target_budget_from_vc_dimension_2d(self):
+        k, d = 3, 1
+        f = Box((0.25,), (0.75,))
+        res = sample_shipping([UniformInterval()] * k, f, 0.1, 0)
+        m_i = shipping_sample_size(2 * d, 0.1, k)
+        assert res.meta["m_per_player"] == m_i
+        assert res.ledger.rounds == 1
+        assert res.ledger.examples == k * m_i
+        assert res.ledger.bits == k * m_i * (d * PRECISION_BITS + 1)
+        assert isinstance(res.hypotheses[channel.CENTER], Box)
         assert res.errors["mixture"] <= 0.1
 
 
@@ -75,5 +86,6 @@ class TestEqDriver:
         n = 5
         f = Conjunction(n, frozenset({0}))
         samples = [boolean_sample(n, f, 60, 3)]
-        with pytest.raises(ProtocolError):
-            eq_mistake_bound(samples, Stubborn(n), mistake_cap=4)
+        # the cap is 10x the learner's mistake bound of n + 1
+        with pytest.raises(ProtocolError, match="mistake cap 60 "):
+            eq_mistake_bound(samples, Stubborn(n))

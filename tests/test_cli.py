@@ -303,6 +303,12 @@ class TestConfigValidation:
         # learner needs; this failed inside the protocol (exit 1)
         (dict(BOOLEAN["private_conjunction"], distributions=point_mass(
             [[-0.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [0.5, 0.5]) * 2), "kind"),
+        # these protocols size nothing with delta; they ran (exit 0)
+        *[(dict(cfg, delta=0.05), "delta") for cfg in (
+            BOOLEAN["parity_two_player"], BOOLEAN["sample_shipping"],
+            {"protocol": "averaging", "d": 3, "k": 2, "eps": 0.2},
+            {"protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": 21},
+            BOOLEAN["private_conjunction"])],
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):

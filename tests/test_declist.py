@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac import channel
-from distpac.core import (ConfigurationError, DecisionListFunc,
-                          PointMassList, RealizabilityError, Sample,
-                          UniformBoolean, UniformSphere, draw_sample,
-                          rule_bits, sample_error, stream)
+from distpac.core import (ConfigurationError, PointMassList,
+                          RealizabilityError, Sample, UniformBoolean,
+                          UniformSphere, draw_sample, rule_bits, sample_error,
+                          stream)
 from distpac.declist import (_kill_satisfied, consistent_triplets,
                              random_decision_list, run_decision_list)
 

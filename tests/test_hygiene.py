@@ -1,4 +1,5 @@
-"""Static checks over the package sources."""
+"""Static checks over the package sources (unused imports: the tests
+too)."""
 
 import ast
 from pathlib import Path
@@ -39,7 +40,7 @@ def unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -436,16 +437,13 @@ def src_unused_defaults(trees: dict) -> list:
 
 
 # Defaulted parameters that only tests set, each kept on purpose: the guard
-# caps ``c_l``, ``mistake_cap``, ``max_rounds`` and ``max_meta_rounds``,
-# which tests trip to see the guard raise; the averaging sample-size
-# constant ``c``, which a test raises to check accuracy at a larger sample;
-# and the entry point's ``argv``, which the console script leaves unset.
+# caps ``c_l``, ``max_rounds`` and ``max_meta_rounds``, which tests trip to
+# see the guard raise, and the entry point's ``argv``, which the console
+# script leaves unset.
 DEFAULTS_ALLOWED = {("agnostic.py", "run_robust_halving", "c_l"),
-                    ("baseline.py", "eq_mistake_bound", "mistake_cap"),
                     ("declist.py", "run_decision_list", "max_rounds"),
                     ("linear.py", "round_robin_perceptron",
                      "max_meta_rounds"),
-                    ("linear.py", "averaging_protocol", "c"),
                     ("cli.py", "main", "argv")}
 
 

@@ -159,7 +159,7 @@ class TestAveraging:
         w[0] = 1.0
         f = LinearSeparator(tuple(w))
         specs = [UniformSphere(d), UniformSphere(d)]
-        res = averaging_protocol(specs, f, 0.05, 0, c=4.0)
+        res = averaging_protocol(specs, f, 0.05, 0)
         assert res.errors["mixture"] <= 0.05
         assert res.ledger.rounds == 1
         assert res.ledger.hypotheses == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from distpac.core import (ConfigurationError, ParityFunc,
                           RealizabilityError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
-from distpac.parity import (GF2Basis, ParityNonProper, gf2_reduce,
+from distpac.parity import (ParityNonProper, gf2_reduce,
                             run_parity_two_player)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import sympy
 
-from distpac import channel
 from distpac.closed import run_intersection_closed
 from distpac.core import (ConfigurationError, Conjunction, UniformBoolean,
                           stream)
