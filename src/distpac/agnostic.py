@@ -15,10 +15,6 @@ from .core import (PRECISION_BITS, Concept, ConfigurationError,
                    draw_sample, predict_matrix, sample_error, stream)
 
 
-class HalvingCollapseError(ProtocolError):
-    """Every hypothesis was eliminated; the opt guess was too small."""
-
-
 class SearchFailureError(ProtocolError):
     pass
 
@@ -114,7 +110,7 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
         survivors[alive[errs > N / 9]] = False
         history.append(int(survivors.sum()))
         if not survivors.any():
-            raise HalvingCollapseError(
+            raise ProtocolError(
                 f"all hypotheses eliminated at opt_guess={opt_guess}")
     maj = MajorityOfSet(tuple(h for h, a in zip(H, survivors) if a))
     return ProtocolResult(

@@ -103,7 +103,7 @@ def eq_mistake_bound(samples: Sequence[Sample], learner) -> ProtocolResult:
     are charged.  Each time slot is one round; the final quiet slot counts.
     """
     cap = 10 * max(1, learner.mistake_bound())
-    ledger = channel.CostLedger(sync_model=channel.SyncModel.LOCK_SYNCHRONOUS)
+    ledger = channel.CostLedger(lock_synchronous=True)
     while True:
         h = learner.hypothesis()
         sender = None

@@ -94,7 +94,7 @@ def best_stump(sample: Sample) -> DecisionStump:
     """Minimum-error stump on an unweighted sample; ties go to the constant
     stump first, then the lowest feature index, then out = +1."""
     X, y = sample.features, sample.labels.astype(np.float64)
-    m, n = X.shape
+    n = X.shape[1]
     err_const_pos = float(np.mean(y == -1))
     best = DecisionStump(n, -1, 1)
     best_err = err_const_pos

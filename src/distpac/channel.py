@@ -12,24 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .core import PRECISION_BITS, Concept, ConfigurationError, boolean_rows
+from .core import (PRECISION_BITS, Concept, ConfigurationError, ProtocolError,
+                   boolean_rows)
 
 BROADCAST = "broadcast"
 CENTER = "center"
-
-
-class SyncModel(Enum):
-    ASYNCHRONOUS = "asynchronous"
-    LOCK_SYNCHRONOUS = "lock_synchronous"
-
-
-class ProtocolViolation(RuntimeError):
-    """A protocol broke the communication model's rules."""
 
 
 @dataclass
@@ -45,7 +36,8 @@ class CostLedger:
     rounds: int = 0
     meta_rounds: int = 0
     per_player: dict = field(default_factory=dict)
-    sync_model: SyncModel = SyncModel.ASYNCHRONOUS
+    # lock-synchronous model: at most one send per round slot
+    lock_synchronous: bool = False
     _slot_used: bool = field(default=False, repr=False)
 
     def to_dict(self) -> dict:
@@ -53,17 +45,14 @@ class CostLedger:
         out["per_player"] = dict(sorted(self.per_player.items()))
         return out
 
-    def upstream_bits(self) -> int:
-        return sum(v for k, v in self.per_player.items() if k != CENTER)
-
 
 def send(ledger: CostLedger, frm: str, to: str, bits: int, *,
          examples: int = 0, hypotheses: int = 0) -> CostLedger:
     """Charge one message of ``bits`` bits carrying ``examples`` examples
     and ``hypotheses`` hypotheses; broadcast is charged once."""
-    if ledger.sync_model is SyncModel.LOCK_SYNCHRONOUS:
+    if ledger.lock_synchronous:
         if ledger._slot_used:
-            raise ProtocolViolation(
+            raise ProtocolError(
                 "two sends in one lock-synchronous slot (advance_round first)")
         ledger._slot_used = True
     ledger.bits += bits

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import channel
 from .core import (Box, Concept, ConfigurationError, Conjunction,
-                   DistributionSpec, ProtocolResult, RealizabilityError,
+                   DistributionSpec, ProtocolError, ProtocolResult,
                    Sample, draw_sample, measure_errors, sample_error)
 
 
@@ -63,8 +63,8 @@ def smallest_consistent(sample: Sample, cls: type) -> Concept:
     if len(sample):
         neg = sample.labels == -1
         if np.any(h.predict(sample.features[neg]) == 1):
-            raise RealizabilityError("negative example inside the smallest "
-                                     f"consistent {cls.__name__.lower()}")
+            raise ProtocolError("negative example inside the smallest "
+                                f"consistent {cls.__name__.lower()}")
     return h
 
 
@@ -110,8 +110,8 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
     channel.advance_round(ledger, "round")
     for sample in samples:
         if sample_error(h, sample) > 0.0:
-            raise RealizabilityError("combined hypothesis inconsistent with "
-                                     "a player's sample")
+            raise ProtocolError("combined hypothesis inconsistent with a "
+                                "player's sample")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m})

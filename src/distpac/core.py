@@ -26,12 +26,10 @@ class ConfigurationError(ValueError):
     """Inconsistent parameters (dimension mismatch, bad ranges, ...)."""
 
 
-class RealizabilityError(RuntimeError):
-    """Data contradicts the declared concept class."""
-
-
 class ProtocolError(RuntimeError):
-    """A protocol run went off the rails (broken learner, no progress)."""
+    """A protocol run went off the rails: data that contradicts the declared
+    concept class, a broken learner, no progress, or a broken rule of the
+    communication model."""
 
 
 def _words(value: int) -> tuple:
@@ -394,9 +392,6 @@ class Threshold(Concept):
         raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
         return raw.astype(np.int8)
 
-    def encoded_bits(self) -> int:
-        return PRECISION_BITS + 1
-
 
 @dataclass(frozen=True)
 class Conjunction(Concept):
@@ -482,14 +477,6 @@ class DecisionListFunc(Concept):
         first = fires[:, cols + [2 * self.n]].argmax(axis=1)
         return np.array(outs, dtype=np.int8)[first]
 
-    def encoded_bits(self) -> int:
-        return (len(self.rules) + 1) * rule_bits(self.n)
-
-    def alternations(self) -> int:
-        """Number of output sign changes along the list (else-rule included)."""
-        outs = [c for (_, _, c) in self.rules] + [self.default]
-        return sum(1 for a, b in zip(outs, outs[1:]) if a != b)
-
 
 @dataclass(frozen=True)
 class LinearSeparator(Concept):
@@ -548,9 +535,6 @@ class WeightedMajority(Concept):
             total += w * h.predict(X)
         return sign_pm1(total)
 
-    def encoded_bits(self) -> int:
-        return sum(h.encoded_bits() + PRECISION_BITS for h, _ in self.members)
-
 
 @dataclass(frozen=True)
 class MajorityOfSet(Concept):
@@ -570,9 +554,6 @@ class MajorityOfSet(Concept):
     def predict(self, X):
         return sign_pm1(self._predict_all(X).sum(axis=0, dtype=np.int64))
 
-    def encoded_bits(self) -> int:
-        return sum(h.encoded_bits() for h in self.members)
-
 
 @dataclass(frozen=True)
 class IntervalUnion(Concept):
@@ -590,9 +571,6 @@ class IntervalUnion(Concept):
         for lo, hi in self.intervals:
             ok |= (x >= lo) & (x <= hi)
         return np.where(ok, 1, -1).astype(np.int8)
-
-    def encoded_bits(self) -> int:
-        return max(1, 2 * len(self.intervals) * PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------

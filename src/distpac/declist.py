@@ -15,7 +15,7 @@ import numpy as np
 from . import channel
 from .closed import pac_sample_size
 from .core import (ConfigurationError, DecisionListFunc, DistributionSpec,
-                   ProtocolResult, RealizabilityError, Sample, draw_sample,
+                   ProtocolError, ProtocolResult, Sample, draw_sample,
                    measure_errors, rule_bits, sample_error, stream)
 
 # a triplet is (j, b, c): j in 0..n (0 = else, b then ignored and stored 0),
@@ -87,8 +87,8 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
     halted = False
     while not halted:
         if ledger.rounds >= max_rounds:
-            raise RealizabilityError("decision-list protocol exceeded the "
-                                     "round cap without an else-rule")
+            raise ProtocolError("decision-list protocol exceeded the round "
+                                "cap without an else-rule")
         for i in range(k):
             fresh = consistent_triplets(samples[i], alive[i]) - announced[i]
             if fresh:
@@ -99,8 +99,8 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
         new_rules = intersection - broadcast_set
         channel.advance_round(ledger, "round")
         if not new_rules:
-            raise RealizabilityError("no progress before an else-rule; "
-                                     "samples not realizable by one list")
+            raise ProtocolError("no progress before an else-rule; samples "
+                                "not realizable by one list")
         ordered = sorted(r for r in new_rules if r[0] != 0)
         else_rules = sorted(r for r in new_rules if r[0] == 0)
         if else_rules:
@@ -117,8 +117,8 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
     h = _list_from_broadcast(n, broadcast_order)
     for s in samples:
         if sample_error(h, s) > 0.0:
-            raise RealizabilityError("output list inconsistent with a "
-                                     "player's sample")
+            raise ProtocolError("output list inconsistent with a player's "
+                                "sample")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,

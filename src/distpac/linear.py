@@ -13,7 +13,6 @@ lower-bound construction needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,58 +22,35 @@ from .core import (ConfigurationError, DistributionSpec, LinearSeparator,
                    ProtocolError, ProtocolResult, Sample, draw_sample,
                    measure_errors, stream)
 
-class NonSeparableDataError(ProtocolError):
-    pass
 
-
-class NonConvergenceError(ProtocolError):
-    pass
-
-
-class DegenerateEstimateError(ProtocolError):
-    pass
-
-
-@dataclass
-class MarginPerceptronState:
-    w: np.ndarray
-    update_count: int = 0
-    pass_updates: int = 0  # updates made by the most recent local phase
-    meta_round_updates: list = field(default_factory=list)
-
-    @classmethod
-    def zero(cls, d: int) -> "MarginPerceptronState":
-        return cls(w=np.zeros(d, dtype=np.float64))
-
-
-def margin_perceptron_pass(state: MarginPerceptronState, sample: Sample, *,
+def margin_perceptron_pass(w: np.ndarray, sample: Sample, made: int, *,
                            update_cap: int | None = None,
                            trace: list | None = None,
-                           trace_info: tuple = ()) -> MarginPerceptronState:
-    """One player's local phase: update until all examples sit at functional
-    margin >= 1."""
+                           trace_info: tuple = ()) -> int:
+    """One player's local phase: update the float64 vector ``w`` in place
+    until all examples sit at functional margin >= 1, and return the
+    number of updates.  ``made`` counts the run's updates before this
+    phase; the run may make at most ``update_cap`` in all."""
     if len(sample) == 0:
         raise ConfigurationError("perceptron phase needs a nonempty sample")
     X = sample.features
     y = sample.labels.astype(np.float64)
-    state.pass_updates = 0
+    updates = 0
     while True:
-        dots = X @ state.w
+        dots = X @ w
         violating = (y * dots) < 1.0
         if not violating.any():
-            break
+            return updates
         cand = np.flatnonzero(violating)
         pick = cand[int(np.argmin(np.abs(dots[cand])))]
-        state.w = state.w + y[pick] * X[pick]
-        state.update_count += 1
-        state.pass_updates += 1
+        w += y[pick] * X[pick]
+        updates += 1
         if trace is not None:
             trace.append(trace_info + (tuple(X[pick].tolist()),
-                                       tuple(state.w.tolist())))
-        if update_cap is not None and state.update_count > update_cap:
-            raise NonSeparableDataError(
+                                       tuple(w.tolist())))
+        if update_cap is not None and made + updates > update_cap:
+            raise ProtocolError(
                 f"perceptron exceeded the update cap {update_cap}")
-    return state
 
 
 def default_update_cap(gamma: float) -> int:
@@ -93,33 +69,34 @@ def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
     """
     if not samples:
         raise ConfigurationError("need at least one player")
-    d = samples[0].dim
     k = len(samples)
-    state = MarginPerceptronState.zero(d)
+    w = np.zeros(samples[0].dim)
+    made = 0
+    meta_round_updates = []
     ledger = channel.CostLedger()
     while True:
         if ledger.meta_rounds >= max_meta_rounds:
-            raise NonConvergenceError(
+            raise ProtocolError(
                 f"no convergence within {max_meta_rounds} meta-rounds")
         meta_updates = 0
         for i in range(k):
-            margin_perceptron_pass(state, samples[i], update_cap=update_cap)
-            meta_updates += state.pass_updates
+            updates = margin_perceptron_pass(w, samples[i], made,
+                                             update_cap=update_cap)
+            made += updates
+            meta_updates += updates
             nxt = f"p{(i + 1) % k + 1}"
             channel.send_hypothesis(ledger, f"p{i + 1}", nxt,
-                                    LinearSeparator(tuple(state.w)))
-            channel.send_count(ledger, f"p{i + 1}", nxt, state.pass_updates,
-                               32)
+                                    LinearSeparator(tuple(w)))
+            channel.send_count(ledger, f"p{i + 1}", nxt, updates, 32)
             channel.advance_round(ledger, "round")
         channel.advance_round(ledger, "meta_round")
-        state.meta_round_updates.append(meta_updates)
+        meta_round_updates.append(meta_updates)
         if meta_updates < 1.0 / alpha:
             break
-    h = LinearSeparator(tuple(state.w))
+    h = LinearSeparator(tuple(w))
     hypotheses = {f"p{i + 1}": h for i in range(k)}
-    return ProtocolResult(
-        hypotheses=hypotheses, ledger=ledger,
-        meta={"meta_round_updates": list(state.meta_round_updates)})
+    return ProtocolResult(hypotheses=hypotheses, ledger=ledger,
+                          meta={"meta_round_updates": meta_round_updates})
 
 
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
@@ -143,8 +120,8 @@ def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
     mean = np.mean(vectors, axis=0)
     nrm = np.linalg.norm(mean)
     if nrm == 0.0:
-        raise DegenerateEstimateError("zero resultant direction; retry with "
-                                      "a fresh seed")
+        raise ProtocolError("zero resultant direction; retry with a fresh "
+                            "seed")
     h = LinearSeparator(tuple((mean / nrm).tolist()))
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
@@ -236,18 +213,17 @@ def adversarial_lower_bound(gamma: float) -> tuple:
     if not (0.0 < gamma <= 0.2):
         raise ConfigurationError("gamma must lie in (0, 0.2]")
     samples, _target = adversarial_two_player_data(gamma)
-    state = MarginPerceptronState.zero(3)
+    w = np.zeros(3)
     trace: list = []
     rounds = 0
     quiet = 0
     turn = 0
     while quiet < len(samples):
         if rounds >= 200000:
-            raise NonConvergenceError("adversarial run exceeded 200000 "
-                                      "rounds")
+            raise ProtocolError("adversarial run exceeded 200000 rounds")
         rounds += 1
-        margin_perceptron_pass(state, samples[turn], trace=trace,
-                               trace_info=(rounds, f"p{turn + 1}"))
-        quiet = quiet + 1 if state.pass_updates == 0 else 0
+        updates = margin_perceptron_pass(w, samples[turn], 0, trace=trace,
+                                         trace_info=(rounds, f"p{turn + 1}"))
+        quiet = quiet + 1 if updates == 0 else 0
         turn = (turn + 1) % len(samples)
     return rounds, trace

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .core import (Concept, ConfigurationError, ParityFunc, ProtocolResult,
-                   RealizabilityError, Sample, draw_sample, measure_errors)
+from .core import (Concept, ConfigurationError, ParityFunc, ProtocolError,
+                   ProtocolResult, Sample, draw_sample, measure_errors)
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class GF2Basis:
     n: int
     rows: np.ndarray  # (r, n+1) bool: features in RREF, then the label
     pivots: tuple  # strictly increasing pivot columns, one per row
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def proper(self) -> ParityFunc:
         """A parity consistent with the reduced sample: each pivot variable
@@ -70,7 +66,7 @@ def _rref(A: np.ndarray, n: int) -> tuple:
     # a row that never became a pivot has no feature bit left, so a set
     # label bit there says 0 = 1
     if A[available, n].any():
-        raise RealizabilityError("sample is inconsistent over GF(2)")
+        raise ProtocolError("sample is inconsistent over GF(2)")
     return A[pivot_rows], tuple(pivots)
 
 
@@ -99,11 +95,6 @@ class ParityNonProper(Concept):
         own, known = self.basis.classify(X)
         other = self.fallback.predict(X)
         return np.where(known, own, other).astype(np.int8)
-
-    def encoded_bits(self) -> int:
-        # never transmitted; sized as its raw basis plus the fallback
-        return max(1, self.basis.rank * self.basis.n) + \
-            self.fallback.encoded_bits()
 
 
 def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,

@@ -33,10 +33,6 @@ MODES = (MODE_NONE, MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL)
 PRODUCT_SPECS = (UniformBoolean, ProductBernoulli)
 
 
-class BudgetError(ProtocolError):
-    pass
-
-
 @dataclass
 class PrivacyBudget:
     """Per-player query budget: M declared queries sharing alpha and delta."""
@@ -61,14 +57,13 @@ class PrivacyBudget:
 
     @property
     def delta_prime(self) -> float:
-        if self.mode == MODE_DIFFERENTIAL:
-            return self.delta_total / (2 * self.M)
+        """Per-query delta, read by distributional noise only."""
         return self.delta_total / self.M
 
     def charge(self) -> None:
         if self.spent >= self.M:
-            raise BudgetError(f"privacy budget exhausted after {self.M} "
-                              "queries")
+            raise ProtocolError(f"privacy budget exhausted after {self.M} "
+                                "queries")
         self.spent += 1
 
 
@@ -177,7 +172,6 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                                  ) -> ProtocolResult:
     """One round, k conjunction hypotheses; the ledger matches the
     non-private closure protocol exactly."""
-    k = len(specs)
     n = f.dim
     tau = eps / (2 * n)
     m = private_sample_size(n, alpha, tau, delta, mode)

@@ -82,8 +82,12 @@ def test_criterion_03_decision_lists():
         f = declist.random_decision_list(n, 8, seed)
         res = declist.run_decision_list([UniformBoolean(n)] * k, f, eps,
                                         0.05, seed)
-        rounds_ok &= res.ledger.rounds <= f.alternations() + 1
-        bits_ok &= res.ledger.upstream_bits() <= k * (4 * n + 2) * rule_bits(n)
+        outs = [c for (_j, _b, c) in f.rules] + [f.default]
+        alternations = sum(a != b for a, b in zip(outs, outs[1:]))
+        led = res.ledger
+        rounds_ok &= led.rounds <= alternations + 1
+        upstream = led.bits - led.per_player.get(channel.CENTER, 0)
+        bits_ok &= upstream <= k * (4 * n + 2) * rule_bits(n)
         h = res.hypotheses[channel.CENTER]
         for i in range(k):
             s = draw_sample(UniformBoolean(n), f, res.meta["m_per_player"],

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpac.channel import (BROADCAST, CENTER, CostLedger, ProtocolViolation,
-                             SyncModel, advance_round, count_width,
-                             example_bits, send, send_count, send_example,
-                             send_hypothesis)
+from distpac.channel import (BROADCAST, CENTER, CostLedger, advance_round,
+                             count_width, example_bits, send, send_count,
+                             send_example, send_hypothesis)
 from distpac.core import (PRECISION_BITS, Box, ConfigurationError,
-                          Conjunction, LinearSeparator, rule_bits)
+                          Conjunction, LinearSeparator, ProtocolError,
+                          rule_bits)
+
+
+TWO_SENDS = "two sends in one lock-synchronous slot"
 
 
 def charged(charge, *args) -> CostLedger:
@@ -83,12 +86,6 @@ class TestLedger:
         send_example(led, "p1", BROADCAST, *example_bits([(1.0,)]))
         assert led.bits == 2  # not multiplied by any receiver count
 
-    def test_upstream_bits_excludes_center(self):
-        led = CostLedger()
-        send(led, "p1", CENTER, 10)
-        send(led, CENTER, BROADCAST, 100)
-        assert led.upstream_bits() == 10
-
     def test_rounds_and_meta_rounds(self):
         led = CostLedger()
         advance_round(led, "round")
@@ -98,11 +95,11 @@ class TestLedger:
             advance_round(led, "bogus")
 
     def test_lock_synchronous_one_send_per_slot(self):
-        led = CostLedger(sync_model=SyncModel.LOCK_SYNCHRONOUS)
+        led = CostLedger(lock_synchronous=True)
         send(led, "p1", BROADCAST, 1)
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolError, match=TWO_SENDS):
             send(led, "p2", BROADCAST, 1)
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolError, match=TWO_SENDS):
             send_example(led, "p2", BROADCAST, 2)
         advance_round(led, "round")
         send(led, "p2", BROADCAST, 1)  # fresh slot is fine
@@ -168,10 +165,10 @@ def test_property_example_bits_is_the_per_row_rule(X):
     got = example_bits(X)
     assert got == want and all(type(b) is int for b in got)
     # each priced example is still one message: one per lock-synchronous slot
-    led = CostLedger(sync_model=SyncModel.LOCK_SYNCHRONOUS)
+    led = CostLedger(lock_synchronous=True)
     for bits in got:
         send_example(led, "p1", BROADCAST, bits)
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolError, match=TWO_SENDS):
             send_example(led, "p1", BROADCAST, bits)
         advance_round(led, "round")
     assert (led.bits, led.examples, led.rounds) == (sum(want), len(X), len(X))

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from distpac import cli
+from distpac.core import Conjunction
 
 
 def write_config(tmp_path, name, cfg):
@@ -123,6 +124,21 @@ class TestRun:
         cfg = write_config(tmp_path, "c", dict(BASE))
         assert cli.main(["run", cfg]) == 0
         assert (tmp_path / "envout" / "conj" / "results.csv").exists()
+
+    def test_invariant_failure_exits_1_without_traceback(
+            self, tmp_path, monkeypatch, capsys):
+        # a broken center: the all-true conjunction labels every player's
+        # negative examples positive, which the closure protocol's
+        # consistency check must report as a protocol error
+        monkeypatch.setattr(cli.closed, "combine",
+                            lambda hs: Conjunction(hs[0].dim, frozenset()))
+        cfg = write_config(tmp_path, "c", dict(BASE))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("protocol error: combined hypothesis inconsistent "
+                       "with a player's sample\n")
+        assert not out.exists()
 
 
 class TestConfigValidation:

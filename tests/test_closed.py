@@ -7,7 +7,7 @@ from distpac import channel
 from distpac.closed import (class_dimension, combine, pac_sample_size,
                             run_intersection_closed, smallest_consistent)
 from distpac.core import (Box, ConfigurationError, Conjunction,
-                          ProductBernoulli, RealizabilityError, Sample,
+                          ProductBernoulli, ProtocolError, Sample,
                           Threshold, UniformBoolean, draw_sample,
                           sample_error, stream)
 
@@ -43,7 +43,8 @@ class TestSmallestConsistent:
     def test_negative_inside_raises(self):
         X = np.array([[1, 1], [1, 1]], float)
         y = np.array([1, -1])
-        with pytest.raises(RealizabilityError):
+        with pytest.raises(ProtocolError, match="negative example inside "
+                           "the smallest consistent conjunction"):
             smallest_consistent(Sample(X, y), Conjunction)
 
     @settings(max_examples=50, deadline=None)

@@ -182,10 +182,6 @@ class TestConcepts:
         X = np.array([[1, 1], [0, 1], [0, 0]], float)
         assert list(f.predict(X)) == [1, -1, 1]
 
-    def test_alternations(self):
-        f = DecisionListFunc(3, ((1, 1, 1), (2, 0, 1), (3, 1, -1)), 1)
-        assert f.alternations() == 2
-
     def test_linear_separator(self):
         f = LinearSeparator((1.0, -1.0))
         X = np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]])
@@ -228,9 +224,6 @@ class TestEncodedBits:
         assert Conjunction(12, frozenset()).encoded_bits() == 12
         assert ParityFunc(9, (1,) * 9).encoded_bits() == 9
         assert LinearSeparator((1.0, 0.0)).encoded_bits() == 65
-        # (rules + else) * rule size
-        f = DecisionListFunc(50, ((1, 0, 1),), -1)
-        assert f.encoded_bits() == 2 * rule_bits(50)
 
     def test_rule_bits(self):
         assert rule_bits(50) == math.ceil(math.log2(51)) + 2 == 8

@@ -5,11 +5,17 @@ from hypothesis import strategies as st
 
 from distpac import channel
 from distpac.core import (ConfigurationError, PointMassList,
-                          RealizabilityError, Sample, UniformBoolean,
+                          ProtocolError, Sample, UniformBoolean,
                           UniformSphere, draw_sample, rule_bits, sample_error,
                           stream)
 from distpac.declist import (_kill_satisfied, consistent_triplets,
                              random_decision_list, run_decision_list)
+
+
+def alternations(f):
+    """Output sign changes along the list f, its default included."""
+    outs = [c for (_j, _b, c) in f.rules] + [f.default]
+    return sum(a != b for a, b in zip(outs, outs[1:]))
 
 
 def brute_force_triplets(sample, alive=None):
@@ -68,13 +74,15 @@ class TestProtocol:
     def test_rounds_at_most_alternations_plus_one(self):
         for seed in range(6):
             f, res = self.run(12, 6, 3, seed)
-            assert res.ledger.rounds <= f.alternations() + 1
+            assert res.ledger.rounds <= alternations(f) + 1
 
     def test_upstream_bits_cap(self):
         n, k = 10, 4
         f, res = self.run(n, 5, k, 1)
         # each player announces at most all 4n+2 triplets, once
-        assert res.ledger.upstream_bits() <= k * (4 * n + 2) * rule_bits(n)
+        led = res.ledger
+        upstream = led.bits - led.per_player.get(channel.CENTER, 0)
+        assert upstream <= k * (4 * n + 2) * rule_bits(n)
 
     def test_output_consistent_with_all_players(self):
         n, k = 15, 3
@@ -96,7 +104,8 @@ class TestProtocol:
 
     def test_round_cap_raises(self):
         f = random_decision_list(8, 4, 3)
-        with pytest.raises(RealizabilityError):
+        with pytest.raises(ProtocolError, match="decision-list protocol "
+                           "exceeded the round cap without an else-rule"):
             run_decision_list([UniformBoolean(8)] * 2, f, 0.05, 0.05, 3,
                               max_rounds=0)
 

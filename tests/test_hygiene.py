@@ -1,12 +1,15 @@
 """Static checks over the package sources (unused imports: the tests
-too)."""
+too), and over the exception classes the package defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import distpac
+from distpac.cli import ConfigError
+from distpac.core import ConfigurationError, ProtocolError
 
 PACKAGE = Path(distpac.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -96,6 +99,78 @@ def test_no_unread_parameters(path):
     found = unread_parameters(ast.parse(path.read_text()))
     assert [f for f in found
             if (path.name, f[1], f[2]) not in UNREAD_ALLOWED] == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(fn) -> list:
+    """The nodes of ``fn``'s body outside any function, lambda or class
+    nested in it."""
+    out, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unused_locals(tree: ast.Module) -> list:
+    """(line, function, name) of each name a function assigns (by ``=``,
+    an augmented assignment, a ``for`` or ``with`` target, ...) and never
+    reads, nested functions' reads included; the line is the name's first
+    assignment.  ``_``-names and ``global``/``nonlocal`` names are
+    skipped."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = _own_scope(fn)
+        shared = {name for node in own
+                  if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        stored = {}
+        for n in own:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored[n.id] = min(n.lineno, stored.get(n.id, n.lineno))
+        out += [(line, fn.name, name) for name, line in stored.items()
+                if name not in read | shared and not name.startswith("_")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(ast.parse(path.read_text())) == []
+
+
+def test_unused_locals_sees_each_kind():
+    tree = ast.parse("def run(xs):\n"
+                     "    m, n = shape(xs)\n"
+                     "    count = 0\n"
+                     "    count += n\n"
+                     "    _cost, h = pick(xs)\n"
+                     "    for i, x in enumerate(xs):\n"
+                     "        h = h + x\n"
+                     "    with open(xs) as fh:\n"
+                     "        pass\n"
+                     "    def inner():\n"
+                     "        return h\n"
+                     "    return inner\n"
+                     "def outer(specs):\n"
+                     "    k = len(specs)\n"
+                     "    def helper():\n"
+                     "        nonlocal k\n"
+                     "        k = 2\n"
+                     "    return helper\n"
+                     "def clean(x):\n"
+                     "    y = x + 1\n"
+                     "    return [z for z in range(y) if (w := z) > 1]\n")
+    assert unused_locals(tree) == [
+        (2, "run", "m"), (3, "run", "count"), (6, "run", "i"),
+        (8, "run", "fh"), (14, "outer", "k"), (21, "clean", "w")]
 
 
 # A CLI runner ``_run_*`` is a prepare step: it reads and checks the config
@@ -541,6 +616,70 @@ def unreferenced_public_names(trees: dict) -> list:
                                                           top.name)})
 
 
+def unreferenced_public_methods(trees: dict) -> list:
+    """(file, line, "Class.method") of each public method or property of a
+    top-level package class whose name no package module names outside the
+    method's own definition (a test does not count).  As for
+    :func:`unreferenced_public_names`, a ``Name`` or an attribute counts,
+    matched by name alone: ``h.predict`` references every ``predict``."""
+    src = {p: t for p, t in trees.items() if p.parent == PACKAGE}
+    refs = {}  # name -> ids of the nodes that name it
+    for tree in src.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, set()).add(id(node))
+    return sorted(
+        (path.name, fn.lineno, f"{cls.name}.{fn.name}")
+        for path, tree in src.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and not refs.get(fn.name, set()) - {id(n) for n in ast.walk(fn)})
+
+
+# Public methods no package code calls, each kept on purpose: numpy's
+# ``PCG64`` calls ``generate_state`` on the state words ``core.streams``
+# hands it, and README's quick start and the tests' ledger digests read a
+# ledger through ``to_dict``.
+METHODS_ALLOWED = {("core.py", "_StateWords.generate_state"),
+                   ("channel.py", "CostLedger.to_dict")}
+
+
+def test_public_methods_referenced_from_src():
+    found = {(name, what) for name, _line, what
+             in unreferenced_public_methods(_parsed(SOURCES + TESTS))}
+    assert sorted(found - METHODS_ALLOWED) == []
+    assert sorted(METHODS_ALLOWED - found) == []  # no stale entry
+
+
+def test_unreferenced_public_methods_sees_each_kind():
+    trees = {PACKAGE / "a.py": ast.parse(
+                 "class Ledger:\n"
+                 "    def total(self):\n"
+                 "        return self.size\n"
+                 "    @property\n"
+                 "    def size(self):\n"
+                 "        return 1\n"
+                 "    def upstream(self):\n"
+                 "        return 2\n"
+                 "    def again(self):\n"
+                 "        return self.again()\n"
+                 "    def _hidden(self):\n"
+                 "        pass\n"
+                 "    def __len__(self):\n"
+                 "        return 0\n"
+                 "    @classmethod\n"
+                 "    def empty(cls):\n"
+                 "        return cls()\n"
+                 "def make():\n"
+                 "    return Ledger.empty\n"),
+             PACKAGE / "b.py": ast.parse("x = a.Ledger().total()\n"),
+             Path("tests") / "test_a.py": ast.parse(
+                 "Ledger().upstream()\n")}
+    assert unreferenced_public_methods(trees) == [
+        ("a.py", 7, "Ledger.upstream"), ("a.py", 9, "Ledger.again")]
+
+
 # Public names no protocol reaches, each kept on purpose: the single-machine
 # AdaBoost that the boosting tests compare the distributed run against.
 REFERENCE_ALLOWED = {("boosting.py", "adaboost_single")}
@@ -583,3 +722,18 @@ def test_unreferenced_public_names_sees_each_kind():
                  "tested()\n")}
     assert unreferenced_public_names(trees) == [
         ("a.py", 3, "recursive"), ("a.py", 5, "Shape"), ("a.py", 8, "tested")]
+
+
+def test_every_exception_is_one_run_config_catches():
+    # run_config exits 2 on the CLI's ConfigError and 1 on a
+    # ConfigurationError or ProtocolError; any other exception class of
+    # the package would escape it as a traceback
+    modules = [importlib.import_module(f"distpac.{p.stem}") for p in SOURCES
+               if p.stem != "__init__"]
+    stray = [f"{m.__name__}.{name}" for m in modules
+             for name, obj in vars(m).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)
+             and obj.__module__ == m.__name__
+             and not issubclass(obj, (ConfigError, ConfigurationError,
+                                      ProtocolError))]
+    assert stray == []

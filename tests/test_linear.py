@@ -3,10 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from distpac.core import (ConfigurationError, LinearSeparator, Sample,
-                          UniformSphere, stream)
-from distpac.linear import (MarginPerceptronState, NonConvergenceError,
-                            NonSeparableDataError, adversarial_two_player_data,
+from distpac.core import (ConfigurationError, LinearSeparator, ProtocolError,
+                          Sample, UniformSphere, stream)
+from distpac.linear import (adversarial_two_player_data,
                             adversarial_lower_bound, averaging_protocol,
                             certify_well_spread, default_update_cap,
                             margin_perceptron_pass, round_robin_perceptron,
@@ -30,9 +29,8 @@ GOLDEN = [
 class TestPerceptronPass:
     def test_first_update_from_zero(self):
         samples, _ = adversarial_two_player_data(G)
-        state = MarginPerceptronState.zero(3)
         trace = []
-        margin_perceptron_pass(state, samples[0], trace=trace,
+        margin_perceptron_pass(np.zeros(3), samples[0], 0, trace=trace,
                                trace_info=("p1",))
         assert trace[0][0] == "p1"
         assert trace[0][1] == pytest.approx((1, G, G))
@@ -44,21 +42,26 @@ class TestPerceptronPass:
         y = np.where(X @ w >= 0, 1, -1)
         X[:, 0] += y * 1.0  # push points away from the boundary
         s = Sample(X, y)
-        state = margin_perceptron_pass(MarginPerceptronState.zero(4), s,
-                                       update_cap=100000)
-        assert (s.labels * (s.features @ state.w) >= 1.0).all()
+        w = np.zeros(4)
+        updates = margin_perceptron_pass(w, s, 0, update_cap=100000)
+        assert updates > 0
+        assert (s.labels * (s.features @ w) >= 1.0).all()
 
     def test_update_cap_raises_on_nonseparable(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         s = Sample(X, np.array([1, -1]))
-        with pytest.raises(NonSeparableDataError):
-            margin_perceptron_pass(MarginPerceptronState.zero(2), s,
-                                   update_cap=50)
+        with pytest.raises(ProtocolError,
+                           match="perceptron exceeded the update cap 50"):
+            margin_perceptron_pass(np.zeros(2), s, 0, update_cap=50)
+        # the cap counts the run's earlier updates too
+        with pytest.raises(ProtocolError,
+                           match="perceptron exceeded the update cap 50"):
+            margin_perceptron_pass(np.zeros(2), s, 50, update_cap=50)
 
     def test_empty_sample_rejected(self):
         s = Sample(np.ones((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ConfigurationError):
-            margin_perceptron_pass(MarginPerceptronState.zero(2), s)
+            margin_perceptron_pass(np.zeros(2), s, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -74,9 +77,8 @@ class TestPerceptronPass:
         w = np.array([2.0, 0.0, 0.0])
         y = np.where(X @ w >= 0, 1, -1)
         s = Sample(X, y)
-        state = MarginPerceptronState(w=w.copy())
         trace = []
-        margin_perceptron_pass(state, s, update_cap=2000, trace=trace)
+        margin_perceptron_pass(w.copy(), s, 0, update_cap=2000, trace=trace)
         prev = w
         for _x, w_after in trace:
             w_after = np.asarray(w_after)
@@ -133,7 +135,8 @@ class TestRoundRobin:
         # the adversarial fight keeps every meta-round above 1/alpha = 2
         # updates, so the cap is the only way out
         samples, _ = adversarial_two_player_data(0.05)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(ProtocolError,
+                           match="no convergence within 2 meta-rounds"):
             round_robin_perceptron(samples, 0.5, update_cap=10 ** 6,
                                    max_meta_rounds=2)
 

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpac.core import (ConfigurationError, ParityFunc,
-                          RealizabilityError, Sample, UniformBoolean,
+                          ProtocolError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
 from distpac.parity import (ParityNonProper, gf2_reduce,
                             run_parity_two_player)
+
+INCONSISTENT = r"sample is inconsistent over GF\(2\)"
 
 
 def planted_sample(n, n_target_bits, m, seed, noise=False):
@@ -38,12 +40,12 @@ class TestGF2Reduce:
 
     def test_rank_at_most_n(self):
         _f, s = planted_sample(10, 3, 500, 5)
-        assert gf2_reduce(s).rank <= 10
+        assert len(gf2_reduce(s).pivots) <= 10
 
     def test_inconsistent_sample_raises(self):
         X = np.array([[1, 0], [1, 0]], float)
         y = np.array([1, -1])
-        with pytest.raises(RealizabilityError):
+        with pytest.raises(ProtocolError, match=INCONSISTENT):
             gf2_reduce(Sample(X, y))
 
     def test_rejects_non_boolean(self):
@@ -128,12 +130,12 @@ def test_property_gf2_matches_int_bitset_oracle(problem):
     sample = Sample(to_matrix(rows, n), np.where(labels, 1, -1))
     oracle = oracle_basis([r | (y << n) for r, y in zip(rows, labels)], n)
     if oracle is None:
-        with pytest.raises(RealizabilityError):
+        with pytest.raises(ProtocolError, match=INCONSISTENT):
             gf2_reduce(sample)
         return
     basis = gf2_reduce(sample)
     assert basis.pivots == tuple(sorted(oracle))
-    assert basis.rank == len(oracle)
+    assert len(basis.pivots) == len(oracle)
     v = sum(bit << j for j, bit in enumerate(basis.proper().vector))
     assert [bin(r & v).count("1") % 2 == 1 for r in rows] == labels
     got_labels, got_known = basis.classify(to_matrix(queries, n))
@@ -152,7 +154,7 @@ class TestProperLearn:
 
     def test_recovers_target_at_full_rank(self):
         f, s = planted_sample(10, 4, 400, 9)
-        if gf2_reduce(s).rank == 10:
+        if len(gf2_reduce(s).pivots) == 10:
             assert gf2_reduce(s).proper().vector == f.vector
 
     def test_free_variables_zero(self):

@@ -5,10 +5,10 @@ import pytest
 import sympy
 
 from distpac.closed import run_intersection_closed
-from distpac.core import (ConfigurationError, Conjunction, UniformBoolean,
-                          stream)
+from distpac.core import (ConfigurationError, Conjunction, ProtocolError,
+                          UniformBoolean, stream)
 from distpac.privacy import (MODE_DIFFERENTIAL, MODE_DISTRIBUTIONAL,
-                             MODE_NONE, BudgetError, PrivacyBudget,
+                             MODE_NONE, PrivacyBudget,
                              distributional_beta, laplace_noise,
                              learn_private_conjunction, noise_scale,
                              private_conjunction_protocol,
@@ -20,13 +20,13 @@ class TestBudget:
         b = PrivacyBudget(MODE_DIFFERENTIAL, 1.0, 0.05, M=2)
         b.charge()
         b.charge()
-        with pytest.raises(BudgetError):
+        with pytest.raises(ProtocolError,
+                           match="privacy budget exhausted after 2 queries"):
             b.charge()
 
     def test_per_query_split(self):
         b = PrivacyBudget(MODE_DIFFERENTIAL, 1.0, 0.04, M=10)
         assert b.alpha_prime == 0.1
-        assert b.delta_prime == 0.002  # delta / (2M)
         d = PrivacyBudget(MODE_DISTRIBUTIONAL, 1.0, 0.04, M=10)
         assert d.delta_prime == 0.004  # delta / M
 
