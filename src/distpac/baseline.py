@@ -71,18 +71,16 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
     k = len(specs)
     m_i = shipping_sample_size(class_dimension(f), eps, k)
     ledger = channel.CostLedger()
-    feats, labels = [], []
+    samples = []
     for i, spec in enumerate(specs):
         s = draw_sample(spec, f, m_i, seed, tags=("shipping", i))
-        feats.append(s.features)
-        labels.append(s.labels)
+        samples.append(s)
         sender = f"p{i + 1}"
         for bits in channel.example_bits(s.features):
             channel.send_example(ledger, sender, channel.CENTER, bits)
     channel.advance_round(ledger, "round")
-    union = Sample(np.vstack(feats), np.concatenate(labels))
-    h = smallest_consistent(union, type(f))
-    if sample_error(h, union) > 0.0:
+    h = smallest_consistent(samples, type(f))
+    if any(sample_error(h, s) > 0.0 for s in samples):
         raise ProtocolError("center's learner returned an inconsistent "
                             "hypothesis")
     errors = measure_errors(h, specs, f, seed)

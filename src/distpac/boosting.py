@@ -19,8 +19,8 @@ import numpy as np
 from . import channel
 from .closed import pac_sample_size
 from .core import (Concept, ConfigurationError, DistributionSpec,
-                   ProtocolResult, Sample, WeightedMajority, draw_sample,
-                   measure_errors, sign_pm1, stream)
+                   ProtocolError, ProtocolResult, Sample, WeightedMajority,
+                   draw_sample, measure_errors, sign_pm1, stream)
 
 
 def quantize(x: float | np.ndarray, q: int | None) -> float | np.ndarray:
@@ -91,23 +91,21 @@ class DecisionStump(Concept):
 
 
 def best_stump(sample: Sample) -> DecisionStump:
-    """Minimum-error stump on an unweighted sample; ties go to the constant
-    stump first, then the lowest feature index, then out = +1."""
+    """Minimum-error stump on an unweighted sample of 0/1 features; ties go
+    to the constant stump first, then the lowest feature index, then
+    out = +1."""
     X, y = sample.features, sample.labels.astype(np.float64)
     n = X.shape[1]
-    err_const_pos = float(np.mean(y == -1))
-    best = DecisionStump(n, -1, 1)
-    best_err = err_const_pos
-    if 1.0 - err_const_pos < best_err:
-        best, best_err = DecisionStump(n, -1, -1), 1.0 - err_const_pos
-    pred_pos = 2.0 * X - 1.0  # column j = stump (j, +1) predictions
-    errs = np.mean(pred_pos != y[:, None], axis=0)
-    for j in range(n):
-        if errs[j] < best_err:
-            best, best_err = DecisionStump(n, j, 1), float(errs[j])
-        if 1.0 - errs[j] < best_err:
-            best, best_err = DecisionStump(n, j, -1), float(1.0 - errs[j])
-    return best
+    # candidate errors in tie order: (-1, +1), (-1, -1), (0, +1), (0, -1),
+    # ...; argmin takes the first minimum.  Stump (j, +1) errs on the
+    # positives with x_j = 0 and the negatives with x_j = 1: #positives
+    # - y . x_j of them, an exact count in float64
+    errs = np.empty(2 * n + 2)
+    errs[0] = np.mean(y == -1)
+    errs[2::2] = (np.count_nonzero(y == 1) - y @ X) / len(y)
+    errs[1::2] = 1.0 - errs[0::2]
+    best = int(errs.argmin())
+    return DecisionStump(n, best // 2 - 1, 1 - 2 * (best % 2))
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +142,30 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
     for t in range(T):
         # slice sums: a zero-filled whole-block sum would round differently
         totals = quantize(np.array([weights[a:b].sum() for a, b in owned]), q)
-        counts = split_rng.multinomial(m_weak, totals / totals.sum())
+        if not totals.sum() > 0.0:
+            raise ProtocolError(f"boosting round {t + 1}: every weight "
+                                "underflowed to 0")
+        counts = split_rng.multinomial(m_weak,
+                                       totals / totals.sum()).tolist()
         wq = quantize(weights, q)
-        feats, labels = [], []
-        for i, (a, b) in enumerate(owned):
-            channel.send_count(ledger, channel.CENTER, players[i],
-                               int(counts[i]), cw)
-            idx = draw_rngs[i].choice(b - a, size=int(counts[i]),
-                                      p=wq[a:b] / wq[a:b].sum()) + a
-            feats.append(X[idx])
-            labels.append(y[idx])
-            for bits in channel.example_bits(feats[-1]):
-                channel.send_example(ledger, players[i], channel.CENTER, bits)
-        h_t = best_stump(Sample(np.vstack(feats), np.concatenate(labels)))
+        drawn = []
+        for (a, b), rng, c in zip(owned, draw_rngs, counts):
+            if c:  # Generator.choice(p=...)'s inverse-CDF draw
+                cdf = (wq[a:b] / wq[a:b].sum()).cumsum()
+                cdf /= cdf[-1]
+                drawn.append(cdf.searchsorted(rng.random(c), side="right")
+                             + a)
+        idx = np.concatenate(drawn)
+        shipped = Sample(X[idx], y[idx])
+        # the round's block is priced in one pass, charged per example
+        bits = channel.example_bits(shipped.features)
+        start = 0
+        for player, c in zip(players, counts):
+            channel.send_count(ledger, channel.CENTER, player, c, cw)
+            for nbits in bits[start:start + c]:
+                channel.send_example(ledger, player, channel.CENTER, nbits)
+            start += c
+        h_t = best_stump(shipped)
         channel.send_hypothesis(ledger, channel.CENTER, channel.BROADCAST,
                                 h_t)
         preds = h_t.predict(X)
@@ -180,7 +189,7 @@ def _boost_loop(samples: Sequence[Sample], T: int, m_weak: int,
         alphas.append(alpha_t)
         bound *= 2.0 * math.sqrt(eps_t * (1.0 - eps_t))
         telemetry.append({"round": t + 1, "eps_t": eps_t, "alpha_t": alpha_t,
-                          "examples": int(counts.sum()),
+                          "examples": sum(counts),
                           "train_error": wrong / len(y),
                           "train_bound": bound})
     return {"hypothesis": WeightedMajority(tuple(zip(hs, alphas))),

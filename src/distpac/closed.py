@@ -35,34 +35,33 @@ def _closed_class(cls: type) -> type:
     return cls
 
 
-def smallest_consistent(sample: Sample, cls: type) -> Concept:
+def smallest_consistent(samples: Sequence[Sample], cls: type) -> Concept:
     """Smallest hypothesis of ``cls`` (Conjunction or Box) consistent with
-    the sample.
+    the union of ``samples``, learned without stacking them.
 
     With no positive examples this returns the closure's smallest element
-    (all-variables conjunction / empty box), which keeps h_i inside the
+    (all-variables conjunction / empty box), which keeps h inside the
     target.  A negative example inside the result is a realizability
     violation.
     """
-    pos = sample.features[sample.labels == 1] if len(sample) else \
-        np.zeros((0, sample.dim))
+    d = samples[0].dim
+    pos = [s.labels == 1 for s in samples]
     if _closed_class(cls) is Conjunction:
-        n = sample.dim
-        if pos.shape[0] == 0:
-            h: Concept = Conjunction(n, frozenset(range(n)))
-        else:
-            anded = np.all(pos == 1.0, axis=0)
-            h = Conjunction(n, frozenset(np.flatnonzero(anded).tolist()))
+        # a variable survives if it is 1 on every positive of every sample
+        anded = np.ones(d, dtype=bool)
+        for s, p in zip(samples, pos):
+            anded &= np.all(s.features[p] == 1.0, axis=0)
+        h: Concept = Conjunction(d, frozenset(np.flatnonzero(anded).tolist()))
     else:
-        d = sample.dim
-        if pos.shape[0] == 0:
-            h = Box.empty(d)
-        else:
-            h = Box(tuple(pos.min(axis=0).tolist()),
-                    tuple(pos.max(axis=0).tolist()))
-    if len(sample):
-        neg = sample.labels == -1
-        if np.any(h.predict(sample.features[neg]) == 1):
+        # the bounding box of every sample's positives; the empty box if none
+        lo, hi = np.full(d, math.inf), np.full(d, -math.inf)
+        for s, p in zip(samples, pos):
+            x = s.features[p]
+            lo = np.minimum(lo, x.min(axis=0, initial=math.inf))
+            hi = np.maximum(hi, x.max(axis=0, initial=-math.inf))
+        h = Box(tuple(lo.tolist()), tuple(hi.tolist()))
+    for s, p in zip(samples, pos):
+        if np.any((h.predict(s.features) == 1) & ~p):
             raise ProtocolError("negative example inside the smallest "
                                 f"consistent {cls.__name__.lower()}")
     return h
@@ -103,7 +102,7 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
     for i, spec in enumerate(specs):
         sample = draw_sample(spec, f, m, seed, tags=("closed", i))
         samples.append(sample)
-        h_i = smallest_consistent(sample, type(f))
+        h_i = smallest_consistent([sample], type(f))
         locals_.append(h_i)
         channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
     h = combine(locals_)

@@ -511,9 +511,9 @@ class ParityFunc(Concept):
         return self.n
 
     def predict(self, X):
-        v = np.asarray(self.vector, dtype=np.int64)
-        dots = (X.astype(np.int64) @ v) % 2
-        return np.where(dots == 1, 1, -1).astype(np.int8)
+        # a float64 product of 0/1 rows counts exactly
+        dots = X @ np.asarray(self.vector, dtype=np.float64)
+        return np.where(dots.astype(np.int64) & 1, 1, -1).astype(np.int8)
 
     def encoded_bits(self) -> int:
         return self.n
@@ -638,11 +638,19 @@ def measure_errors(h: Concept, specs: Sequence[DistributionSpec], f: Concept,
                    seed: int) -> dict:
     """Monte-Carlo error of a final hypothesis against f: per player, on
     M_EVAL // k points of its own distribution, and their mean over the
-    mixture."""
+    mixture.
+
+    Each player's points are its own ``draw_sample``; h predicts on all of
+    them at once, and part i's error is its mistake count over m, the float
+    ``sample_error`` gives.
+    """
     m = max(1, M_EVAL // len(specs))
-    errors = {f"p{i + 1}": sample_error(h, draw_sample(
-        spec, f, m, seed, tags=("spec_error", "mixture", i)))
-        for i, spec in enumerate(specs)}
+    parts = [draw_sample(spec, f, m, seed, tags=("spec_error", "mixture", i))
+             for i, spec in enumerate(specs)]
+    wrong = h.predict(np.concatenate([s.features for s in parts])) != \
+        np.concatenate([s.labels for s in parts])
+    counts = np.count_nonzero(wrong.reshape(len(parts), m), axis=1).tolist()
+    errors = {f"p{i + 1}": c / m for i, c in enumerate(counts)}
     errors["mixture"] = float(np.mean(list(errors.values())))
     return errors
 

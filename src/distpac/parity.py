@@ -16,6 +16,8 @@ from . import channel
 from .core import (Concept, ConfigurationError, ParityFunc, ProtocolError,
                    ProtocolResult, Sample, draw_sample, measure_errors)
 
+INCONSISTENT = "sample is inconsistent over GF(2)"
+
 
 @dataclass(frozen=True)
 class GF2Basis:
@@ -39,16 +41,24 @@ class GF2Basis:
             raise ConfigurationError("query dimension mismatch")
         Q = np.zeros((X.shape[0], self.n + 1), dtype=bool)
         Q[:, :self.n] = X
-        for p, row in zip(self.pivots, self.rows):
-            Q ^= np.outer(Q[:, p], row)
+        Q = _reduce(Q, self.rows, self.pivots)
         known = ~Q[:, :self.n].any(axis=1)
         labels = np.where(Q[:, self.n], 1, -1).astype(np.int8)
         return labels, known
 
 
-def _rref(A: np.ndarray, n: int) -> tuple:
-    """In-place RREF of the bool matrix ``A`` over feature columns 0..n-1.
-    Returns (rows, pivots)."""
+def _reduce(Q: np.ndarray, rows: np.ndarray, pivots: tuple) -> np.ndarray:
+    """Each row of the bool matrix ``Q`` reduced against the RREF basis
+    (rows, pivots): XORed with the basis rows whose pivot bit it has set,
+    as one GF(2) product.  The float32 counts are exact (at most the rank,
+    far below 2**24) and fit int32."""
+    hits = Q[:, list(pivots)].astype(np.float32) @ rows.astype(np.float32)
+    return Q ^ (hits.astype(np.int32) & 1).astype(bool)
+
+
+def _eliminate(A: np.ndarray, n: int) -> tuple:
+    """In-place RREF of the bool matrix ``A`` over feature columns 0..n-1,
+    pivot by pivot.  Returns (rows, pivots)."""
     pivots = []
     pivot_rows = []
     available = np.ones(A.shape[0], dtype=bool)
@@ -66,8 +76,33 @@ def _rref(A: np.ndarray, n: int) -> tuple:
     # a row that never became a pivot has no feature bit left, so a set
     # label bit there says 0 = 1
     if A[available, n].any():
-        raise ProtocolError("sample is inconsistent over GF(2)")
+        raise ProtocolError(INCONSISTENT)
     return A[pivot_rows], tuple(pivots)
+
+
+def _rref(A: np.ndarray, n: int) -> tuple:
+    """RREF of the bool matrix ``A`` over feature columns 0..n-1.  Returns
+    (rows, pivots).
+
+    A consistent sample's RREF is unique, so a few rows build it: a prefix
+    of at most 2(n+1) rows is eliminated pivot by pivot, every other row is
+    reduced against that basis in one product, and the rows still outside
+    its span grow the prefix until none is left.  A row that reduces to no
+    feature bit and a set label bit says 0 = 1.
+    """
+    step = 2 * (n + 1)
+    rows, pivots = _eliminate(A[:step], n)
+    rest = A[step:]
+    while len(rest):
+        rest = _reduce(rest, rows, pivots)
+        outside = rest[:, :n].any(axis=1)
+        if rest[~outside, n].any():
+            raise ProtocolError(INCONSISTENT)
+        rest = rest[outside]
+        if len(rest):
+            rows, pivots = _eliminate(np.concatenate([rows, rest[:step]]), n)
+            rest = rest[step:]
+    return rows, pivots
 
 
 def gf2_reduce(sample: Sample) -> GF2Basis:

@@ -11,9 +11,9 @@ from distpac.boosting import (DecisionStump, _boost_loop, adaboost_reweight,
                               quantize, run_distributed_boosting,
                               weak_sample_size)
 from distpac.closed import pac_sample_size
-from distpac.core import (ConfigurationError, Conjunction, Sample,
-                          UniformBoolean, WeightedMajority, draw_sample,
-                          sign_pm1, stream)
+from distpac.core import (ConfigurationError, Conjunction, ProtocolError,
+                          Sample, UniformBoolean, WeightedMajority,
+                          draw_sample, sign_pm1, stream)
 
 
 class TestQuantize:
@@ -249,3 +249,66 @@ def test_property_flat_block_loop_is_the_per_player_loop(seed, sizes, q, T, n,
     assert got["alphas"] == want["alphas"]
     assert got["telemetry"] == want["telemetry"]
     assert got_ledger.to_dict() == want_ledger.to_dict()
+
+
+def loop_best_stump(sample):
+    """Reference: the per-feature strict-< scan that best_stump's argmin
+    replaced."""
+    X, y = sample.features, sample.labels.astype(np.float64)
+    n = X.shape[1]
+    err_const_pos = float(np.mean(y == -1))
+    best = DecisionStump(n, -1, 1)
+    best_err = err_const_pos
+    if 1.0 - err_const_pos < best_err:
+        best, best_err = DecisionStump(n, -1, -1), 1.0 - err_const_pos
+    errs = np.mean((2.0 * X - 1.0) != y[:, None], axis=0)
+    for j in range(n):
+        if errs[j] < best_err:
+            best, best_err = DecisionStump(n, j, 1), float(errs[j])
+        if 1.0 - errs[j] < best_err:
+            best, best_err = DecisionStump(n, j, -1), float(1.0 - errs[j])
+    return best
+
+
+@st.composite
+def stump_samples(draw):
+    """Boolean samples drawn from a few columns, so that columns repeat,
+    are constant, or tie with the constant stump; labels may be all one."""
+    m = draw(st.integers(1, 30))
+    bits = st.lists(st.booleans(), min_size=m, max_size=m)
+    pool = draw(st.lists(bits, min_size=1, max_size=3))
+    pool += [[False] * m, [True] * m]
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    labels = draw(bits | st.just([True] * m) | st.just([False] * m))
+    return Sample(np.array(cols, dtype=float).T, np.where(labels, 1, -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stump_samples())
+def test_property_best_stump_is_the_per_feature_scan(sample):
+    assert best_stump(sample) == loop_best_stump(sample)
+
+
+@pytest.mark.parametrize("cols, labels, want", [
+    # duplicate perfect columns: the lowest index wins
+    ([[1, 0, 1, 0], [1, 0, 1, 0]], [1, -1, 1, -1], (0, 1)),
+    # a constant column ties with the constant stump, which wins
+    ([[1, 1, 1, 1]], [1, 1, 1, 1], (-1, 1)),
+    ([[0, 0, 0, 0]], [-1, -1, -1, -1], (-1, -1)),
+    # an inverted column: out = -1 on the first feature that fits
+    ([[0, 0, 0, 0], [0, 1, 0, 1]], [1, -1, 1, -1], (1, -1)),
+])
+def test_best_stump_ties(cols, labels, want):
+    sample = Sample(np.array(cols, dtype=float).T, np.array(labels))
+    h = best_stump(sample)
+    assert (h.j, h.out) == want
+    assert h == loop_best_stump(sample)
+
+
+def test_all_weights_underflowing_is_a_protocol_error():
+    # a perfect stump shrinks every weight by e^-alpha each round
+    n = 4
+    f = Conjunction(n, frozenset({0}))
+    with pytest.raises(ProtocolError, match=r"boosting round \d+: every "
+                       "weight underflowed to 0"):
+        run_distributed_boosting([UniformBoolean(n)] * 2, f, 0.001, 0.05, 0)

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distpac import cli
-from distpac.core import Conjunction
+from distpac.core import Conjunction, stream
 
 
 def write_config(tmp_path, name, cfg):
@@ -139,6 +141,42 @@ class TestRun:
         assert err == ("protocol error: combined hypothesis inconsistent "
                        "with a player's sample\n")
         assert not out.exists()
+
+    def test_weight_underflow_exits_1_without_traceback(self, tmp_path,
+                                                        capsys):
+        # at eps = 0.001 a perfect stump drives every boosting weight to 0
+        # before the last of its 56 rounds
+        cfg = write_config(tmp_path, "b", dict(BOOST, n=4, eps=0.001))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "protocol error: boosting round 55: every weight underflowed "
+            "to 0\n")
+        assert not out.exists()
+
+
+def numpy_quantiles(table):
+    """Reference: the numpy calls ``cli._quantiles`` replaced."""
+    cols = np.array(table, dtype=np.float64)
+    return [{"median": float(med), "p90": float(p90)} for med, p90 in
+            zip(np.median(cols, axis=0), np.percentile(cols, 90, axis=0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 60),
+       st.sampled_from(["int", "float", "ties"]))
+def test_property_quantiles_are_numpys(seed, rows, kind):
+    rng = stream(seed, "quantile_table")
+    if kind == "int":  # ledger counters
+        table = rng.integers(0, 2 ** 40, size=(rows, 5)).tolist()
+    elif kind == "float":  # errors, over several magnitudes
+        table = (rng.random((rows, 5))
+                 * 10.0 ** rng.integers(-6, 7, size=5)).tolist()
+    else:
+        table = rng.choice([0.0, 0.05, 0.1, 1 / 3, 0.5, 1.0],
+                           size=(rows, 5)).tolist()
+    # repr tells every float bit apart, -0.0 from 0.0 included
+    assert repr(cli._quantiles(table)) == repr(numpy_quantiles(table))
 
 
 class TestConfigValidation:

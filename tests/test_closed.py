@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,18 +28,18 @@ class TestSmallestConsistent:
     def test_conjunction_hand_case(self):
         X = np.array([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1]], float)
         y = np.array([1, 1, -1])
-        h = smallest_consistent(Sample(X, y), Conjunction)
+        h = smallest_consistent([Sample(X, y)], Conjunction)
         assert h.variables == frozenset({0, 1})
 
     def test_no_positives_gives_all_variables(self):
         X = np.array([[1, 0], [0, 1]], float)
-        h = smallest_consistent(Sample(X, np.array([-1, -1])), Conjunction)
+        h = smallest_consistent([Sample(X, np.array([-1, -1]))], Conjunction)
         assert h.variables == frozenset({0, 1})
 
     def test_box_bounding(self):
         X = np.array([[0.2, 0.5], [0.6, 0.1], [0.9, 0.9]])
         y = np.array([1, 1, -1])
-        h = smallest_consistent(Sample(X, y), Box)
+        h = smallest_consistent([Sample(X, y)], Box)
         assert h.lo == (0.2, 0.1) and h.hi == (0.6, 0.5)
 
     def test_negative_inside_raises(self):
@@ -45,7 +47,7 @@ class TestSmallestConsistent:
         y = np.array([1, -1])
         with pytest.raises(ProtocolError, match="negative example inside "
                            "the smallest consistent conjunction"):
-            smallest_consistent(Sample(X, y), Conjunction)
+            smallest_consistent([Sample(X, y)], Conjunction)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -55,7 +57,7 @@ class TestSmallestConsistent:
         target = Conjunction(n, frozenset(
             int(v) for v in rng.choice(n, size=3, replace=False)))
         s = draw_sample(UniformBoolean(n), target, 40, seed)
-        h = smallest_consistent(s, Conjunction)
+        h = smallest_consistent([s], Conjunction)
         # closure element: h's variable set contains the target's
         assert target.variables <= h.variables
         assert sample_error(h, s) == 0.0
@@ -79,7 +81,7 @@ class TestCombine:
     def test_other_class_rejected(self):
         s = Sample(np.array([[0.5]]), np.array([1]))
         with pytest.raises(ConfigurationError):
-            smallest_consistent(s, Threshold)
+            smallest_consistent([s], Threshold)
         with pytest.raises(ConfigurationError):
             combine([Threshold(0.5, 1)])
         with pytest.raises(ConfigurationError):
@@ -122,3 +124,78 @@ class TestProtocol:
         res = run_intersection_closed([UniformBoolean(5)], f, 0.1, 0.1, 0)
         assert channel.CENTER in res.hypotheses
         assert set(res.hypotheses) == {channel.CENTER}
+
+
+def union_smallest_consistent(samples, cls):
+    """Reference: the learner on the stacked union of the samples, as it
+    was before it learned sample by sample."""
+    sample = Sample(np.vstack([s.features for s in samples]),
+                    np.concatenate([s.labels for s in samples]))
+    pos = sample.features[sample.labels == 1] if len(sample) else \
+        np.zeros((0, sample.dim))
+    if cls is Conjunction:
+        n = sample.dim
+        if pos.shape[0] == 0:
+            h = Conjunction(n, frozenset(range(n)))
+        else:
+            anded = np.all(pos == 1.0, axis=0)
+            h = Conjunction(n, frozenset(np.flatnonzero(anded).tolist()))
+    else:
+        if pos.shape[0] == 0:
+            h = Box.empty(sample.dim)
+        else:
+            h = Box(tuple(pos.min(axis=0).tolist()),
+                    tuple(pos.max(axis=0).tolist()))
+    if len(sample):
+        neg = sample.labels == -1
+        if np.any(h.predict(sample.features[neg]) == 1):
+            raise ProtocolError("negative example inside the smallest "
+                                f"consistent {cls.__name__.lower()}")
+    return h
+
+
+@st.composite
+def closed_samples(draw):
+    """(class, samples): 1-4 samples of 0-6 rows; features are 0/1 for a
+    conjunction and a small grid for a box, labels are free, so a player
+    may have no positive and a negative may land inside h."""
+    cls = draw(st.sampled_from([Conjunction, Box]))
+    d = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 1.0] if cls is Conjunction
+                             else [0.0, 0.25, 0.5, 0.75, 1.0])
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(0, 6))
+        X = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                   min_size=m, max_size=m)),
+                     dtype=float).reshape(m, d)
+        y = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+        samples.append(Sample(X, np.array(y, dtype=np.int8)))
+    return cls, samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_samples())
+def test_property_smallest_consistent_is_the_union_learner(case):
+    cls, samples = case
+    try:
+        want = union_smallest_consistent(samples, cls)
+    except ProtocolError as exc:
+        with pytest.raises(ProtocolError, match=f"^{re.escape(str(exc))}$"):
+            smallest_consistent(samples, cls)
+        return
+    assert smallest_consistent(samples, cls) == want
+
+
+def test_union_with_an_empty_and_a_negative_only_player():
+    X = np.array([[0.2, 0.6], [0.4, 0.3]])
+    samples = [Sample(np.zeros((0, 2)), np.zeros(0, dtype=np.int8)),
+               Sample(np.array([[0.9, 0.9]]), np.array([-1])),
+               Sample(X, np.array([1, 1]))]
+    h = smallest_consistent(samples, Box)
+    assert h == Box((0.2, 0.3), (0.4, 0.6))
+    assert h == union_smallest_consistent(samples, Box)
+    with pytest.raises(ProtocolError, match="negative example inside the "
+                       "smallest consistent box"):
+        smallest_consistent(samples + [Sample(np.array([[0.3, 0.5]]),
+                                              np.array([-1]))], Box)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpac.core import (Box, ConfigurationError, Conjunction,
+from distpac.core import (M_EVAL, Box, ConfigurationError, Conjunction,
                           DecisionListFunc, IntervalUnion,
                           LinearSeparator, MajorityOfSet, ParityFunc,
                           PointMassList, ProductBernoulli, Sample,
@@ -337,6 +337,54 @@ def test_mixture_error_averages_players():
     f = Conjunction(4, frozenset({0}))
     specs = [UniformBoolean(4), UniformBoolean(4)]
     assert measure_errors(f, specs, f, 0)["mixture"] == 0.0
+
+
+def per_part_errors(h, specs, f, seed):
+    """Reference: measure_errors as one ``sample_error`` per player."""
+    m = max(1, M_EVAL // len(specs))
+    errors = {f"p{i + 1}": sample_error(h, draw_sample(
+        spec, f, m, seed, tags=("spec_error", "mixture", i)))
+        for i, spec in enumerate(specs)}
+    errors["mixture"] = float(np.mean(list(errors.values())))
+    return errors
+
+
+# (specs for k players, target, hypothesis); players' distributions differ
+ERROR_CASES = {
+    "conjunction": (
+        lambda k: [UniformBoolean(6) if i % 2 else
+                   ProductBernoulli((0.8,) * 6) for i in range(k)],
+        Conjunction(6, frozenset({0, 2})), Conjunction(6, frozenset({0}))),
+    "linear": (lambda k: [UniformSphere(5)] * k,
+               LinearSeparator((1.0, -0.5, 0.2, 0.0, 0.3)),
+               LinearSeparator((0.9, -0.4, 0.3, 0.1, 0.2))),
+    "vote": (lambda k: [UniformInterval(0.0, 1.0 + i) for i in range(k)],
+             Threshold(0.7, 1),
+             WeightedMajority(((Threshold(0.5, 1), 0.6),
+                               (Threshold(0.9, 1), 0.5)))),
+    "parity": (lambda k: [UniformBoolean(7)] * k,
+               ParityFunc(7, (1, 0, 1, 0, 0, 1, 0)),
+               ParityFunc(7, (1, 0, 1, 0, 0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_measure_errors_is_the_per_part_loop(k, case, seed):
+    make_specs, f, h = ERROR_CASES[case]
+    specs = make_specs(k)
+    got = measure_errors(h, specs, f, seed)
+    assert got == per_part_errors(h, specs, f, seed)
+    assert 0.0 < got["mixture"] < 1.0
+
+
+def test_parity_predict_is_the_integer_product():
+    X = stream(3, "parity_rows").integers(0, 2, size=(500, 9)).astype(float)
+    v = (1, 1, 0, 1, 0, 0, 1, 1, 1)
+    want = np.where((X.astype(np.int64) @ np.array(v)) % 2 == 1, 1, -1)
+    got = ParityFunc(9, v).predict(X)
+    assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from distpac.core import (ConfigurationError, ParityFunc,
                           ProtocolError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
-from distpac.parity import (ParityNonProper, gf2_reduce,
+from distpac.parity import (ParityNonProper, _eliminate, _rref, gf2_reduce,
                             run_parity_two_player)
 
 INCONSISTENT = r"sample is inconsistent over GF\(2\)"
@@ -194,3 +194,43 @@ class TestProtocol:
         h = ParityNonProper(basis, wrong_fallback)
         X = s.features
         assert np.array_equal(h.predict(X), s.labels)
+
+
+def layered_problem(n, m, seed, labels):
+    """Bool (m, n+1) labeled rows whose span grows block by block: rows
+    [0, 2(n+1)) use the first n - late variables and each later block of
+    2(n+1) rows one more, so ``_rref`` grows its prefix more than once.
+    ``labels``: "planted" (a parity's), "late-flip" (planted, then the
+    last row repeats row 0 with its label flipped) or "random"."""
+    step = 2 * (n + 1)
+    late = min(n - 1, m // step - 1)
+    rng = stream(seed, "layered")
+    X = rng.integers(0, 2, size=(m, n)).astype(bool)
+    for b in range(m // step + 1):
+        X[b * step:(b + 1) * step, n - late + b:] = False
+    v = rng.integers(0, 2, size=n)
+    y = (X.astype(np.int64) @ v) % 2 == 1
+    if labels == "random":
+        y = rng.integers(0, 2, size=m).astype(bool)
+    elif labels == "late-flip":
+        X[-1], y[-1] = X[0], not y[0]
+    return np.column_stack([X, y])
+
+
+@pytest.mark.parametrize("n, m", [(5, 60), (12, 200), (40, 400),
+                                  (300, 1300)])
+@pytest.mark.parametrize("labels", ["planted", "late-flip", "random"])
+def test_rref_is_the_whole_sample_elimination(n, m, labels):
+    # the reference eliminates every row pivot by pivot, as _rref did
+    # before it reduced rows in products; n = 300 reduces against 299
+    # pivots, so a row's count can pass 255
+    A = layered_problem(n, m, n + m, labels)
+    try:
+        want = _eliminate(A.copy(), n)
+    except ProtocolError:
+        with pytest.raises(ProtocolError, match=INCONSISTENT):
+            _rref(A.copy(), n)
+        return
+    rows, pivots = _rref(A.copy(), n)
+    assert pivots == want[1]
+    assert rows.dtype == bool and np.array_equal(rows, want[0])
