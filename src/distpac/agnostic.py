@@ -112,7 +112,6 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
         if not survivors.any():
             raise ProtocolError(
                 f"all hypotheses eliminated at opt_guess={opt_guess}")
-    maj = MajorityOfSet(tuple(h for h, a in zip(H, survivors) if a))
     return ProtocolResult(
         hypotheses={channel.BROADCAST: maj}, ledger=ledger,
         meta={"loops": loops, "count_bits": count_bits,
@@ -134,11 +133,9 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
     """
     k = len(specs)
     m_val = math.ceil(4.0 / (eps * eps))
-    guesses = 0
     j = 0
     while eps * 2 ** j <= 0.5:
         opt_guess = eps * 2 ** j
-        guesses += 1
         try:
             res = run_robust_halving(specs, f, hypotheses, eps, opt_guess,
                                      seed, noise_rate=noise_rate,
@@ -153,8 +150,8 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
                            tags=("opt_val", j, i))) for i in range(k)]))
         if val <= 8.0 * (opt_guess + eps):
             for attr in channel.CostLedger.COUNTERS:
-                setattr(res.ledger, attr, getattr(res.ledger, attr) * guesses)
-            res.meta.update({"guesses": guesses, "validation_error": val})
+                setattr(res.ledger, attr, getattr(res.ledger, attr) * (j + 1))
+            res.meta.update({"guesses": j + 1, "validation_error": val})
             return res
         j += 1
     raise SearchFailureError("no opt guess up to 1/2 was accepted")

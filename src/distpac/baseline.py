@@ -12,8 +12,8 @@ import numpy as np
 from . import channel
 from .closed import class_dimension, smallest_consistent
 from .core import (Concept, ConfigurationError, Conjunction, DistributionSpec,
-                   ProtocolError, ProtocolResult, Sample, draw_sample,
-                   measure_errors, sample_error)
+                   ProtocolError, ProtocolResult, Sample, check_consistent,
+                   draw_sample, measure_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,8 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
             channel.send_example(ledger, sender, channel.CENTER, bits)
     channel.advance_round(ledger, "round")
     h = smallest_consistent(samples, type(f))
-    if any(sample_error(h, s) > 0.0 for s in samples):
-        raise ProtocolError("center's learner returned an inconsistent "
-                            "hypothesis")
+    check_consistent(h, samples, "center's learner returned an "
+                     "inconsistent hypothesis")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m_i})
@@ -104,31 +103,24 @@ def eq_mistake_bound(samples: Sequence[Sample], learner) -> ProtocolResult:
     ledger = channel.CostLedger(lock_synchronous=True)
     while True:
         h = learner.hypothesis()
-        sender = None
         for i, s in enumerate(samples):
-            if len(s) == 0:
-                continue
             wrong = np.flatnonzero(h.predict(s.features) != s.labels)
             if wrong.size:
-                sender = (i, int(wrong[0]))
                 break
-        if sender is None:
+        else:
             channel.advance_round(ledger, "round")  # silent slot
             break
         if ledger.examples >= cap:
             raise ProtocolError(
                 f"mistake cap {cap} exceeded; learner is broken")
-        i, idx = sender
-        x, lab = samples[i].features[idx], int(samples[i].labels[idx])
+        x, lab = s.features[wrong[0]], int(s.labels[wrong[0]])
         [bits] = channel.example_bits(x[None])
         channel.send_example(ledger, f"p{i + 1}", channel.BROADCAST, bits)
         channel.advance_round(ledger, "round")
         learner.update(x, lab)
     h = learner.hypothesis()
-    for s in samples:
-        if len(s) and sample_error(h, s) > 0.0:
-            raise ProtocolError("final hypothesis inconsistent with a "
-                                "player's sample")
+    check_consistent(h, samples, "final hypothesis inconsistent with a "
+                     "player's sample")
     hypotheses = {channel.CENTER: h}
     hypotheses.update({f"p{i + 1}": h for i in range(len(samples))})
     return ProtocolResult(hypotheses=hypotheses, ledger=ledger)

@@ -6,6 +6,7 @@ charged once, not k times.  :func:`example_bits` prices a block of
 examples in one pass and :func:`send_example` charges each as its own
 message; hypotheses and counts are priced by :func:`send_hypothesis` and
 :func:`send_count`; every other payload passes its bit count to :func:`send`.
+:func:`hypotheses_to_center` charges the round of one hypothesis per player.
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ def send_example(ledger: CostLedger, frm: str, to: str,
 def send_hypothesis(ledger: CostLedger, frm: str, to: str,
                     h: Concept) -> CostLedger:
     return send(ledger, frm, to, h.encoded_bits(), hypotheses=1)
+
+
+def hypotheses_to_center(hypotheses: Sequence[Concept]) -> CostLedger:
+    """A fresh ledger of one round in which player i sends
+    ``hypotheses[i]`` to the center."""
+    ledger = CostLedger()
+    for i, h in enumerate(hypotheses):
+        send_hypothesis(ledger, f"p{i + 1}", CENTER, h)
+    return advance_round(ledger, "round")
 
 
 def send_count(ledger: CostLedger, frm: str, to: str,

@@ -79,7 +79,10 @@ def _conforms(value, typ) -> bool:
             all(_conforms(v, typ[0]) for v in value)
     if isinstance(value, bool):
         return typ is bool
-    return isinstance(value, (int, float) if typ is float else typ)
+    if typ is float:  # finite: YAML reads .inf and .nan as floats
+        return isinstance(value, (int, float)) and \
+            abs(value) <= sys.float_info.max
+    return isinstance(value, typ)
 
 
 def _describe(typ) -> str:
@@ -87,14 +90,15 @@ def _describe(typ) -> str:
         return " or ".join(_describe(t) for t in typ)
     if isinstance(typ, list):
         return f"a list of ({_describe(typ[0])})"
-    return "null" if typ is type(None) else typ.__name__
+    return {type(None): "null", float: "finite float"}.get(typ, typ.__name__)
 
 
 def _field(cfg: dict, name: str, typ, default=REQUIRED):
     """Config field ``name`` (dots reach into sub-mappings) of type ``typ``:
-    a type, ``[typ]`` for a list, or a tuple of choices.  An int is a valid
-    float (returned as one); a bool is neither.  A missing required field or
-    a value of another type is a ConfigError that names the field."""
+    a type, ``[typ]`` for a list, or a tuple of choices.  A float is finite;
+    an int is a valid float (returned as one); a bool is neither.  A missing
+    required field or a value of another type is a ConfigError that names
+    the field."""
     *parents, leaf = name.split(".")
     for key in parents:
         cfg = _field(cfg, key, dict, {})
@@ -269,6 +273,7 @@ def _run_closed(cfg, cls):
 def _run_parity(cfg):
     n = _count(cfg, "n")
     eps, specs = _setup(cfg, n, boolean=True)
+    _check("k", len(specs), len(specs) == 2, "2")
     c = _field(cfg, "c", float, 8.0)
     _check("c", c, c > 0, "> 0")
     return lambda seed: parity_mod.run_parity_two_player(
@@ -322,7 +327,11 @@ def _run_round_robin(cfg):
     alpha = _field(cfg, "alpha", float, 0.05)
     _check("alpha", alpha, alpha > 0, "> 0")
     k, m = _count(cfg, "k"), _count(cfg, "per_player", 40)
-    cap = linear.default_update_cap(gamma)
+    try:  # gamma^2 underflows to 0, or the cap overflows the float range
+        cap = linear.default_update_cap(gamma)
+    except (ZeroDivisionError, OverflowError):
+        raise ConfigError("field 'gamma' must give a finite update cap, "
+                          f"got {gamma!r}") from None
 
     def job(seed):
         samples, _f = linear.well_spread_dataset(k, m, gamma, alpha, seed)
@@ -520,9 +529,12 @@ def run_config(path: str, seed_range: str | None = None,
             raise ConfigError(f"unknown protocol '{name}'; valid: "
                               + ", ".join(sorted(PROTOCOLS)))
         seeds = _parse_seeds(cfg, seed_range)
+        sub = _field(cfg, "name", str, name)
+        parts = Path(sub).parts
+        _check("name", sub, bool(parts) and not Path(sub).is_absolute()
+               and ".." not in parts, "a directory under the output root")
         out = Path(out_dir or _field(cfg, "out", str, None)
-                   or os.environ.get(OUT_ROOT_ENV, "results")) \
-            / _field(cfg, "name", str, name)
+                   or os.environ.get(OUT_ROOT_ENV, "results")) / sub
         job = PROTOCOLS[name](cfg)
         _reject_unread(cfg)
         # sized after the check, so a k the protocol ignores is not read

@@ -15,7 +15,7 @@ import numpy as np
 from . import channel
 from .core import (Box, Concept, ConfigurationError, Conjunction,
                    DistributionSpec, ProtocolError, ProtocolResult,
-                   Sample, draw_sample, measure_errors, sample_error)
+                   Sample, check_consistent, draw_sample, measure_errors)
 
 
 def pac_sample_size(d_class: int, eps: float, k: int, delta: float,
@@ -96,21 +96,13 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
     k = len(specs)
     d_class = class_dimension(f)
     m = pac_sample_size(d_class, eps, k, delta, c)
-    ledger = channel.CostLedger()
-    locals_ = []
-    samples = []
-    for i, spec in enumerate(specs):
-        sample = draw_sample(spec, f, m, seed, tags=("closed", i))
-        samples.append(sample)
-        h_i = smallest_consistent([sample], type(f))
-        locals_.append(h_i)
-        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
+    samples = [draw_sample(spec, f, m, seed, tags=("closed", i))
+               for i, spec in enumerate(specs)]
+    locals_ = [smallest_consistent([s], type(f)) for s in samples]
+    ledger = channel.hypotheses_to_center(locals_)
     h = combine(locals_)
-    channel.advance_round(ledger, "round")
-    for sample in samples:
-        if sample_error(h, sample) > 0.0:
-            raise ProtocolError("combined hypothesis inconsistent with a "
-                                "player's sample")
+    check_consistent(h, samples, "combined hypothesis inconsistent with a "
+                     "player's sample")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors, meta={"m_per_player": m})

@@ -440,10 +440,6 @@ class Box(Concept):
     def encoded_bits(self) -> int:
         return 2 * self.dim * PRECISION_BITS
 
-    @classmethod
-    def empty(cls, d: int) -> "Box":
-        return cls(lo=(math.inf,) * d, hi=(-math.inf,) * d)
-
 
 @dataclass(frozen=True)
 class DecisionListFunc(Concept):
@@ -632,6 +628,13 @@ def sample_error(h: Concept, sample: Sample) -> float:
         return 0.0
     wrong = np.count_nonzero(h.predict(sample.features) != sample.labels)
     return wrong / len(sample)
+
+
+def check_consistent(h: Concept, samples: Sequence[Sample],
+                     message: str) -> None:
+    """Raise ProtocolError(message) if h mislabels an example of samples."""
+    if any(sample_error(h, s) > 0.0 for s in samples):
+        raise ProtocolError(message)
 
 
 def measure_errors(h: Concept, specs: Sequence[DistributionSpec], f: Concept,

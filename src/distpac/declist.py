@@ -15,8 +15,8 @@ import numpy as np
 from . import channel
 from .closed import pac_sample_size
 from .core import (ConfigurationError, DecisionListFunc, DistributionSpec,
-                   ProtocolError, ProtocolResult, Sample, draw_sample,
-                   measure_errors, rule_bits, sample_error, stream)
+                   ProtocolError, ProtocolResult, Sample, check_consistent,
+                   draw_sample, measure_errors, rule_bits, stream)
 
 # a triplet is (j, b, c): j in 0..n (0 = else, b then ignored and stored 0),
 # b in {0,1}, c in {0,1} with bit 1 meaning label +1
@@ -115,15 +115,11 @@ def run_decision_list(specs: Sequence[DistributionSpec], f: DecisionListFunc,
             _kill_satisfied(samples[i], alive[i], ordered)
 
     h = _list_from_broadcast(n, broadcast_order)
-    for s in samples:
-        if sample_error(h, s) > 0.0:
-            raise ProtocolError("output list inconsistent with a player's "
-                                "sample")
+    check_consistent(h, samples, "output list inconsistent with a player's "
+                     "sample")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
-                          errors=errors,
-                          meta={"m_per_player": m,
-                                "broadcast_order": broadcast_order})
+                          errors=errors, meta={"m_per_player": m})
 
 
 def random_decision_list(n: int, n_rules: int, seed: int) -> DecisionListFunc:

@@ -72,7 +72,6 @@ def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
     k = len(samples)
     w = np.zeros(samples[0].dim)
     made = 0
-    meta_round_updates = []
     ledger = channel.CostLedger()
     while True:
         if ledger.meta_rounds >= max_meta_rounds:
@@ -90,13 +89,11 @@ def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
             channel.send_count(ledger, f"p{i + 1}", nxt, updates, 32)
             channel.advance_round(ledger, "round")
         channel.advance_round(ledger, "meta_round")
-        meta_round_updates.append(meta_updates)
         if meta_updates < 1.0 / alpha:
             break
     h = LinearSeparator(tuple(w))
     hypotheses = {f"p{i + 1}": h for i in range(k)}
-    return ProtocolResult(hypotheses=hypotheses, ledger=ledger,
-                          meta={"meta_round_updates": meta_round_updates})
+    return ProtocolResult(hypotheses=hypotheses, ledger=ledger)
 
 
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
@@ -106,17 +103,14 @@ def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
     m = ceil(d / eps^2) points."""
     d = f.dim
     m = math.ceil(d / (eps * eps))
-    ledger = channel.CostLedger()
     vectors = []
     for i, spec in enumerate(specs):
         s = draw_sample(spec, f, m, seed, tags=("averaging", i))
         norms = np.linalg.norm(s.features, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        v = (s.labels[:, None] * s.features / norms).mean(axis=0)
-        vectors.append(v)
-        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER,
-                                LinearSeparator(tuple(v.tolist())))
-    channel.advance_round(ledger, "round")
+        vectors.append((s.labels[:, None] * s.features / norms).mean(axis=0))
+    ledger = channel.hypotheses_to_center(
+        [LinearSeparator(tuple(v.tolist())) for v in vectors])
     mean = np.mean(vectors, axis=0)
     nrm = np.linalg.norm(mean)
     if nrm == 0.0:
@@ -191,7 +185,7 @@ def certify_well_spread(samples: Sequence[Sample], alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def adversarial_two_player_data(gamma: float) -> tuple:
+def adversarial_two_player_data(gamma: float) -> list:
     """The 3-D construction where round-robin perceptron needs
     order-1/gamma^2 rounds.  Player 1 holds the positives at mass
     0.49/0.49/0.02, player 2 the negatives at 0.5/0.5; the listed order is
@@ -201,7 +195,7 @@ def adversarial_two_player_data(gamma: float) -> tuple:
                 np.array([1, 1, 1]))
     p2 = Sample(np.array([[1, -g, -3 * g], [1, -g, g]], float),
                 np.array([-1, -1]))
-    return [p1, p2], LinearSeparator((0.0, 1.0, 0.0))
+    return [p1, p2]
 
 
 def adversarial_lower_bound(gamma: float) -> tuple:
@@ -212,7 +206,7 @@ def adversarial_lower_bound(gamma: float) -> tuple:
     """
     if not (0.0 < gamma <= 0.2):
         raise ConfigurationError("gamma must lie in (0, 0.2]")
-    samples, _target = adversarial_two_player_data(gamma)
+    samples = adversarial_two_player_data(gamma)
     w = np.zeros(3)
     trace: list = []
     rounds = 0

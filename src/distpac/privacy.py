@@ -170,23 +170,17 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                                  mode: str = MODE_DIFFERENTIAL,
                                  alpha: float = 1.0, delta: float = 0.05
                                  ) -> ProtocolResult:
-    """One round, k conjunction hypotheses; the ledger matches the
-    non-private closure protocol exactly."""
+    """One round, k conjunction hypotheses, charged by the closure
+    protocol's own exchange (``channel.hypotheses_to_center``)."""
     n = f.dim
     tau = eps / (2 * n)
     m = private_sample_size(n, alpha, tau, delta, mode)
-    ledger = channel.CostLedger()
-    locals_ = []
-    budgets = []
-    for i, spec in enumerate(specs):
-        budget = PrivacyBudget(mode, alpha, delta, M=n)
-        budgets.append(budget)
-        h_i = learn_private_conjunction(spec, f, eps, budget, m, seed,
-                                        tags=(i,))
-        locals_.append(h_i)
-        channel.send_hypothesis(ledger, f"p{i + 1}", channel.CENTER, h_i)
+    budgets = [PrivacyBudget(mode, alpha, delta, M=n) for _ in specs]
+    locals_ = [learn_private_conjunction(spec, f, eps, budget, m, seed,
+                                         tags=(i,))
+               for i, (spec, budget) in enumerate(zip(specs, budgets))]
+    ledger = channel.hypotheses_to_center(locals_)
     h = combine(locals_)
-    channel.advance_round(ledger, "round")
     errors = measure_errors(h, specs, f, seed)
     return ProtocolResult(hypotheses={channel.CENTER: h}, ledger=ledger,
                           errors=errors,

@@ -70,6 +70,17 @@ class TestEqDriver:
         h = res.hypotheses[channel.CENTER]
         assert all(sample_error(h, s) == 0.0 for s in samples)
 
+    def test_empty_sample_has_no_mistake(self):
+        n = 6
+        f = Conjunction(n, frozenset({2}))
+        samples = [boolean_sample(n, f, 80, 9)]
+        empty = boolean_sample(n, f, 0, 9)
+        alone = eq_mistake_bound(samples, ConjunctionElimination(n))
+        res = eq_mistake_bound([empty] + samples, ConjunctionElimination(n))
+        assert res.ledger.examples == alone.ledger.examples > 0
+        assert res.ledger.rounds == alone.ledger.rounds
+        assert set(res.ledger.per_player) == {"p2"}
+
     def test_counterexamples_broadcast_only(self):
         n = 6
         f = Conjunction(n, frozenset({2}))

@@ -36,6 +36,9 @@ BOOLEAN = {name: {"protocol": name, "n": 3, "k": 2, "eps": 0.2, "seeds": 0}
 BOOLEAN["decision_list"]["n_rules"] = 2
 
 
+INF, NAN = float("inf"), float("nan")
+
+
 def point_mass(points, probabilities):
     return [{"kind": "point_mass", "points": points,
              "probabilities": probabilities}]
@@ -363,6 +366,33 @@ class TestConfigValidation:
             {"protocol": "averaging", "d": 3, "k": 2, "eps": 0.2},
             {"protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": 21},
             BOOLEAN["private_conjunction"])],
+        # YAML's .inf and .nan are floats, but no float field takes them;
+        # these raised a traceback (exit 1)
+        (dict(BASE, c=INF), "c"),
+        (dict(BOX1, distributions=[
+            {"kind": "uniform_interval", "lo": -INF}]), "lo"),
+        (dict(BOX1, distributions=point_mass([[0.5]], [NAN])),
+         "probabilities"),
+        # ... these ran with a meaningless value (exit 0)
+        ({"protocol": "private_conjunction", "n": 4, "k": 2, "eps": 0.1,
+          "privacy": {"alpha": INF}}, "privacy.alpha"),
+        ({"protocol": "robust_halving", "k": 2, "eps": 0.1, "grid": 21,
+          "target_t": NAN}, "target_t"),
+        ({"protocol": "interval_summary", "d": 1, "k": 2, "eps": 0.1,
+          "target": {"intervals": [[NAN, 0.5]]}}, "target.intervals"),
+        ({"protocol": "closed_box", "d": 1, "k": 1, "eps": 0.1,
+          "target": {"lo": [NAN]}}, "target.lo"),
+        (dict(BOX1, distributions=point_mass([[NAN]], [1.0])), "points"),
+        # ... and this one failed after 10 000 meta-rounds (exit 1)
+        ({"protocol": "round_robin_perceptron", "k": 2, "alpha": INF},
+         "alpha"),
+        # the protocol is for two players; this failed in the first job
+        (dict(BOOLEAN["parity_two_player"], k=3), "k"),
+        # gamma^2 underflows to 0, or 30/gamma^2 overflows the update cap
+        ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 1.0e-300},
+         "gamma"),
+        ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 1.0e-160},
+         "gamma"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -372,6 +402,19 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"'{field}'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../../x", "a/../../x", "ABSOLUTE",
+                                      "", "."])
+    def test_name_not_under_the_output_root_exits_2(self, tmp_path, capsys,
+                                                    name):
+        name = str(tmp_path / "abs") if name == "ABSOLUTE" else name
+        path = write_config(tmp_path, "c", dict(BASE, name=name))
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["run", path, "--out",
+                         str(tmp_path / "a" / "b" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'name'" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("name",
                              sorted(set(BOOLEAN) - {"private_conjunction"}))

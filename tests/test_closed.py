@@ -142,7 +142,7 @@ def union_smallest_consistent(samples, cls):
             h = Conjunction(n, frozenset(np.flatnonzero(anded).tolist()))
     else:
         if pos.shape[0] == 0:
-            h = Box.empty(sample.dim)
+            h = Box((np.inf,) * sample.dim, (-np.inf,) * sample.dim)
         else:
             h = Box(tuple(pos.min(axis=0).tolist()),
                     tuple(pos.max(axis=0).tolist()))

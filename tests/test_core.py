@@ -168,7 +168,7 @@ class TestConcepts:
         assert list(f.predict(X)) == [1, -1, 1]
 
     def test_empty_box_rejects_everything(self):
-        f = Box.empty(2)
+        f = Box((math.inf,) * 2, (-math.inf,) * 2)
         assert list(f.predict(np.zeros((3, 2)))) == [-1, -1, -1]
 
     def test_parity_hand_values(self):

@@ -585,23 +585,40 @@ def test_unused_defaults_sees_each_kind():
         (1, "run", "beta"), (3, "size", "k"), (3, "size", "agnostic")]
 
 
+def _foreign_modules(tree: ast.Module) -> set:
+    """Names that ``import`` statements bind in ``tree``: modules outside
+    the package, whose own modules import each other relatively."""
+    return {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for a in node.names}
+
+
+def _read_off(node: ast.Attribute, modules: set) -> bool:
+    """Whether the attribute ``node`` (such as ``np.random.default_rng``)
+    is read off one of ``modules``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
+
+
 def unreferenced_public_names(trees: dict) -> list:
     """(file, line, name) of each public module-level function or class of
     the package that no package module names outside its own definition:
     not its own recursion or methods, and not a test (``trees`` maps paths,
     in the package or not, to parsed modules).  A name counts as referenced
     by a ``Name``, an attribute (``mod.f``) or a ``from ... import``, all
-    matched by name alone."""
+    matched by name alone, except an attribute read off a module outside
+    the package (``np.empty`` names no package ``empty``)."""
     src = {p: t for p, t in trees.items() if p.parent == PACKAGE}
     owners = {}  # name -> {(file, top-level definition) that names it}
     for path, tree in src.items():
+        foreign = _foreign_modules(tree)
         for top in tree.body:
             owner = (path.name, getattr(top, "name", None))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
+                    names = [] if _read_off(node, foreign) else [node.attr]
                 elif isinstance(node, ast.ImportFrom):
                     names = [a.name for a in node.names]
                 else:
@@ -620,15 +637,19 @@ def unreferenced_public_methods(trees: dict) -> list:
     """(file, line, "Class.method") of each public method or property of a
     top-level package class whose name no package module names outside the
     method's own definition (a test does not count).  As for
-    :func:`unreferenced_public_names`, a ``Name`` or an attribute counts,
-    matched by name alone: ``h.predict`` references every ``predict``."""
+    :func:`unreferenced_public_names`, a ``Name`` or an attribute not read
+    off a module outside the package counts, matched by name alone:
+    ``h.predict`` references every ``predict``, ``np.empty`` no ``empty``."""
     src = {p: t for p, t in trees.items() if p.parent == PACKAGE}
     refs = {}  # name -> ids of the nodes that name it
     for tree in src.values():
+        foreign = _foreign_modules(tree)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                refs.setdefault(name, set()).add(id(node))
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute) and \
+                    not _read_off(node, foreign):
+                refs.setdefault(node.attr, set()).add(id(node))
     return sorted(
         (path.name, fn.lineno, f"{cls.name}.{fn.name}")
         for path, tree in src.items() for cls in tree.body
@@ -669,15 +690,21 @@ def test_unreferenced_public_methods_sees_each_kind():
                  "    def __len__(self):\n"
                  "        return 0\n"
                  "    @classmethod\n"
-                 "    def empty(cls):\n"
+                 "    def create(cls):\n"
                  "        return cls()\n"
+                 "    def empty(self):\n"
+                 "        return 0\n"
                  "def make():\n"
-                 "    return Ledger.empty\n"),
-             PACKAGE / "b.py": ast.parse("x = a.Ledger().total()\n"),
+                 "    return Ledger.create\n"),
+             # numpy's empty is no reference to Ledger.empty
+             PACKAGE / "b.py": ast.parse("import numpy as np\n"
+                                         "x = a.Ledger().total()\n"
+                                         "buf = np.empty(3)\n"),
              Path("tests") / "test_a.py": ast.parse(
                  "Ledger().upstream()\n")}
     assert unreferenced_public_methods(trees) == [
-        ("a.py", 7, "Ledger.upstream"), ("a.py", 9, "Ledger.again")]
+        ("a.py", 7, "Ledger.upstream"), ("a.py", 9, "Ledger.again"),
+        ("a.py", 18, "Ledger.empty")]
 
 
 # Public names no protocol reaches, each kept on purpose: the single-machine
@@ -710,18 +737,23 @@ def test_unreferenced_public_names_sees_each_kind():
                  "class Base:\n"
                  "    pass\n"
                  "def caller():\n"
-                 "    return Base\n"),
+                 "    return Base\n"
+                 "def zeros():\n"
+                 "    pass\n"),
              PACKAGE / "b.py": ast.parse(
+                 "import numpy.linalg as la\n"
                  "from .a import imported\n"
                  "from . import a\n"
                  "x = a.used()\n"
+                 "y = la.np.zeros(3)\n"
                  "def _helper():\n"
                  "    return a.caller()\n"),
              Path("tests") / "test_a.py": ast.parse(
                  "from distpac.a import tested\n"
                  "tested()\n")}
     assert unreferenced_public_names(trees) == [
-        ("a.py", 3, "recursive"), ("a.py", 5, "Shape"), ("a.py", 8, "tested")]
+        ("a.py", 3, "recursive"), ("a.py", 5, "Shape"), ("a.py", 8, "tested"),
+        ("a.py", 18, "zeros")]
 
 
 def test_every_exception_is_one_run_config_catches():

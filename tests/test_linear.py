@@ -28,7 +28,7 @@ GOLDEN = [
 
 class TestPerceptronPass:
     def test_first_update_from_zero(self):
-        samples, _ = adversarial_two_player_data(G)
+        samples = adversarial_two_player_data(G)
         trace = []
         margin_perceptron_pass(np.zeros(3), samples[0], 0, trace=trace,
                                trace_info=("p1",))
@@ -134,7 +134,7 @@ class TestRoundRobin:
     def test_meta_round_cap_raises(self):
         # the adversarial fight keeps every meta-round above 1/alpha = 2
         # updates, so the cap is the only way out
-        samples, _ = adversarial_two_player_data(0.05)
+        samples = adversarial_two_player_data(0.05)
         with pytest.raises(ProtocolError,
                            match="no convergence within 2 meta-rounds"):
             round_robin_perceptron(samples, 0.5, update_cap=10 ** 6,
