@@ -80,7 +80,7 @@ class DecisionStump(Concept):
         return self.n
 
     def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.atleast_2d(X)
         if self.j < 0:
             return np.full(X.shape[0], self.out, dtype=np.int8)
         raw = np.where(X[:, self.j] == 1.0, self.out, -self.out)

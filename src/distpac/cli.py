@@ -533,7 +533,12 @@ def run_config(path: str, seed_range: str | None = None,
         parts = Path(sub).parts
         _check("name", sub, bool(parts) and not Path(sub).is_absolute()
                and ".." not in parts, "a directory under the output root")
-        out = Path(out_dir or _field(cfg, "out", str, None)
+        # read even when --out overrides it: a config is checked whole
+        root = _field(cfg, "out", str, None)
+        _check("out", root, root != "", "a non-empty path")
+        if out_dir == "":
+            raise ConfigError("--out must be a non-empty path, got ''")
+        out = Path(out_dir or root
                    or os.environ.get(OUT_ROOT_ENV, "results")) / sub
         job = PROTOCOLS[name](cfg)
         _reject_unread(cfg)

@@ -53,12 +53,14 @@ def smallest_consistent(samples: Sequence[Sample], cls: type) -> Concept:
             anded &= np.all(s.features[p] == 1.0, axis=0)
         h: Concept = Conjunction(d, frozenset(np.flatnonzero(anded).tolist()))
     else:
-        # the bounding box of every sample's positives; the empty box if none
+        # the bounding box of every sample's positives; the empty box if
+        # none.  No min/max initial=±inf: on a bool block it becomes True
         lo, hi = np.full(d, math.inf), np.full(d, -math.inf)
         for s, p in zip(samples, pos):
             x = s.features[p]
-            lo = np.minimum(lo, x.min(axis=0, initial=math.inf))
-            hi = np.maximum(hi, x.max(axis=0, initial=-math.inf))
+            if len(x):
+                lo = np.minimum(lo, x.min(axis=0))
+                hi = np.maximum(hi, x.max(axis=0))
         h = Box(tuple(lo.tolist()), tuple(hi.tolist()))
     for s, p in zip(samples, pos):
         if np.any((h.predict(s.features) == 1) & ~p):

@@ -182,7 +182,10 @@ def sign_pm1(values: np.ndarray) -> np.ndarray:
 
 def boolean_rows(X: np.ndarray) -> np.ndarray:
     """Per-row mask of a 2-D array: True where every entry is 0 or 1
-    (-0.0 counts as 0, NaN as neither)."""
+    (-0.0 counts as 0, NaN as neither).  A bool block answers without a
+    pass."""
+    if X.dtype == bool:
+        return np.ones(X.shape[0], dtype=bool)
     return ((X == 0.0) | (X == 1.0)).all(axis=1)
 
 
@@ -191,7 +194,8 @@ class Sample:
     """An ordered set of labeled examples.
 
     Stored columnar (features matrix, label vector) so the protocols can
-    vectorize.
+    vectorize.  A bool features block (what the 0/1 specs draw) is kept as
+    it is; any other block is stored as float64.
     """
 
     features: np.ndarray  # shape (m, n)
@@ -199,7 +203,9 @@ class Sample:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
-        X = np.asarray(self.features, dtype=np.float64)
+        X = np.asarray(self.features)
+        if X.dtype != bool:
+            X = X.astype(np.float64, copy=False)
         if X.ndim != 2:
             X = np.atleast_2d(X)
             if len(self) == 0:
@@ -230,6 +236,7 @@ class DistributionSpec:
     """Declarative sampler for a player's distribution."""
 
     dim: int
+    dtype = np.float64  # of the (m, dim) blocks ``draw`` returns
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError
@@ -237,20 +244,55 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class UniformBoolean(DistributionSpec):
+    """Uniform on {0,1}^n, drawn as an (m, n) bool block.
+
+    The bits are ``rng.integers(0, 2, (m, n)) == 1``, bit for bit, with the
+    generator left in the same state, read straight from raw 64-bit words:
+    numpy takes each entry from its own 32-bit half (the low half of a word
+    first, the high half kept in the generator's ``uinteger`` buffer), and
+    with a range of 2 the entry is that half's top bit.  A generator whose
+    32-bit draws are not halves of 64-bit words takes numpy's own draw.
+    """
+
     n: int
+    dtype = bool
 
     @property
     def dim(self) -> int:
         return self.n
 
     def draw(self, rng, m):
-        # int32 draws the same bits as int64 for a range below 2**32
-        return rng.integers(0, 2, (m, self.n), np.int32).astype(np.float64)
+        shape, total = (m, self.n), m * self.n
+        bg = rng.bit_generator
+        state = bg.state
+        if not total or "has_uint32" not in state:
+            # nothing to draw, or native 32-bit draws: numpy's own
+            return rng.integers(0, 2, shape, np.int32).astype(bool)
+        bits = np.empty(total, dtype=bool)
+        head = state["has_uint32"]  # a buffered half is consumed first
+        if head:
+            bits[0] = state["uinteger"] >> 31
+        rest = total - head
+        halves = bg.random_raw((rest + 1) // 2) \
+            .astype("<u8", copy=False).view("<u4")
+        np.greater_equal(halves[:rest], 1 << 31, out=bits[head:])
+        # numpy leaves the last word's high half in the buffer, which is
+        # still unread after an odd number of halves
+        state = bg.state
+        state["has_uint32"] = rest % 2
+        if rest:
+            state["uinteger"] = int(halves[-1])
+        bg.state = state
+        return bits.reshape(shape)
 
 
 @dataclass(frozen=True)
 class ProductBernoulli(DistributionSpec):
+    """Independent bits, x_j = 1 with probability p[j], drawn as an
+    (m, len(p)) bool block."""
+
     p: tuple
+    dtype = bool
 
     @property
     def dim(self) -> int:
@@ -258,7 +300,7 @@ class ProductBernoulli(DistributionSpec):
 
     def draw(self, rng, m):
         probs = np.asarray(self.p, dtype=np.float64)
-        return (rng.random((m, len(probs))) < probs).astype(np.float64)
+        return rng.random((m, len(probs))) < probs
 
 
 @dataclass(frozen=True)
@@ -613,7 +655,7 @@ def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
         if noisy and m:
             flips.append(rng.random(m) < noise_rate)
     X = blocks[0] if len(blocks) == 1 else \
-        np.concatenate([np.empty((0, spec.dim)), *blocks])
+        np.concatenate([np.empty((0, spec.dim), spec.dtype), *blocks])
     if not len(X):
         return Sample(X, np.zeros(0, dtype=np.int8))
     y = f.predict(X)

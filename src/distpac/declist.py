@@ -38,10 +38,13 @@ def consistent_triplets(sample: Sample, alive: np.ndarray) -> set:
     pos, neg = alive & (sample.labels == 1), alive & (sample.labels == -1)
     # counts[b, c, j-1]: alive examples labelled not-c (row 0 positives,
     # row 1 negatives) with x_j = b, so (j, b, c) is consistent iff it is 0;
-    # x_j = 1 by one product of 0/1 entries (exact in float64), x_j = 0 by
-    # subtraction
+    # x_j = 1 by one product of 0/1 entries, x_j = 0 by subtraction.  The
+    # counts are exact in float32 below 2**24 rows, and a bool block is cast
+    # to float32 at half the traffic of float64
     totals = np.array([[pos.sum()], [neg.sum()]], dtype=np.float64)
-    ones = np.stack([pos, neg]).astype(np.float64) @ sample.features
+    dtype = np.float32 if len(sample) < 2 ** 24 else np.float64
+    ones = np.stack([pos, neg]).astype(dtype) @ \
+        sample.features.astype(dtype, copy=False)
     counts = np.stack([totals - ones, ones])
     out = {(j + 1, b, c) for b, c, j in np.argwhere(counts == 0).tolist()}
     out.update((0, 0, c) for c in (0, 1) if totals[c, 0] == 0)

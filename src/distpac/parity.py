@@ -109,7 +109,8 @@ def gf2_reduce(sample: Sample) -> GF2Basis:
     """Row-reduce a boolean labeled sample into a reliable parity predictor."""
     if not sample.is_boolean():
         raise ConfigurationError("gf2_reduce needs boolean features")
-    A = np.column_stack([sample.features.astype(bool), sample.labels == 1])
+    A = np.column_stack([sample.features.astype(bool, copy=False),
+                         sample.labels == 1])
     rows, pivots = _rref(A, sample.dim)
     return GF2Basis(sample.dim, rows, pivots)
 

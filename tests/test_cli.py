@@ -393,6 +393,9 @@ class TestConfigValidation:
          "gamma"),
         ({"protocol": "round_robin_perceptron", "k": 2, "gamma": 1.0e-160},
          "gamma"),
+        # read and checked although --out overrides it
+        (dict(BASE, out=""), "out"), (dict(BASE, out=3), "out"),
+        (dict(BOX1, out=""), "out"),
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -436,6 +439,21 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "--seed-range" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg_out, flags, named", [
+        (None, ["--out", ""], "--out"), ("", [], "'out'")],
+        ids=["flag", "config"])
+    def test_empty_output_root_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       cfg_out, flags, named):
+        cfg = dict(BASE) if cfg_out is None else dict(BASE, out=cfg_out)
+        path = write_config(tmp_path, "c", cfg)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["run", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_target_variables_is_all_true_conjunction(
             self, tmp_path, monkeypatch):

@@ -288,6 +288,8 @@ DRAW_KINDS = {
                                  (0.2, 0.5, 0.3)),
                    Box((0.25, 0.0), (1.0, 0.75))),
 }
+# the 0/1 specs draw bool blocks; every other spec draws float64
+BOOL_KINDS = {"uniform_boolean", "product_bernoulli"}
 
 
 def old_draw_sample(spec, f, m, seed, noise_rate, tags):
@@ -319,7 +321,9 @@ def test_property_draw_parts_concatenates_draw_sample(kind, seed, parts,
         X, y = old_draw_sample(spec, f, m, seed, noise, t)
         assert part.features.tobytes() == X.tobytes()
         assert np.array_equal(part.labels, y)
-    X = np.concatenate([np.empty((0, spec.dim))] + [p.features for p in each])
+    dtype = bool if kind in BOOL_KINDS else np.float64
+    X = np.concatenate([np.empty((0, spec.dim), dtype)]
+                       + [p.features for p in each])
     y = np.concatenate([np.empty(0, np.int8)] + [p.labels for p in each])
     assert got.features.dtype == X.dtype and got.features.shape == X.shape
     assert got.features.tobytes() == X.tobytes()
@@ -481,13 +485,34 @@ def test_property_decision_list_predict_is_first_firing_rule(case):
     assert np.array_equal(got, first_firing_rule(f, X))
 
 
-@pytest.mark.parametrize("shape", [(0, 7), (1, 1), (3084, 50), (6400, 40)])
+@pytest.mark.parametrize("shape", [(0, 7), (1, 1), (3084, 50), (6400, 40),
+                                   (3, 5), (7, 1)])
 @settings(max_examples=5, deadline=None)
-@given(seed=st.integers(0, 2 ** 63))
-def test_property_uniform_boolean_draw_is_the_int64_draw(shape, seed):
+@given(seed=st.integers(0, 2 ** 63), buffered=st.booleans())
+def test_property_uniform_boolean_draw_is_the_int64_draw(shape, seed,
+                                                         buffered):
     m, n = shape
     rng, ref = stream(seed, "ub"), stream(seed, "ub")
+    if buffered:  # one 32-bit draw leaves the word's high half buffered
+        assert rng.integers(0, 2, 1, np.int32) == ref.integers(0, 2, 1,
+                                                               np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
     X = UniformBoolean(n).draw(rng, m)
-    want = ref.integers(0, 2, size=(m, n)).astype(np.float64)
-    assert X.dtype == np.float64 and X.tobytes() == want.tobytes()
+    want = ref.integers(0, 2, size=(m, n)) == 1
+    assert X.dtype == bool and X.shape == (m, n)
+    assert X.tobytes() == want.tobytes()
+    # the same words consumed and the same half buffered, or not
+    assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()  # and leaves the stream in step
+
+
+def test_uniform_boolean_draw_on_native_32_bit_words():
+    # MT19937 draws 32-bit words natively, so there are no halves to read
+    rng = np.random.Generator(np.random.MT19937(5))
+    ref = np.random.Generator(np.random.MT19937(5))
+    X = UniformBoolean(3).draw(rng, 7)
+    assert X.dtype == bool
+    assert np.array_equal(X, ref.integers(0, 2, size=(7, 3)) == 1)
+    got, want = (g.bit_generator.state["state"] for g in (rng, ref))
+    assert got["pos"] == want["pos"]
+    assert np.array_equal(got["key"], want["key"])

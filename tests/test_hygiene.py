@@ -769,3 +769,131 @@ def test_every_exception_is_one_run_config_catches():
              and not issubclass(obj, (ConfigError, ConfigurationError,
                                       ProtocolError))]
     assert stray == []
+
+
+# The 0/1 specs draw bool blocks, and every learner and concept answers a
+# bool block as it would its float64 copy (tests/test_bool_blocks.py), so a
+# widening to float64 is a copy and a pass that change nothing.  Each
+# allowed (file, function) says why it widens.
+WIDENING_ALLOWED = {
+    ("core.py", "Sample.__post_init__"):
+        "a Sample stores any block that is not bool as float64, once",
+}
+# numpy calls whose value holds the entries of their first argument
+_DATA_CALLS = ("asarray", "array", "asanyarray", "ascontiguousarray",
+               "atleast_2d", "concatenate", "vstack", "hstack", "stack",
+               "column_stack")
+
+
+def _float64(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "float64"
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "float64")
+    return isinstance(node, ast.Constant) and \
+        node.value in ("float", "float64", "f8", "<f8", "d")
+
+
+def _holds_data(node, data: set) -> bool:
+    """``node``'s value holds the entries of a ``.features`` block or of a
+    name in ``data``: directly, sliced, in a list, or through a numpy call
+    that keeps them (``np.concatenate([s.features for s in samples])``)."""
+    if isinstance(node, ast.Name):
+        return node.id in data
+    if isinstance(node, ast.Attribute):
+        return node.attr == "features"
+    if isinstance(node, (ast.Subscript, ast.Starred)):
+        return _holds_data(node.value, data)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return any(_holds_data(e, data) for e in node.elts)
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return _holds_data(node.elt, data)
+    return isinstance(node, ast.Call) and bool(node.args) and \
+        _callee(node) in _DATA_CALLS and _holds_data(node.args[0], data)
+
+
+def _widened(call: ast.Call) -> list:
+    """The expressions ``call`` converts to float64: the receiver of
+    ``.astype(float64)``, the arguments of a call with ``dtype=float64``,
+    and the first argument of ``np.asarray(x, float64)`` and its kin."""
+    if isinstance(call.func, ast.Attribute) and call.func.attr == "astype" \
+            and call.args and _float64(call.args[0]):
+        return [call.func.value]
+    if any(kw.arg == "dtype" and _float64(kw.value) for kw in call.keywords):
+        return call.args
+    if _callee(call) in _DATA_CALLS and len(call.args) > 1 and \
+            _float64(call.args[1]):
+        return call.args[:1]
+    return []
+
+
+def float64_widenings(tree: ast.Module) -> list:
+    """(line, qualified function) of each float64 conversion of a
+    ``predict`` argument or of a ``.features`` expression, also through a
+    local name bound to one."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                scan(child, f"{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.")
+
+    def scan(fn, name):
+        args = [a.arg for a in fn.args.args if a.arg not in ("self", "cls")]
+        data = set(args[:1]) if fn.name == "predict" else set()
+        nodes = _own_scope(fn)
+        while True:  # the names bound to data, to a fixed point
+            more = set()
+            for node in nodes:
+                if isinstance(node, ast.Assign) and \
+                        _holds_data(node.value, data):
+                    more |= {n.id for t in node.targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)}
+            if more <= data:
+                break
+            data |= more
+        out.extend((node.lineno, name) for node in nodes
+                   if isinstance(node, ast.Call)
+                   and any(_holds_data(w, data) for w in _widened(node)))
+
+    visit(tree, "")
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_bool_blocks_stay_bool(path):
+    found = float64_widenings(ast.parse(path.read_text()))
+    assert [f for f in found
+            if (path.name, f[1]) not in WIDENING_ALLOWED] == []
+
+
+def test_widening_allowlist_is_current():
+    found = {(p.name, fn) for p in SOURCES
+             for _, fn in float64_widenings(ast.parse(p.read_text()))}
+    assert sorted(set(WIDENING_ALLOWED) - found) == []  # no stale entry
+
+
+def test_float64_widenings_sees_each_kind():
+    tree = ast.parse(
+        "class Stump:\n"
+        "    def predict(self, X):\n"
+        "        X = np.atleast_2d(np.asarray(X, dtype=np.float64))\n"
+        "        total = np.zeros(X.shape[0], dtype=np.float64)\n"
+        "        return X[:, 0].astype(float) + total\n"
+        "def learn(samples, pos, neg):\n"
+        "    X = np.concatenate([s.features for s in samples])\n"
+        "    A = X[:, 1:].astype(np.float64)\n"
+        "    B = np.array(samples[0].features, np.float64)\n"
+        "    y = samples[0].labels.astype(np.float64)\n"
+        "    w = np.stack([pos, neg]).astype(np.float64) @ X\n"
+        "    def predict(Z):\n"
+        "        return np.asarray(Z, 'f8')\n"
+        "    return A, B, y, w, predict\n"
+        "def update(x):\n"
+        "    return np.asarray(x, dtype=np.float64)\n")
+    assert float64_widenings(tree) == [
+        (3, "Stump.predict"), (5, "Stump.predict"), (8, "learn"),
+        (9, "learn"), (13, "learn.predict")]
