@@ -1,12 +1,13 @@
-"""Replay every recorded seed of each benchmark workload against its golden.
+"""Replay every recorded seed of benchmark workloads against their goldens.
 
-    python3 scripts/golden_sweep.py
+    python3 scripts/golden_sweep.py                  # all workloads
+    python3 scripts/golden_sweep.py halving-noisy    # only the ones named
 
-Runs each distpac seed 0..999 of every workload through
-``perfbench/bench.py``'s ``Workload.run`` (the same in-process ``distpac run``
-per protocol as the benchmark) and checks its digest with
-``Workload.matches``.  Prints ``matched/1000`` per workload and exits 1 if
-any seed-point mismatched.
+Runs each distpac seed 0..999 of every named workload (all of them when
+none is named) through ``perfbench/bench.py``'s ``Workload.run`` (the same
+in-process ``distpac run`` per protocol as the benchmark) and checks its
+digest with ``Workload.matches``.  Prints ``matched/1000`` per workload and
+exits 1 if any seed-point mismatched, 2 on an unknown workload name.
 """
 
 from __future__ import annotations
@@ -30,11 +31,16 @@ def sweep(name: str) -> list:
                 if not wl.matches(wl.run(seed))]
 
 
-def main() -> int:
+def main(names: list) -> int:
+    unknown = [name for name in names if name not in bench.WORKLOADS]
+    if unknown:
+        print(f"unknown workload(s) {', '.join(unknown)}; valid: "
+              + ", ".join(bench.WORKLOADS), file=sys.stderr)
+        return 2
     bench.pin_threads()
     bench.load_distpac()
     bad = 0
-    for name in bench.WORKLOADS:
+    for name in names or bench.WORKLOADS:
         t0 = time.perf_counter()
         missed = sweep(name)
         bad += len(missed)
@@ -46,4 +52,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

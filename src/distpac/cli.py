@@ -182,10 +182,11 @@ def build_distribution(entry: dict, dim: int, boolean: bool = False):
                               f"1-dimensional, the protocol needs {dim}")
         lo = _field(entry, "lo", float, 0.0)
         hi = _field(entry, "hi", float, 1.0)
-        if not lo < hi:
-            raise ConfigError("fields 'lo' and 'hi' must have lo < hi, "
-                              f"got {lo!r}, {hi!r}")
-        return UniformInterval(lo, hi)
+        try:
+            return UniformInterval(lo, hi)
+        except ConfigurationError as exc:  # order or range
+            raise ConfigError(f"fields 'lo' and 'hi': {exc}, "
+                              f"got {lo!r}, {hi!r}") from None
     if kind == "point_mass":
         points = _field(entry, "points", [[float]])
         if any(len(pt) != dim for pt in points):
@@ -538,8 +539,11 @@ def run_config(path: str, seed_range: str | None = None,
         _check("out", root, root != "", "a non-empty path")
         if out_dir == "":
             raise ConfigError("--out must be a non-empty path, got ''")
-        out = Path(out_dir or root
-                   or os.environ.get(OUT_ROOT_ENV, "results")) / sub
+        root = out_dir or root or os.environ.get(OUT_ROOT_ENV, "results")
+        if not root:
+            raise ConfigError(f"{OUT_ROOT_ENV} must be a non-empty path, "
+                              "got ''")
+        out = Path(root) / sub
         job = PROTOCOLS[name](cfg)
         _reject_unread(cfg)
         # sized after the check, so a k the protocol ignores is not read

@@ -242,6 +242,20 @@ class DistributionSpec:
         raise NotImplementedError
 
 
+class UnitSpec(DistributionSpec):
+    """A spec whose m points are m*dim consecutive uniform doubles,
+    ``rng.random((m, dim))``, mapped to points by ``from_unit``: its one
+    definition, which ``draw_parts`` also applies to doubles it reads from
+    raw generator words."""
+
+    def from_unit(self, U: np.ndarray) -> np.ndarray:
+        """Points of an (m, dim) block of uniform doubles in [0, 1)."""
+        raise NotImplementedError
+
+    def draw(self, rng, m):
+        return self.from_unit(rng.random((m, self.dim)))
+
+
 @dataclass(frozen=True)
 class UniformBoolean(DistributionSpec):
     """Uniform on {0,1}^n, drawn as an (m, n) bool block.
@@ -287,9 +301,9 @@ class UniformBoolean(DistributionSpec):
 
 
 @dataclass(frozen=True)
-class ProductBernoulli(DistributionSpec):
+class ProductBernoulli(UnitSpec):
     """Independent bits, x_j = 1 with probability p[j], drawn as an
-    (m, len(p)) bool block."""
+    (m, len(p)) bool block: x_j = u_j < p[j]."""
 
     p: tuple
     dtype = bool
@@ -298,14 +312,14 @@ class ProductBernoulli(DistributionSpec):
     def dim(self) -> int:
         return len(self.p)
 
-    def draw(self, rng, m):
-        probs = np.asarray(self.p, dtype=np.float64)
-        return rng.random((m, len(probs))) < probs
+    def from_unit(self, U):
+        return U < np.asarray(self.p, dtype=np.float64)
 
 
 @dataclass(frozen=True)
-class UniformInterval(DistributionSpec):
-    """Uniform on [lo, hi], as 1-D feature vectors."""
+class UniformInterval(UnitSpec):
+    """Uniform on [lo, hi], as 1-D feature vectors: lo + (hi - lo) * u,
+    numpy's ``uniform``; the range hi - lo must be a finite float."""
 
     lo: float = 0.0
     hi: float = 1.0
@@ -313,13 +327,16 @@ class UniformInterval(DistributionSpec):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigurationError("need lo < hi")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ConfigurationError("need a finite range hi - lo")
 
     @property
     def dim(self) -> int:
         return 1
 
-    def draw(self, rng, m):
-        return rng.uniform(self.lo, self.hi, size=(m, 1))
+    def from_unit(self, U):
+        lo = float(self.lo)
+        return lo + (float(self.hi) - lo) * U
 
 
 @dataclass(frozen=True)
@@ -506,14 +523,14 @@ class DecisionListFunc(Concept):
         return self.n
 
     def predict(self, X):
-        # columns b*n + j-1 of [X == 0 | X == 1 | True]: each row's first
-        # firing rule, the default as a last rule that always fires
-        cols = [b * self.n + j - 1 for (j, b, _c) in self.rules]
-        outs = [c for (_j, _b, c) in self.rules] + [self.default]
-        fires = np.concatenate([X == 0.0, X == 1.0,
-                                np.ones((len(X), 1), dtype=bool)], axis=1)
-        first = fires[:, cols + [2 * self.n]].argmax(axis=1)
-        return np.array(outs, dtype=np.int8)[first]
+        # each row's first firing rule (x_j == b), the default as a last
+        # rule that always fires
+        js, bs, outs = zip(*self.rules) if self.rules else ((), (), ())
+        fires = np.ones((len(X), len(js) + 1), dtype=bool)
+        np.equal(X[:, [j - 1 for j in js]], np.array(bs, X.dtype),
+                 out=fires[:, :-1])
+        first = fires.argmax(axis=1)
+        return np.array(outs + (self.default,), dtype=np.int8)[first]
 
 
 @dataclass(frozen=True)
@@ -630,15 +647,29 @@ def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,
                       tags=(tags,))
 
 
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles numpy's ``random`` makes of PCG64 words w, (w >> 11) *
+    2**-53, written over the words: a fresh block costs page faults, and
+    shifted words convert faster as int64 than as uint64."""
+    words >>= 11
+    U = words.view(np.float64)
+    U[...] = words.view(np.int64)
+    U *= 2.0 ** -53
+    return U
+
+
 def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
                seed: int, *, noise_rate: float = 0.0,
                tags: Sequence[tuple]) -> Sample:
     """One Sample holding, in order, part p = ``draw_sample(spec, f,
     sizes[p], seed, noise_rate=noise_rate, tags=tags[p])`` for every p.
 
-    Each part draws its points (then its label flips) from its own stream,
-    so the parts are exactly the per-part draws; the whole block is
-    labelled by f in one ``predict``.
+    Each part draws its points, then (if the labels are noisy and the part
+    is non-empty) one flip double per point, from its own stream, so the
+    parts are exactly the per-part draws.  A ``UnitSpec``'s part is one
+    ``random_raw`` call for all of its words, and the words of every part
+    become doubles, points and flips at once; any other spec draws part by
+    part.  The whole block is labelled by f in one ``predict``.
     """
     if len(sizes) != len(tags):
         raise ConfigurationError("need one tag tuple per part")
@@ -648,19 +679,36 @@ def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
         raise ConfigurationError(
             f"spec dimension {spec.dim} != target dimension {f.dim}")
     noisy = noise_rate > 0.0
-    blocks, flips = [], []
+    d = spec.dim
     rngs = streams(seed, [("draw_sample", *t) for t in tags])
-    for m, rng in zip(sizes, rngs):
-        blocks.append(spec.draw(rng, m).reshape(m, spec.dim))
-        if noisy and m:
-            flips.append(rng.random(m) < noise_rate)
-    X = blocks[0] if len(blocks) == 1 else \
-        np.concatenate([np.empty((0, spec.dim), spec.dtype), *blocks])
+    if isinstance(spec, UnitSpec):
+        raw = [rng.bit_generator.random_raw((d + noisy) * m)
+               for m, rng in zip(sizes, rngs)]
+        U = _unit_doubles(raw[0] if len(raw) == 1 else
+                          np.concatenate([np.empty(0, np.uint64), *raw]))
+        if noisy:
+            # part p's words: d * m_p points, then m_p flips
+            runs = np.repeat(np.array(sizes, dtype=np.intp), 2)
+            runs[::2] *= d
+            of_points = np.zeros(len(runs), dtype=bool)
+            of_points[::2] = True
+            point = np.repeat(of_points, runs)
+            U, flips = U[point], U[~point]
+        X = spec.from_unit(U.reshape(sum(sizes), d))
+    else:
+        blocks, flips = [], []
+        for m, rng in zip(sizes, rngs):
+            blocks.append(spec.draw(rng, m).reshape(m, d))
+            if noisy and m:
+                flips.append(rng.random(m))
+        X = blocks[0] if len(blocks) == 1 else \
+            np.concatenate([np.empty((0, d), spec.dtype), *blocks])
+        flips = np.concatenate([np.empty(0), *flips])
     if not len(X):
         return Sample(X, np.zeros(0, dtype=np.int8))
     y = f.predict(X)
     if noisy:
-        y = np.where(np.concatenate(flips), -y, y)
+        y = np.where(flips < noise_rate, -y, y)
     return Sample(X, y)
 
 

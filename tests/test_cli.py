@@ -130,6 +130,13 @@ class TestRun:
         assert cli.main(["run", cfg]) == 0
         assert (tmp_path / "envout" / "conj" / "results.csv").exists()
 
+    def test_empty_env_root_is_ignored_under_an_explicit_root(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, "")
+        path = write_config(tmp_path, "c", dict(BASE))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "conj" / "results.csv").exists()
+
     def test_invariant_failure_exits_1_without_traceback(
             self, tmp_path, monkeypatch, capsys):
         # a broken center: the all-true conjunction labels every player's
@@ -406,6 +413,19 @@ class TestConfigValidation:
         assert f"'{field}'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lo, hi", [(-1.0e308, 1.0e308),
+                                        (-1.7e308, 2.0e307)])
+    def test_uniform_interval_range_overflow_exits_2(self, tmp_path, capsys,
+                                                     lo, hi):
+        # numpy's uniform raised OverflowError: a traceback, exit 1
+        path = write_config(tmp_path, "c", dict(BOX1, distributions=[
+            {"kind": "uniform_interval", "lo": lo, "hi": hi}]))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'lo'" in err and "'hi'" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../../x", "a/../../x", "ABSOLUTE",
                                       "", "."])
     def test_name_not_under_the_output_root_exits_2(self, tmp_path, capsys,
@@ -440,15 +460,20 @@ class TestConfigValidation:
         assert "--seed-range" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cfg_out, flags, named", [
-        (None, ["--out", ""], "--out"), ("", [], "'out'")],
-        ids=["flag", "config"])
+    @pytest.mark.parametrize("cfg_out, flags, env, named", [
+        (None, ["--out", ""], None, "--out"), ("", [], None, "'out'"),
+        # this one wrote conj/ straight into the working directory
+        (None, [], "", cli.OUT_ROOT_ENV)],
+        ids=["flag", "config", "env"])
     def test_empty_output_root_exits_2(self, tmp_path, capsys, monkeypatch,
-                                       cfg_out, flags, named):
+                                       cfg_out, flags, env, named):
         cfg = dict(BASE) if cfg_out is None else dict(BASE, out=cfg_out)
         path = write_config(tmp_path, "c", cfg)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
+        if env is None:
+            monkeypatch.delenv(cli.OUT_ROOT_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.OUT_ROOT_ENV, env)
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["run", path, *flags]) == 2
         err = capsys.readouterr().err

@@ -240,6 +240,27 @@ class TestDistributions:
         assert X.shape == (100, 1)
         assert X.min() >= 0.2 and X.max() <= 0.4
 
+    @pytest.mark.parametrize("lo, hi", [(-1.0e308, 1.0e308),
+                                        (-math.inf, 0.0), (0.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_uniform_interval_needs_a_finite_range(self, lo, hi):
+        # numpy's uniform raised OverflowError here; from raw words the
+        # points would be inf or nan
+        with pytest.raises(ConfigurationError):
+            UniformInterval(lo, hi)
+
+    @pytest.mark.parametrize("spec, numpy_draw", [
+        (UniformInterval(-3.5, 2.25),
+         lambda rng, m: rng.uniform(-3.5, 2.25, (m, 1))),
+        (ProductBernoulli((0.0, 0.3, 1.0)),
+         lambda rng, m: rng.random((m, 3)) < np.array([0.0, 0.3, 1.0]))])
+    def test_unit_spec_draw_is_numpys(self, spec, numpy_draw):
+        a, b = stream(4, "u"), stream(4, "u")
+        for m in (0, 1, 7):
+            X, Y = spec.draw(a, m), numpy_draw(b, m)
+            assert X.dtype == Y.dtype and X.tobytes() == Y.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_product_bernoulli_bias(self):
         spec = ProductBernoulli((0.9, 0.1))
         X = spec.draw(stream(3), 2000)
@@ -288,46 +309,75 @@ DRAW_KINDS = {
                                  (0.2, 0.5, 0.3)),
                    Box((0.25, 0.0), (1.0, 0.75))),
 }
-# the 0/1 specs draw bool blocks; every other spec draws float64
-BOOL_KINDS = {"uniform_boolean", "product_bernoulli"}
 
 
 def old_draw_sample(spec, f, m, seed, noise_rate, tags):
     """draw_sample's body before it became draw_parts' one-part case, kept
-    as the oracle of the seed derivation: (features, labels)."""
+    as the oracle of the seed derivation: (features, labels).  The specs
+    draw_parts reads from raw words draw with numpy's own calls here."""
     rng = stream(seed, "draw_sample", *tags)
-    X = spec.draw(rng, m)
+    if isinstance(spec, UniformInterval):
+        X = rng.uniform(spec.lo, spec.hi, (m, 1))
+    elif isinstance(spec, ProductBernoulli):
+        X = rng.random((m, spec.dim)) < np.array(spec.p)
+    else:
+        X = spec.draw(rng, m)
     y = f.predict(X) if m else np.zeros(0, dtype=np.int8)
     if noise_rate > 0.0 and m:
         y = np.where(rng.random(m) < noise_rate, -y, y)
     return X.reshape(m, spec.dim), y
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(DRAW_KINDS)), st.integers(0, 2 ** 40),
-       # few distinct tags, so parts repeat a stream
+def interval_cases():
+    """(UniformInterval, Threshold target) over random finite ranges:
+    negative, tiny and nearly as wide as a float allows."""
+    bound = st.floats(-1.0e308, 1.0e308)
+    return st.tuples(bound, bound).filter(
+        lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0])).map(
+        lambda b: (UniformInterval(*b), Threshold(b[0] / 2 + b[1] / 2, 1)))
+
+
+def bernoulli_cases():
+    """(ProductBernoulli, ParityFunc target); p holds 0.0 and 1.0 often."""
+    p = st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+                 min_size=1, max_size=5)
+    return p.map(lambda p: (ProductBernoulli(tuple(p)), ParityFunc(
+        len(p), tuple((i + 1) % 2 for i in range(len(p))))))
+
+
+# a (spec, target) of each kind, or a raw-word spec with random parameters
+DRAW_CASES = (st.sampled_from(sorted(DRAW_KINDS)).map(DRAW_KINDS.get)
+              | interval_cases() | bernoulli_cases())
+
+
+@settings(max_examples=300, deadline=None)
+@given(DRAW_CASES, st.integers(0, 2 ** 64 - 1),
+       # zero-size parts and few distinct tags, so parts repeat a stream
        st.lists(st.tuples(st.integers(0, 6),
                           st.tuples(st.sampled_from("ab"), st.integers(0, 2))),
                 max_size=6),
-       st.sampled_from((0.0, 0.3)))
-def test_property_draw_parts_concatenates_draw_sample(kind, seed, parts,
+       st.sampled_from((0.0, 0.05, 0.3)))
+def test_property_draw_parts_concatenates_draw_sample(case, seed, parts,
                                                       noise):
-    spec, f = DRAW_KINDS[kind]
+    spec, f = case
     got = draw_parts(spec, f, [m for m, _ in parts], seed, noise_rate=noise,
                      tags=[t for _, t in parts])
     each = [draw_sample(spec, f, m, seed, noise_rate=noise, tags=t)
             for m, t in parts]
     for part, (m, t) in zip(each, parts):
         X, y = old_draw_sample(spec, f, m, seed, noise, t)
+        assert part.features.dtype == X.dtype
         assert part.features.tobytes() == X.tobytes()
         assert np.array_equal(part.labels, y)
-    dtype = bool if kind in BOOL_KINDS else np.float64
+    # the 0/1 specs draw bool blocks; every other spec draws float64
+    dtype = bool if isinstance(spec, (UniformBoolean, ProductBernoulli)) \
+        else np.float64
     X = np.concatenate([np.empty((0, spec.dim), dtype)]
                        + [p.features for p in each])
     y = np.concatenate([np.empty(0, np.int8)] + [p.labels for p in each])
     assert got.features.dtype == X.dtype and got.features.shape == X.shape
     assert got.features.tobytes() == X.tobytes()
-    assert np.array_equal(got.labels, y)
+    assert got.labels.dtype == np.int8 and np.array_equal(got.labels, y)
 
 
 def test_sample_error_weighted():
