@@ -213,7 +213,7 @@ class Sample:
         self.features = X
         if X.shape[0] != len(self):
             raise ConfigurationError("features/labels length mismatch")
-        if not ((self.labels == 1) | (self.labels == -1)).all():
+        if not (np.abs(self.labels) == 1).all():  # int8: |-128| is -128
             raise ConfigurationError("labels must be +/-1")
 
     def __len__(self) -> int:
@@ -240,20 +240,6 @@ class DistributionSpec:
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError
-
-
-class UnitSpec(DistributionSpec):
-    """A spec whose m points are m*dim consecutive uniform doubles,
-    ``rng.random((m, dim))``, mapped to points by ``from_unit``: its one
-    definition, which ``draw_parts`` also applies to doubles it reads from
-    raw generator words."""
-
-    def from_unit(self, U: np.ndarray) -> np.ndarray:
-        """Points of an (m, dim) block of uniform doubles in [0, 1)."""
-        raise NotImplementedError
-
-    def draw(self, rng, m):
-        return self.from_unit(rng.random((m, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -301,9 +287,9 @@ class UniformBoolean(DistributionSpec):
 
 
 @dataclass(frozen=True)
-class ProductBernoulli(UnitSpec):
+class ProductBernoulli(DistributionSpec):
     """Independent bits, x_j = 1 with probability p[j], drawn as an
-    (m, len(p)) bool block: x_j = u_j < p[j]."""
+    (m, len(p)) bool block."""
 
     p: tuple
     dtype = bool
@@ -312,14 +298,17 @@ class ProductBernoulli(UnitSpec):
     def dim(self) -> int:
         return len(self.p)
 
-    def from_unit(self, U):
-        return U < np.asarray(self.p, dtype=np.float64)
+    def draw(self, rng, m):
+        probs = np.asarray(self.p, dtype=np.float64)
+        return rng.random((m, len(probs))) < probs
 
 
 @dataclass(frozen=True)
-class UniformInterval(UnitSpec):
-    """Uniform on [lo, hi], as 1-D feature vectors: lo + (hi - lo) * u,
-    numpy's ``uniform``; the range hi - lo must be a finite float."""
+class UniformInterval(DistributionSpec):
+    """Uniform on [lo, hi], as 1-D feature vectors: m points are m uniform
+    doubles u, ``rng.random((m, 1))``, mapped by ``from_unit`` to lo +
+    (hi - lo) * u, numpy's ``uniform`` bit for bit.  The range hi - lo must
+    be a finite float."""
 
     lo: float = 0.0
     hi: float = 1.0
@@ -334,9 +323,20 @@ class UniformInterval(UnitSpec):
     def dim(self) -> int:
         return 1
 
-    def from_unit(self, U):
-        lo = float(self.lo)
-        return lo + (float(self.hi) - lo) * U
+    def from_unit(self, U: np.ndarray) -> np.ndarray:
+        """The points of uniform doubles U in [0, 1), written over U: the
+        one mapping, which ``draw_parts`` also applies to doubles it reads
+        from raw generator words.  A factor of 1 and, as U >= 0, a term of
+        0 leave U as it is, so [0, 1) maps without a pass."""
+        lo, width = float(self.lo), float(self.hi) - float(self.lo)
+        if width != 1.0:
+            U *= width
+        if lo:
+            U += lo
+        return U
+
+    def draw(self, rng, m):
+        return self.from_unit(rng.random((m, 1)))
 
 
 @dataclass(frozen=True)
@@ -649,13 +649,31 @@ def draw_sample(spec: DistributionSpec, f: Concept, m: int, seed: int,
 
 def _unit_doubles(words: np.ndarray) -> np.ndarray:
     """The doubles numpy's ``random`` makes of PCG64 words w, (w >> 11) *
-    2**-53, written over the words: a fresh block costs page faults, and
-    shifted words convert faster as int64 than as uint64."""
-    words >>= 11
+    2**-53, written over the words: a fresh block for a large draw costs
+    page faults, and shifted words convert faster as int64 than as
+    uint64."""
+    np.right_shift(words, 11, out=words)
     U = words.view(np.float64)
     U[...] = words.view(np.int64)
     U *= 2.0 ** -53
     return U
+
+
+def _flipped(words: np.ndarray, noise_rate: float) -> np.ndarray:
+    """Which labels flip words w flip: those whose double (w >> 11) *
+    2**-53 is below noise_rate, as numpy's ``random() < noise_rate``.  For
+    the integer w >> 11 that is w >> 11 < ceil(noise_rate * 2**53), so w
+    itself is compared with that bound times 2**11 (a rate of 1 or more
+    flips every label)."""
+    return words < math.ceil(min(noise_rate, 1.0) * 2.0 ** 53) << 11
+
+
+def _joined(blocks: list, shape: tuple, dtype, axis: int = 0) -> np.ndarray:
+    """The blocks concatenated along axis, a single block as it is; with no
+    blocks, an empty array of the given shape and dtype."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate([np.empty(shape, dtype), *blocks], axis=axis)
 
 
 def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
@@ -664,12 +682,14 @@ def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
     """One Sample holding, in order, part p = ``draw_sample(spec, f,
     sizes[p], seed, noise_rate=noise_rate, tags=tags[p])`` for every p.
 
-    Each part draws its points, then (if the labels are noisy and the part
-    is non-empty) one flip double per point, from its own stream, so the
-    parts are exactly the per-part draws.  A ``UnitSpec``'s part is one
-    ``random_raw`` call for all of its words, and the words of every part
-    become doubles, points and flips at once; any other spec draws part by
-    part.  The whole block is labelled by f in one ``predict``.
+    Each part draws its points, then (if the labels are noisy) one flip
+    word per point, from its own stream, so the parts are exactly the
+    per-part draws; a label flips when its word's double is below
+    ``noise_rate``.  A ``UniformInterval`` part is one ``random_raw`` call
+    for its points' and flips' words, and the points of every part become
+    doubles and are mapped by ``from_unit`` at once; any other spec draws
+    part by part with ``spec.draw``.  The whole block is labelled by f in
+    one ``predict``.
     """
     if len(sizes) != len(tags):
         raise ConfigurationError("need one tag tuple per part")
@@ -681,34 +701,29 @@ def draw_parts(spec: DistributionSpec, f: Concept, sizes: Sequence[int],
     noisy = noise_rate > 0.0
     d = spec.dim
     rngs = streams(seed, [("draw_sample", *t) for t in tags])
-    if isinstance(spec, UnitSpec):
-        raw = [rng.bit_generator.random_raw((d + noisy) * m)
-               for m, rng in zip(sizes, rngs)]
-        U = _unit_doubles(raw[0] if len(raw) == 1 else
-                          np.concatenate([np.empty(0, np.uint64), *raw]))
-        if noisy:
-            # part p's words: d * m_p points, then m_p flips
-            runs = np.repeat(np.array(sizes, dtype=np.intp), 2)
-            runs[::2] *= d
-            of_points = np.zeros(len(runs), dtype=bool)
-            of_points[::2] = True
-            point = np.repeat(of_points, runs)
-            U, flips = U[point], U[~point]
-        X = spec.from_unit(U.reshape(sum(sizes), d))
+    if isinstance(spec, UniformInterval):
+        # part p's words: m_p points, then (if noisy) m_p flips; read as
+        # rows and joined, so row 0 holds every point and row 1 every flip
+        rows = 1 + noisy
+        W = _joined([rng.bit_generator.random_raw((rows, m))
+                     for m, rng in zip(sizes, rngs)],
+                    (rows, 0), np.uint64, axis=1)
+        X = spec.from_unit(_unit_doubles(W[0])[:, None])
+        flips = W[-1]
     else:
         blocks, flips = [], []
         for m, rng in zip(sizes, rngs):
             blocks.append(spec.draw(rng, m).reshape(m, d))
-            if noisy and m:
-                flips.append(rng.random(m))
-        X = blocks[0] if len(blocks) == 1 else \
-            np.concatenate([np.empty((0, d), spec.dtype), *blocks])
-        flips = np.concatenate([np.empty(0), *flips])
+            if noisy:
+                flips.append(rng.bit_generator.random_raw(m))
+        X = _joined(blocks, (0, d), spec.dtype)
+        if noisy:
+            flips = _joined(flips, (0,), np.uint64)
     if not len(X):
         return Sample(X, np.zeros(0, dtype=np.int8))
     y = f.predict(X)
     if noisy:
-        y = np.where(flips < noise_rate, -y, y)
+        y = np.negative(y, out=y.copy(), where=_flipped(flips, noise_rate))
     return Sample(X, y)
 
 

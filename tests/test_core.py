@@ -16,7 +16,7 @@ from distpac.core import (M_EVAL, Box, ConfigurationError, Conjunction,
                           draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream, streams)
-from distpac.core import _StateWords
+from distpac.core import _flipped, _StateWords
 from distpac.core import _words as words
 
 
@@ -249,17 +249,27 @@ class TestDistributions:
         with pytest.raises(ConfigurationError):
             UniformInterval(lo, hi)
 
-    @pytest.mark.parametrize("spec, numpy_draw", [
-        (UniformInterval(-3.5, 2.25),
-         lambda rng, m: rng.uniform(-3.5, 2.25, (m, 1))),
-        (ProductBernoulli((0.0, 0.3, 1.0)),
-         lambda rng, m: rng.random((m, 3)) < np.array([0.0, 0.3, 1.0]))])
-    def test_unit_spec_draw_is_numpys(self, spec, numpy_draw):
+    # [0, 1) and -0.0 map without a pass, a width of 1 without the product
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 1.0), (2.5, 3.5),
+                                        (-3.5, 2.25), (-1.0e308, 7.0e307)])
+    def test_uniform_interval_draw_is_numpys(self, lo, hi):
         a, b = stream(4, "u"), stream(4, "u")
         for m in (0, 1, 7):
-            X, Y = spec.draw(a, m), numpy_draw(b, m)
+            X, Y = UniformInterval(lo, hi).draw(a, m), b.uniform(lo, hi,
+                                                                 (m, 1))
             assert X.dtype == Y.dtype and X.tobytes() == Y.tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=8),
+           st.integers(0, 2 ** 53), st.integers(-2, 2),
+           st.sampled_from((0.0, 1.0, 2.0, math.inf)) | st.floats(0.0, 1.0))
+    def test_flipped_is_the_double_below_the_rate(self, words, k, dk, rate):
+        # words on both sides of the rate's own double k * 2**-53
+        words += [max(0, min(2 ** 64 - 1, (k << 11) + dk))]
+        rate = rate or k * 2.0 ** -53
+        got = _flipped(np.array(words, dtype=np.uint64), rate)
+        assert got.tolist() == [(w >> 11) * 2.0 ** -53 < rate for w in words]
 
     def test_product_bernoulli_bias(self):
         spec = ProductBernoulli((0.9, 0.1))
@@ -313,8 +323,9 @@ DRAW_KINDS = {
 
 def old_draw_sample(spec, f, m, seed, noise_rate, tags):
     """draw_sample's body before it became draw_parts' one-part case, kept
-    as the oracle of the seed derivation: (features, labels).  The specs
-    draw_parts reads from raw words draw with numpy's own calls here."""
+    as the oracle of the seed derivation: (features, labels).  Intervals
+    and Bernoulli bits are drawn with numpy's own calls here, not with the
+    specs' code."""
     rng = stream(seed, "draw_sample", *tags)
     if isinstance(spec, UniformInterval):
         X = rng.uniform(spec.lo, spec.hi, (m, 1))
@@ -330,10 +341,14 @@ def old_draw_sample(spec, f, m, seed, noise_rate, tags):
 
 def interval_cases():
     """(UniformInterval, Threshold target) over random finite ranges:
-    negative, tiny and nearly as wide as a float allows."""
+    negative, tiny and nearly as wide as a float allows, and the ones whose
+    mapping skips a pass (lo = +-0.0, a width of 1)."""
     bound = st.floats(-1.0e308, 1.0e308)
-    return st.tuples(bound, bound).filter(
-        lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0])).map(
+    random = st.tuples(bound, bound).filter(
+        lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0]))
+    skipping = st.sampled_from(((0.0, 1.0), (-0.0, 1.0), (0.0, 4.0),
+                                (2.5, 3.5), (-1.0, 0.0)))
+    return (random | skipping).map(
         lambda b: (UniformInterval(*b), Threshold(b[0] / 2 + b[1] / 2, 1)))
 
 
@@ -345,7 +360,8 @@ def bernoulli_cases():
         len(p), tuple((i + 1) % 2 for i in range(len(p))))))
 
 
-# a (spec, target) of each kind, or a raw-word spec with random parameters
+# a (spec, target) of each kind, or an interval or Bernoulli spec with
+# random parameters
 DRAW_CASES = (st.sampled_from(sorted(DRAW_KINDS)).map(DRAW_KINDS.get)
               | interval_cases() | bernoulli_cases())
 
@@ -356,7 +372,7 @@ DRAW_CASES = (st.sampled_from(sorted(DRAW_KINDS)).map(DRAW_KINDS.get)
        st.lists(st.tuples(st.integers(0, 6),
                           st.tuples(st.sampled_from("ab"), st.integers(0, 2))),
                 max_size=6),
-       st.sampled_from((0.0, 0.05, 0.3)))
+       st.sampled_from((0.0, 0.05, 0.3, 1.0, 2.0)) | st.floats(0.0, 1.0))
 def test_property_draw_parts_concatenates_draw_sample(case, seed, parts,
                                                       noise):
     spec, f = case
