@@ -6,12 +6,14 @@
 Runs each distpac seed 0..999 of every named workload (all of them when
 none is named) through ``perfbench/bench.py``'s ``Workload.run`` (the same
 in-process ``distpac run`` per protocol as the benchmark) and checks its
-digest with ``Workload.matches``.  Prints ``matched/1000`` per workload and
-exits 1 if any seed-point mismatched, 2 on an unknown workload name.
+digest with ``Workload.matches``.  Prints an ``env: python=... numpy=...``
+line first, then ``matched/1000`` per workload, and exits 1 if any
+seed-point mismatched, 2 on an unknown workload name.
 """
 
 from __future__ import annotations
 
+import platform
 import sys
 import tempfile
 import time
@@ -39,6 +41,9 @@ def main(names: list) -> int:
         return 2
     bench.pin_threads()
     bench.load_distpac()
+    import numpy  # after pin_threads, as the benchmark imports it
+    print(f"env: python={platform.python_version()} "
+          f"numpy={numpy.__version__}", flush=True)
     bad = 0
     for name in names or bench.WORKLOADS:
         t0 = time.perf_counter()

@@ -30,13 +30,15 @@ def quantize(x: float | np.ndarray, q: int | None) -> float | np.ndarray:
     ndarray of the same shape, entry by entry bit-identical to the scalar
     call.  q = None means exact (x is returned unchanged).  Truncation keeps
     each value in [x(1 - 2^-q), x], so k quantized weights shift total
-    variation by at most k * 2^-q.
+    variation by at most k * 2^-q; from q = 52 on, x is returned unchanged.
     """
     if q is None:
         return x if np.ndim(x) else float(x)
     a = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(a).all() and (a >= 0.0).all()):
         raise ConfigurationError("weights must be finite and nonnegative")
+    if q >= 52:  # float64's mantissa bits: truncation keeps every one
+        return a if a.ndim else float(a)
     m, e = np.frexp(a)
     scale = float(1 << (q + 1))
     out = np.ldexp(np.floor(m * scale) / scale, e)

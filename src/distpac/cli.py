@@ -1,9 +1,10 @@
 """Batch experiment runner.
 
-``distpac run config.yaml`` checks the whole config before any seed runs,
-then executes one protocol over a seed range and writes results.csv (one row
-per seed), summary.json (aggregates plus wall time) and trace.csv for the
-adversarial perceptron construction.
+``distpac run config.yaml`` reads and checks the whole config against the
+fields its protocol declares in ``TABLE`` (README's field table renders it)
+before any seed runs, then executes the protocol over a seed range and writes
+results.csv (one row per seed), summary.json (aggregates plus wall time) and
+trace.csv for the adversarial perceptron construction.
 ``distpac compare dirA dirB`` prints per-currency ratios of medians.
 """
 
@@ -17,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -42,33 +44,22 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config fields: each protocol declares its fields; one reader reads them
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()
-# keys run_config reads, or may leave unread, whatever the protocol
-ALWAYS_ALLOWED = ("protocol", "name", "out", "seeds")
-
-
-class _Tracked(dict):
-    """A config mapping, nested mappings tracked too, that remembers which
-    of its keys were read."""
-
-    def __init__(self, data: dict):
-        super().__init__((key, _track(value)) for key, value in data.items())
-        self.read: set = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
-def _track(value):
-    if isinstance(value, dict):
-        return _Tracked(value)
-    if isinstance(value, list):
-        return [_track(v) for v in value]
-    return value
+ALWAYS_ALLOWED = ("protocol", "name", "out", "seeds")  # run_config reads them
+# a field's type (as _field takes it), README wording, range ok, error wording
+Kind = namedtuple("Kind", "typ doc ok want", defaults=("", None, ""))
+# a field's dotted name, kind, default (REQUIRED, a value, or a function of
+# the values before it), README wording of kind and default if not the usual,
+# and then(values): a check against the values before it, giving any new value
+Field = namedtuple("Field", "name kind default doc shown then",
+                   defaults=(REQUIRED, None, None, None))
+COUNT = Kind(int, "int ≥ 1", lambda v: v >= 1, "be >= 1")
+FRACTION = Kind(float, "float in (0, 1)", lambda v: 0 < v < 1, "be in (0,1)")
+POSITIVE = Kind(float, "float > 0", lambda v: v > 0, "be > 0")
+FLOAT = Kind(float, "float")
 
 
 def _conforms(value, typ) -> bool:
@@ -96,9 +87,7 @@ def _describe(typ) -> str:
 def _field(cfg: dict, name: str, typ, default=REQUIRED):
     """Config field ``name`` (dots reach into sub-mappings) of type ``typ``:
     a type, ``[typ]`` for a list, or a tuple of choices.  A float is finite;
-    an int is a valid float (returned as one); a bool is neither.  A missing
-    required field or a value of another type is a ConfigError that names
-    the field."""
+    an int is a valid float (returned as one); a bool is neither."""
     *parents, leaf = name.split(".")
     for key in parents:
         cfg = _field(cfg, key, dict, {})
@@ -113,108 +102,125 @@ def _field(cfg: dict, name: str, typ, default=REQUIRED):
     return float(value) if typ is float else value
 
 
-def _unread(cfg: _Tracked, prefix: str = "") -> list:
-    """Dotted names of the keys of ``cfg``, and of the mappings nested in
-    the keys that were read, that nothing has read."""
-    out = []
-    for key, value in cfg.items():
-        name = f"{prefix}{key}"
-        if key not in cfg.read:
-            out.append(name)
-        elif isinstance(value, _Tracked):
-            out += _unread(value, f"{name}.")
-        elif isinstance(value, list):
-            for i, entry in enumerate(value):
-                if isinstance(entry, _Tracked):
-                    out += _unread(entry, f"{name}[{i}].")
-    return out
-
-
-def _reject_unread(cfg: _Tracked) -> None:
-    unread = [key for key in _unread(cfg) if key not in ALWAYS_ALLOWED]
-    if unread:
-        raise ConfigError("unknown field " + ", ".join(
-            f"'{key}'" for key in unread) + f": protocol '{cfg['protocol']}'"
-            " reads no such field")
+def _fail(names, what: str, *got):
+    """Raise the ConfigError: fields ``names``, holding ``got``, ``what``."""
+    *rest, last = [f"'{name}'" for name in names]
+    named = f"fields {', '.join(rest)} and {last}" if rest else f"field {last}"
+    got = f", got {', '.join(map(repr, got))}" if got else ""
+    raise ConfigError(named + what + got)
 
 
 def _check(name: str, value, ok: bool, want: str):
-    """``value`` of field ``name``, or a ConfigError saying it must be
-    ``want`` when it is not ``ok``."""
-    if not ok:
-        raise ConfigError(f"field '{name}' must be {want}, got {value!r}")
-    return value
+    return value if ok else _fail((name,), f" must {want}", value)
 
 
-def _fraction(cfg: dict, name: str, default=REQUIRED) -> float:
-    value = _field(cfg, name, float, default)
-    return _check(name, value, 0 < value < 1, "in (0,1)")
+def _read(cfg: dict, fields, values: dict) -> dict:
+    """``values`` and each of ``fields``, in order, read and checked."""
+    for name, (typ, _doc, ok, want), default, _, _, then in fields:
+        default = default(values) if callable(default) else default
+        values[name] = value = _field(cfg, name, typ, default)
+        _check(name, value, not ok or ok(value), want)
+        if then:
+            values[name] = then(values) or value
+    return values
 
 
-def _count(cfg: dict, name: str, default=REQUIRED) -> int:
-    """An int field that sizes something, so must be >= 1."""
-    value = _field(cfg, name, int, default)
-    return _check(name, value, value >= 1, ">= 1")
+def _undeclared(cfg: dict, names, prefix: str = "") -> list:
+    """Dotted names of the undeclared keys of ``cfg``, nested ones too."""
+    heads, out = {name.partition(".")[0] for name in names}, []
+    for key, value in cfg.items():
+        if key not in heads:
+            out.append(f"{prefix}{key}")
+        elif isinstance(value, dict):  # target or privacy, with dotted names
+            out += _undeclared(value, [n.partition(".")[2] for n in names
+                                       if n.startswith(f"{key}.")],
+                               f"{prefix}{key}.")
+        elif key == "distributions":
+            for i, entry in enumerate(value):
+                fields = KINDS[entry.get("kind", "uniform_boolean")]
+                out += _undeclared(entry, ["kind", *(f.name for f in fields)],
+                                   f"{prefix}{key}[{i}].")
+    return out
 
 
-def build_distribution(entry: dict, dim: int, boolean: bool = False):
+def _sized(v: dict, names: str, size, limit=int(np.iinfo(np.intp).max),
+           want: str = " must give a sample size numpy can index") -> None:
+    """Reject fields ``names`` whose ``size(*values)`` is no int in [0, limit]
+    (numpy indexes by intp) or raises: eps² is 0, or ceil meets inf."""
+    got = [v[name] for name in names.split()]
+    try:
+        m = size(*got)
+    except (ArithmeticError, ValueError):
+        m = None
+    if not (isinstance(m, int) and 0 <= m <= limit):
+        _fail(names.split(), want, *got)
+
+
+def _points(v: dict) -> None:
+    points, dim = v["points"], v["dim"]
+    _check("points", points, points and all(len(pt) == dim for pt in points),
+           f"list points of dimension {dim}")
+    _check("points", points, not v["boolean"] or
+           boolean_rows(np.array(points, float)).all(),
+           "have 0/1 coordinates for a boolean protocol")
+
+
+KINDS = {  # a distribution kind -> the fields it reads after ``kind``
+    "uniform_boolean": (), "uniform_sphere": (),
+    "product_bernoulli": (Field("p", Kind((float, [float])), 0.5),),
+    "uniform_interval": (Field("lo", FLOAT, 0.0), Field("hi", FLOAT, 1.0)),
+    "point_mass": (Field("points", Kind([[float]]), then=_points),
+                   Field("probabilities", Kind([float]))),
+}
+
+
+def _distribution(entry: dict, dim: int, boolean: bool):
     """One ``distributions`` entry's spec, 0/1-valued when ``boolean``."""
     kind = _field(entry, "kind", str, "uniform_boolean")
     if boolean and kind in ("uniform_sphere", "uniform_interval"):
-        raise ConfigError(f"field 'kind': {kind} draws real features, the "
-                          "protocol needs boolean ones")
-    if kind == "uniform_boolean":
-        return UniformBoolean(dim)
+        _fail(("kind",), f": {kind} draws real features, the protocol needs "
+              "boolean ones")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown distribution kind '{kind}'")
+    if kind == "uniform_interval" and dim != 1:
+        _fail(("kind",), ": uniform_interval is 1-dimensional, the protocol "
+              f"needs {dim}")
+    v = _read(entry, KINDS[kind], {"dim": dim, "boolean": boolean})
     if kind == "product_bernoulli":
-        p = _field(entry, "p", (float, [float]), 0.5)
+        p = v["p"]
         probs = tuple(map(float, p if isinstance(p, list) else [p] * dim))
-        if len(probs) != dim:
-            raise ConfigError(f"field 'p' must have length {dim}, "
-                              f"got {p!r}")
-        if not all(0.0 <= v <= 1.0 for v in probs):
-            raise ConfigError(f"field 'p' must lie in [0, 1], got {p!r}")
+        _check("p", p, len(probs) == dim, f"have length {dim}")
+        _check("p", p, all(0.0 <= x <= 1.0 for x in probs), "lie in [0, 1]")
         return ProductBernoulli(probs)
-    if kind == "uniform_sphere":
-        return UniformSphere(dim)
-    if kind == "uniform_interval":
-        if dim != 1:
-            raise ConfigError("field 'kind': uniform_interval is "
-                              f"1-dimensional, the protocol needs {dim}")
-        lo = _field(entry, "lo", float, 0.0)
-        hi = _field(entry, "hi", float, 1.0)
-        try:
-            return UniformInterval(lo, hi)
-        except ConfigurationError as exc:  # order or range
-            raise ConfigError(f"fields 'lo' and 'hi': {exc}, "
-                              f"got {lo!r}, {hi!r}") from None
-    if kind == "point_mass":
-        points = _field(entry, "points", [[float]])
-        if any(len(pt) != dim for pt in points):
-            raise ConfigError(f"field 'points' must list points of dimension "
-                              f"{dim}, got {points!r}")
-        if boolean and not boolean_rows(np.array(points, float)).all():
-            raise ConfigError("field 'points' must have 0/1 coordinates for "
-                              f"a boolean protocol, got {points!r}")
-        probs = _field(entry, "probabilities", [float])
-        try:
-            return PointMassList(tuple(map(tuple, points)), tuple(probs))
-        except ConfigurationError as exc:  # count, sign or sum
-            raise ConfigError(f"field 'probabilities': {exc}, "
-                              f"got {probs!r}") from None
-    raise ConfigError(f"unknown distribution kind '{kind}'")
+    try:
+        if kind == "uniform_interval":
+            return UniformInterval(v["lo"], v["hi"])
+        if kind == "point_mass":
+            return PointMassList(tuple(map(tuple, v["points"])),
+                                 tuple(v["probabilities"]))
+    except ConfigurationError as exc:  # interval bounds, point-mass weights
+        blamed = ("lo", "hi") if "lo" in v else ("probabilities",)
+        _fail(blamed, f": {exc}", *map(v.get, blamed))
+    return (UniformSphere if kind == "uniform_sphere" else UniformBoolean)(dim)
 
 
-def _setup(cfg: dict, dim: int, default_kind: str = "uniform_boolean",
-           boolean: bool = False):
-    """(eps, specs): the accuracy field and one distribution per player,
-    ``default_kind`` if none are listed, 0/1-valued if ``boolean``."""
-    eps = _fraction(cfg, "eps")
-    k = _count(cfg, "k")
-    entries = _field(cfg, "distributions", [dict], [{"kind": default_kind}] * k)
-    if len(entries) != k:
-        raise ConfigError(f"'distributions' lists {len(entries)} players, "
-                          f"but k = {k}")
-    return eps, [build_distribution(e, dim, boolean) for e in entries]
+def _setup(dim: str | None, kind: str = "uniform_boolean", check=None):
+    """The *setup* fields eps, k and distributions: a spec per player (k of
+    ``kind`` if none are listed) of the dimension in field ``dim`` (1 if
+    None; 0/1-valued if it is n), which ``check(values)`` may reject."""
+    def specs(v: dict) -> list:
+        entries, k = v["distributions"], v["k"]
+        if len(entries) != k:
+            raise ConfigError(f"'distributions' lists {len(entries)} "
+                              f"players, but k = {k}")
+        v["distributions"] = [_distribution(e, v[dim] if dim else 1,
+                                            dim == "n") for e in entries]
+        if check:
+            check(v)
+        return v["distributions"]
+    return [Field("eps", FRACTION), Field("k", COUNT), Field(
+        "distributions", Kind([dict]), lambda v: [{"kind": kind}] * v["k"],
+        then=specs)]
 
 
 def _random_conjunction(n: int, seed: int) -> Conjunction:
@@ -229,140 +235,11 @@ def _random_parity(n: int, seed: int) -> ParityFunc:
     return ParityFunc(n, v if any(v) else (1,) + v[1:])
 
 
-def _threshold_class(grid: int) -> list:
+@functools.cache  # built once, not per seed: immutable, and runs reuse it
+def _threshold_class(grid: int) -> tuple:
     """Both orientations of a threshold at each of ``grid`` points of [0, 1]."""
-    return [Threshold(float(t), s)
-            for t in np.linspace(0.0, 1.0, grid) for s in (1, -1)]
-
-
-# ---------------------------------------------------------------------------
-# Protocol registry: name -> prepare(cfg) -> job(seed) -> ProtocolResult
-# ---------------------------------------------------------------------------
-
-
-def _run_closed(cfg, cls):
-    dim = _count(cfg, "n" if cls is Conjunction else "d")
-    eps, specs = _setup(cfg, dim, boolean=cls is Conjunction)
-    delta = _fraction(cfg, "delta", 0.05)
-    if cls is Conjunction:
-        vars_cfg = _field(cfg, "target.variables", [int], None)
-        if vars_cfg is None:
-            f = None  # a seeded random conjunction
-        elif not all(0 <= j < dim for j in vars_cfg):
-            raise ConfigError("field 'target.variables' must lie in "
-                              f"[0, n) = [0, {dim}), got {vars_cfg!r}")
-        else:  # [] is the all-true conjunction
-            f = Conjunction(dim, frozenset(vars_cfg))
-    else:
-        lo = _field(cfg, "target.lo", [float], [0.25] * dim)
-        hi = _field(cfg, "target.hi", [float], [0.75] * dim)
-        for name, corner in (("lo", lo), ("hi", hi)):
-            if len(corner) != dim:
-                raise ConfigError(f"field 'target.{name}' must have length "
-                                  f"d = {dim}, got {corner!r}")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise ConfigError("fields 'target.lo' and 'target.hi' must have "
-                              f"lo <= hi on every axis, got {lo!r}, {hi!r}")
-        f = Box(tuple(lo), tuple(hi))
-    c = _field(cfg, "c", float, 1.0)
-    _check("c", c, c > 0, "> 0")
-    return lambda seed: closed.run_intersection_closed(
-        specs, _random_conjunction(dim, seed) if f is None else f, eps, delta,
-        seed, c=c)
-
-
-def _run_parity(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    _check("k", len(specs), len(specs) == 2, "2")
-    c = _field(cfg, "c", float, 8.0)
-    _check("c", c, c > 0, "> 0")
-    return lambda seed: parity_mod.run_parity_two_player(
-        specs, _random_parity(n, seed), eps, seed, c=c)
-
-
-def _run_decision_list(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    delta = _fraction(cfg, "delta", 0.05)
-    n_rules = _count(cfg, "n_rules", 10)
-    if n_rules > 2 * n:
-        raise ConfigError(f"field 'n_rules' must be <= 2n = {2 * n}, "
-                          f"got {n_rules}")
-    return lambda seed: declist.run_decision_list(
-        specs, declist.random_decision_list(n, n_rules, seed), eps, delta,
-        seed)
-
-
-def _run_sample_shipping(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    return lambda seed: baseline.sample_shipping(
-        specs, _random_conjunction(n, seed), eps, seed)
-
-
-def _run_eq_conjunction(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    delta = _fraction(cfg, "delta", 0.05)
-    m = closed.pac_sample_size(n, eps, len(specs), delta)
-
-    def job(seed):
-        f = _random_conjunction(n, seed)
-        samples = [draw_sample(spec, f, m, seed, tags=("eq", i))
-                   for i, spec in enumerate(specs)]
-        return baseline.eq_mistake_bound(samples,
-                                         baseline.ConjunctionElimination(n))
-    return job
-
-
-def _run_averaging(cfg):
-    d = _count(cfg, "d")
-    eps, specs = _setup(cfg, d, "uniform_sphere")
-    f = LinearSeparator(tuple([1.0] + [0.0] * (d - 1)))
-    return lambda seed: linear.averaging_protocol(specs, f, eps, seed)
-
-
-def _run_round_robin(cfg):
-    gamma = _fraction(cfg, "gamma", 0.2)
-    alpha = _field(cfg, "alpha", float, 0.05)
-    _check("alpha", alpha, alpha > 0, "> 0")
-    k, m = _count(cfg, "k"), _count(cfg, "per_player", 40)
-    try:  # gamma^2 underflows to 0, or the cap overflows the float range
-        cap = linear.default_update_cap(gamma)
-    except (ZeroDivisionError, OverflowError):
-        raise ConfigError("field 'gamma' must give a finite update cap, "
-                          f"got {gamma!r}") from None
-
-    def job(seed):
-        samples, _f = linear.well_spread_dataset(k, m, gamma, alpha, seed)
-        linear.certify_well_spread(samples, alpha)
-        return linear.round_robin_perceptron(samples, alpha, update_cap=cap)
-    return job
-
-
-def _run_adversarial_perceptron(cfg):
-    gamma = _fraction(cfg, "gamma", 0.1)
-
-    def adversarial_job(seed):  # the construction draws nothing
-        rounds, trace = linear.adversarial_lower_bound(gamma)
-        return ProtocolResult(
-            hypotheses={}, ledger=channel.CostLedger(rounds=rounds),
-            trace=trace)
-    return adversarial_job
-
-
-def _run_boosting(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    delta = _fraction(cfg, "delta", 0.05)
-    q = _field(cfg, "q", (int, type(None)), 32)
-    _check("q", q, q is None or q >= 1, ">= 1 or null")
-    beta = _fraction(cfg, "beta", 0.25)
-    _check("beta", beta, beta < 0.5, "in (0,1/2)")
-    return lambda seed: boosting.run_distributed_boosting(
-        specs, _random_conjunction(n, seed), eps, delta, seed, beta=beta,
-        q=q)
+    return tuple(Threshold(float(t), s)
+                 for t in np.linspace(0.0, 1.0, grid) for s in (1, -1))
 
 
 def _validated(res, party: str, spec, f, m: int, seed: int):
@@ -373,76 +250,199 @@ def _validated(res, party: str, spec, f, m: int, seed: int):
     return res
 
 
-def _run_robust_halving(cfg):
-    eps, specs = _setup(cfg, 1)
-    H = _threshold_class(_count(cfg, "grid", 201))
-    f = Threshold(_field(cfg, "target_t", float, 0.37), 1)
-    noise = _field(cfg, "noise_rate", float, 0.0)
-    _check("noise_rate", noise, 0 <= noise < 0.5, "in [0,1/2)")
-    shared = _field(cfg, "shared_randomness", bool, False)
-
-    def job(seed):
-        res = agnostic.opt_search(specs, f, H, eps, seed, noise_rate=noise,
-                                  shared_randomness=shared)
-        return _validated(res, channel.BROADCAST, specs[0], f, 4000, seed)
-    return job
+# ---------------------------------------------------------------------------
+# The protocol table, rendered in README: each protocol's fields in read order,
+# the (fields, size(*values)[, limit]) of each sample it draws, job(values, seed)
+# ---------------------------------------------------------------------------
 
 
-def _run_interval_summary(cfg):
-    d = _count(cfg, "d")
-    eps = _fraction(cfg, "eps")
-    intervals = _field(cfg, "target.intervals", [[float]],
-                       [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d])
-    if any(len(iv) != 2 or iv[0] > iv[1] for iv in intervals):
-        raise ConfigError("field 'target.intervals' must list [lo, hi] "
-                          f"pairs with lo <= hi, got {intervals!r}")
-    f = IntervalUnion(tuple(tuple(iv) for iv in intervals))
-    noise = _field(cfg, "noise_rate", float, 0.0)
-    _check("noise_rate", noise, 0 <= noise < 0.5, "in [0,1/2)")
-    m, k = _count(cfg, "m_per_player", 4000), _count(cfg, "k")
-
-    def job(seed):
-        samples = [draw_sample(UniformInterval(), f, m, seed,
-                               noise_rate=noise, tags=("interval", i))
-                   for i in range(k)]
-        res = agnostic.run_interval_summary(samples, d, eps)
-        return _validated(res, channel.CENTER, UniformInterval(), f, 8000,
-                          seed)
-    return job
+def _closed_job(v: dict, seed: int):
+    variables = v.get("target.variables")
+    f = Box(tuple(v["target.lo"]), tuple(v["target.hi"])) if "d" in v else \
+        _random_conjunction(v["n"], seed) if variables is None else \
+        Conjunction(v["n"], frozenset(variables))
+    return closed.run_intersection_closed(v["distributions"], f, v["eps"],
+                                          v["delta"], seed, c=v["c"])
 
 
-def _run_private_conjunction(cfg):
-    n = _count(cfg, "n")
-    eps, specs = _setup(cfg, n, boolean=True)
-    if not all(isinstance(s, privacy_mod.PRODUCT_SPECS) for s in specs):
-        raise ConfigError("field 'kind': private_conjunction needs "
-                          "uniform_boolean or product_bernoulli")
-    mode = _field(cfg, "privacy.mode", str, privacy_mod.MODE_DIFFERENTIAL)
-    _check("privacy.mode", mode, mode in privacy_mod.MODES,
-           "one of " + ", ".join(privacy_mod.MODES))
-    alpha = _field(cfg, "privacy.alpha", float, 1.0)
-    _check("privacy.alpha", alpha, alpha > 0, "> 0")
-    delta = _fraction(cfg, "privacy.delta", 0.05)
-    return lambda seed: privacy_mod.private_conjunction_protocol(
-        specs, _random_conjunction(n, seed), eps, seed, mode=mode,
-        alpha=alpha, delta=delta)
+def _eq_conjunction_job(v: dict, seed: int):
+    n, f = v["n"], _random_conjunction(v["n"], seed)
+    m = closed.pac_sample_size(n, v["eps"], v["k"], v["delta"])
+    samples = [draw_sample(spec, f, m, seed, tags=("eq", i))
+               for i, spec in enumerate(v["distributions"])]
+    return baseline.eq_mistake_bound(samples,
+                                     baseline.ConjunctionElimination(n))
 
 
-PROTOCOLS = {
-    "closed_conjunction": functools.partial(_run_closed, cls=Conjunction),
-    "closed_box": functools.partial(_run_closed, cls=Box),
-    "parity_two_player": _run_parity,
-    "decision_list": _run_decision_list,
-    "sample_shipping": _run_sample_shipping,
-    "eq_conjunction": _run_eq_conjunction,
-    "averaging": _run_averaging,
-    "round_robin_perceptron": _run_round_robin,
-    "adversarial_perceptron": _run_adversarial_perceptron,
-    "boosting": _run_boosting,
-    "robust_halving": _run_robust_halving,
-    "interval_summary": _run_interval_summary,
-    "private_conjunction": _run_private_conjunction,
+def _round_robin_job(v: dict, seed: int):
+    samples, _f = linear.well_spread_dataset(
+        v["k"], v["per_player"], v["gamma"], v["alpha"], seed)
+    linear.certify_well_spread(samples, v["alpha"])
+    return linear.round_robin_perceptron(
+        samples, v["alpha"], update_cap=linear.default_update_cap(v["gamma"]))
+
+
+def _adversarial_job(v: dict, seed: int):  # the construction draws nothing
+    rounds, trace = linear.adversarial_lower_bound(v["gamma"])
+    return ProtocolResult(hypotheses={}, trace=trace,
+                          ledger=channel.CostLedger(rounds=rounds))
+
+
+def _robust_halving_job(v: dict, seed: int):
+    specs, f = v["distributions"], Threshold(v["target_t"], 1)
+    res = agnostic.opt_search(specs, f, _threshold_class(v["grid"]), v["eps"],
+                              seed, noise_rate=v["noise_rate"],
+                              shared_randomness=v["shared_randomness"])
+    return _validated(res, channel.BROADCAST, specs[0], f, 4000, seed)
+
+
+def _interval_summary_job(v: dict, seed: int):
+    f = IntervalUnion(tuple(tuple(iv) for iv in v["target.intervals"]))
+    samples = [draw_sample(UniformInterval(), f, v["m_per_player"], seed,
+                           noise_rate=v["noise_rate"], tags=("interval", i))
+               for i in range(v["k"])]
+    res = agnostic.run_interval_summary(samples, v["d"], v["eps"])
+    return _validated(res, channel.CENTER, UniformInterval(), f, 8000, seed)
+
+
+def _ordered_corners(v: dict) -> None:
+    lo, hi, d = v["target.lo"], v["target.hi"], v["d"]
+    for name, corner in (("target.lo", lo), ("target.hi", hi)):
+        _check(name, corner, len(corner) == d, f"have length d = {d}")
+    if any(a > b for a, b in zip(lo, hi)):
+        _fail(("target.lo", "target.hi"), " must have lo <= hi on every axis",
+              lo, hi)
+
+
+N, D, K = Field("n", COUNT), Field("d", COUNT), Field("k", COUNT)
+DELTA, C = Field("delta", FRACTION, 0.05), Field("c", POSITIVE, 1.0)
+NOISE = Field("noise_rate", Kind(float, "float in [0, 1/2)",
+                                 lambda r: 0 <= r < 0.5, "be in [0,1/2)"), 0.0)
+BOOLEAN = _setup("n")
+VARIABLES = Field(
+    "target.variables", Kind([int], "list of ints in [0, n), `[]` being the "
+                             "all-true conjunction"), None,
+    shown="a seeded random conjunction of max(1, n // 4) variables",
+    then=lambda v: _check("target.variables", v["target.variables"], all(
+        0 <= j < v["n"] for j in v["target.variables"] or ()),
+        f"lie in [0, n) = [0, {v['n']})"))
+CORNERS = (Field("target.lo", Kind([float], "list of `d` floats"),
+                 lambda v: [0.25] * v["d"], shown="`[0.25] * d`"),
+           Field("target.hi", Kind([float], "list of `d` floats, each ≥ its "
+                                   "`target.lo`"), lambda v: [0.75] * v["d"],
+                 shown="`[0.75] * d`", then=_ordered_corners))
+Q = Field("q", Kind((int, type(None)), "int ≥ 1 (mantissa bits kept, exact "
+                    "from 52 up) or null (exact weights)",
+                    lambda q: q is None or q >= 1, "be >= 1 or null"), 32)
+BETA = Field("beta", FRACTION, 0.25, "float in (0, 1/2)",
+             then=lambda v: _check("beta", v["beta"], v["beta"] < 0.5,
+                                   "be in (0,1/2)"))
+INTERVALS = Field("target.intervals", Kind(
+    [[float]], "list of `[lo, hi]` pairs with lo ≤ hi",
+    lambda ivs: all(len(iv) == 2 and iv[0] <= iv[1] for iv in ivs),
+    "list [lo, hi] pairs with lo <= hi"),
+    lambda v: [[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:v["d"]],
+    shown="`[[0.1, 0.3], [0.5, 0.6], [0.8, 0.95]][:d]`")
+PRIVACY = (Field("privacy.mode", Kind(
+    str, "one of " + ", ".join(f"`{m}`" for m in privacy_mod.MODES),
+    lambda m: m in privacy_mod.MODES, "be one of " + ", ".join(
+        privacy_mod.MODES)), privacy_mod.MODE_DIFFERENTIAL),
+    Field("privacy.alpha", POSITIVE, 1.0), Field("privacy.delta", FRACTION,
+                                                 0.05))
+PAC = ("n eps k delta", closed.pac_sample_size)
+TABLE = {
+    "closed_conjunction": (
+        [N, *BOOLEAN, DELTA, VARIABLES, C],
+        [("n eps k delta c", closed.pac_sample_size)], _closed_job),
+    "closed_box": (
+        [D, *_setup("d"), DELTA, *CORNERS, C],
+        [("d eps k delta c", lambda d, eps, k, delta, c: (
+            closed.pac_sample_size(2 * d, eps, k, delta, c)))], _closed_job),
+    "parity_two_player": (
+        [N, *_setup("n", check=lambda v: _check(
+            "k", v["k"], v["k"] == 2, "be 2")), Field("c", POSITIVE, 8.0)],
+        [("c n eps", lambda c, n, eps: math.ceil(c * n / eps))],
+        lambda v, seed: parity_mod.run_parity_two_player(
+            v["distributions"], _random_parity(v["n"], seed), v["eps"], seed,
+            c=v["c"])),
+    "decision_list": (
+        [N, *BOOLEAN, DELTA, Field(
+            "n_rules", COUNT, 10, "int ≥ 1 and ≤ 2n", then=lambda v: _check(
+                "n_rules", v["n_rules"], v["n_rules"] <= 2 * v["n"],
+                f"be <= 2n = {2 * v['n']}"))],
+        [PAC], lambda v, seed: declist.run_decision_list(
+            v["distributions"], declist.random_decision_list(
+                v["n"], v["n_rules"], seed), v["eps"], v["delta"], seed)),
+    "sample_shipping": (
+        [N, *BOOLEAN], [("n eps k", baseline.shipping_sample_size)],
+        lambda v, seed: baseline.sample_shipping(
+            v["distributions"], _random_conjunction(v["n"], seed), v["eps"],
+            seed)),
+    "eq_conjunction": ([N, *BOOLEAN, DELTA], [PAC], _eq_conjunction_job),
+    "averaging": (
+        [D, *_setup("d", kind="uniform_sphere")],
+        [("d eps", lambda d, eps: math.ceil(d / (eps * eps)))],
+        lambda v, seed: linear.averaging_protocol(v["distributions"], (
+            LinearSeparator((1.0,) + (0.0,) * (v["d"] - 1))), v["eps"], seed)),
+    "round_robin_perceptron": (
+        # gamma's update cap is checked once every field is read
+        [Field("gamma", FRACTION, 0.2), Field("alpha", POSITIVE, 0.05), K,
+         Field("per_player", COUNT, 40, then=lambda v: _sized(
+             v, "gamma", linear.default_update_cap, math.inf,
+             " must give a finite update cap"))],
+        [], _round_robin_job),
+    "adversarial_perceptron": ([Field("gamma", FRACTION, 0.1)], [],
+                               _adversarial_job),
+    "boosting": (
+        [N, *BOOLEAN, DELTA, Q, BETA],
+        [("n beta", boosting.weak_sample_size), PAC],
+        lambda v, seed: boosting.run_distributed_boosting(
+            v["distributions"], _random_conjunction(v["n"], seed), v["eps"],
+            v["delta"], seed, beta=v["beta"], q=v["q"])),
+    "robust_halving": (
+        [*_setup(None), Field("grid", COUNT, 201),
+         Field("target_t", FLOAT, 0.37), NOISE,
+         Field("shared_randomness", Kind(bool, "bool"), False)],
+        [("eps", lambda eps: math.ceil(4.0 / (eps * eps)))],
+        _robust_halving_job),
+    "interval_summary": (
+        [D, Field("eps", FRACTION), INTERVALS, NOISE,
+         Field("m_per_player", COUNT, 4000), K],
+        [("d eps", lambda d, eps: math.ceil(d / eps))],
+        _interval_summary_job),
+    "private_conjunction": (
+        [N, *_setup("n", check=lambda v: all(isinstance(
+            s, privacy_mod.PRODUCT_SPECS) for s in v["distributions"])
+            or _fail(("kind",), ": private_conjunction needs uniform_boolean "
+                     "or product_bernoulli")), *PRIVACY],
+        # m only sizes rng.binomial draws, which take any int64
+        [("n privacy.alpha eps privacy.delta privacy.mode",
+          lambda n, alpha, eps, delta, mode: privacy_mod.private_sample_size(
+              n, alpha, eps / (2 * n), delta, mode), 2 ** 63 - 1)],
+        lambda v, seed: privacy_mod.private_conjunction_protocol(
+            v["distributions"], _random_conjunction(v["n"], seed), v["eps"],
+            seed, mode=v["privacy.mode"], alpha=v["privacy.alpha"],
+            delta=v["privacy.delta"])),
 }
+
+
+def _prepare(name: str, cfg: dict):
+    """Protocol ``name``'s job(seed), once ``cfg`` passes every check."""
+    fields, sizes, job = TABLE[name]
+    values = _read(cfg, fields, {})
+    unknown = _undeclared(cfg, ALWAYS_ALLOWED + tuple(f.name for f in fields))
+    if unknown:
+        raise ConfigError("unknown field " + ", ".join(
+            f"'{key}'" for key in unknown) + f": protocol '{name}' reads no "
+            "such field")
+    for size in sizes:
+        _sized(values, *size)
+    return functools.partial(job, values)
+
+
+# name -> prepare(cfg) -> job(seed) -> ProtocolResult
+PROTOCOLS = {name: functools.partial(_prepare, name) for name in TABLE}
+
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,6 @@ def run_config(path: str, seed_range: str | None = None,
             raise ConfigError(f"malformed config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a mapping")
-        cfg = _Tracked(cfg)
         name = _field(cfg, "protocol", str)
         if name not in PROTOCOLS:
             raise ConfigError(f"unknown protocol '{name}'; valid: "
@@ -533,10 +532,10 @@ def run_config(path: str, seed_range: str | None = None,
         sub = _field(cfg, "name", str, name)
         parts = Path(sub).parts
         _check("name", sub, bool(parts) and not Path(sub).is_absolute()
-               and ".." not in parts, "a directory under the output root")
+               and ".." not in parts, "be a directory under the output root")
         # read even when --out overrides it: a config is checked whole
         root = _field(cfg, "out", str, None)
-        _check("out", root, root != "", "a non-empty path")
+        _check("out", root, root != "", "be a non-empty path")
         if out_dir == "":
             raise ConfigError("--out must be a non-empty path, got ''")
         root = out_dir or root or os.environ.get(OUT_ROOT_ENV, "results")
@@ -545,10 +544,8 @@ def run_config(path: str, seed_range: str | None = None,
                               "got ''")
         out = Path(root) / sub
         job = PROTOCOLS[name](cfg)
-        _reject_unread(cfg)
-        # sized after the check, so a k the protocol ignores is not read
-        scopes = ["mixture"] + [f"p{i + 1}"
-                                for i in range(_count(cfg, "k", 1))]
+        # prepare checked k, or rejected it if the protocol takes none
+        scopes = ["mixture"] + [f"p{i + 1}" for i in range(cfg.get("k", 1))]
         counters = channel.CostLedger.COUNTERS
         rows, counts, mixture, trace_rows = [], [], [], []
         wall_total = 0.0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestQuantize:
         with pytest.raises(ConfigurationError):
             quantize(np.array([0.5, bad, 2.0]), 8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 2.2e-308,
+                                               sys.float_info.max]),
+                              st.floats(min_value=0.0, max_value=2.2e-308),
+                              st.floats(min_value=0.0, allow_infinity=False)),
+                    min_size=1, max_size=30),
+           st.one_of(st.integers(52, 60), st.integers(61, 5000)))
+    def test_property_exact_from_52_bits(self, xs, q):
+        # float64 keeps 52 mantissa bits after the leading one; 2^(q + 1)
+        # overflowed a float from q = 1023
+        arr = np.array(xs)
+        assert (quantize(arr, q).view(np.int64) == arr.view(np.int64)).all()
+        assert [quantize(x, q) for x in xs] == xs
+
 
 class TestFormulas:
     def test_rounds(self):
@@ -108,6 +123,16 @@ class TestDistributed:
         f = Conjunction(n, frozenset({0, 4, 9}))
         return f, run_distributed_boosting([UniformBoolean(n)] * k, f,
                                            0.05, 0.05, seed, **kw)
+
+    def test_q_from_52_changes_only_the_weight_width(self):
+        k, T = 3, boosting_rounds(0.05, 0.25)
+        (_f, a), (_f, b) = self.run(5, q=52), self.run(5, q=2000)
+        assert repr(a.hypotheses) == repr(b.hypotheses)
+        assert a.errors == b.errors
+        # each round, each player sends its total and mistake weights
+        assert b.ledger.bits - a.ledger.bits == 2 * (2000 - 52) * k * T
+        assert (a.ledger.examples, a.ledger.rounds) == \
+            (b.ledger.examples, b.ledger.rounds)
 
     def test_constant_examples_per_round(self):
         _f, res = self.run(0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,28 @@ class TestConfigValidation:
         # read and checked although --out overrides it
         (dict(BASE, out=""), "out"), (dict(BASE, out=3), "out"),
         (dict(BOX1, out=""), "out"),
+        # a sample size the fields give that cannot be drawn: the first job
+        # raised a traceback, ZeroDivisionError where eps^2 underflows ...
+        *[(dict(cfg, eps=1.0e-300), "eps") for cfg in (
+            {"protocol": "averaging", "d": 3, "k": 2},
+            BOOLEAN["private_conjunction"],
+            {"protocol": "robust_halving", "k": 2})],
+        # ... and numpy's "Maximum allowed dimension exceeded" ValueError
+        *[(dict(cfg, eps=1.0e-300), "eps") for cfg in (
+            BOOLEAN["closed_conjunction"], BOX1, BOOLEAN["parity_two_player"],
+            BOOLEAN["decision_list"], BOOLEAN["sample_shipping"],
+            BOOLEAN["eq_conjunction"], BOOLEAN["boosting"],
+            {"protocol": "interval_summary", "d": 1, "k": 2})],
+        *[(dict(cfg, c=1.0e300), "c") for cfg in (
+            BOOLEAN["closed_conjunction"], BOX1,
+            BOOLEAN["parity_two_player"])],
+        # ... or OverflowError, from a weak-learner or private sample size
+        (dict(BOOLEAN["boosting"], beta=1.0e-300), "beta"),
+        (dict(BOOLEAN["private_conjunction"], privacy={"alpha": 1.0e-300}),
+         "privacy.alpha"),
+        # an empty point mass: numpy's AxisError for a boolean protocol
+        *[(dict(cfg, distributions=point_mass([], []) * 2), "points")
+          for cfg in BOOLEAN.values()],
     ])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, cfg,
                                                field):
@@ -479,6 +502,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sample_size_numpy_can_index_is_accepted(self):
+        # about 5e11 examples per boosting round: a memory error if run, but
+        # within numpy's index range, so validation accepts it
+        job = cli.PROTOCOLS["boosting"](dict(BOOST, beta=1.0e-9))
+        assert callable(job)
 
     def test_empty_target_variables_is_all_true_conjunction(
             self, tmp_path, monkeypatch):
@@ -593,6 +622,70 @@ def test_ledger_bits_are_per_player_sum_and_replay(name):
     ledger = job(0).ledger.to_dict()
     assert job(0).ledger.to_dict() == ledger
     assert ledger["bits"] == sum(ledger["per_player"].values())
+
+
+def test_q_from_52_is_exact(tmp_path):
+    # 2^(q + 1) overflowed a float: OverflowError from q = 1023
+    path = write_config(tmp_path, "b", dict(BOOST, q=2000))
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+# Edge values that end in a documented exit, but too slowly for tier-1: the
+# adversarial construction runs to its 200 000-round cap (about 5 s) first.
+SLOW_EDGES = {("adversarial_perceptron", "gamma", 1.0e-300)}
+
+
+# candidates just outside a declared range: a field takes those its kind's
+# ``ok`` rejects
+OUTSIDE = {float: [-1.0e-300, 0.0, 0.5, 1.0], int: [0]}
+
+
+def edge_configs(name):
+    """(field, value, config): TINY[name] with one declared numeric field at
+    an edge: just outside its range, 1e-300 and 1e300 for a float, 1 and 2
+    for an int."""
+    for field in cli.TABLE[name][0]:
+        if field.kind.typ not in (float, int, (int, type(None))):
+            continue
+        typ = float if field.kind.typ is float else int
+        ok = field.kind.ok or (lambda _value: True)
+        values = [x for x in OUTSIDE[typ] if not ok(x)] + (
+            [1.0e-300, 1.0e300] if typ is float else [1, 2])
+        for value in values:
+            head, _, leaf = field.name.rpartition(".")
+            edge = {head: {leaf: value}} if head else {leaf: value}
+            yield field.name, value, dict(TINY[name], protocol=name, seeds=0,
+                                          **edge)
+
+
+def test_slow_edges_are_edges():
+    assert SLOW_EDGES <= {(name, field, value) for name in cli.PROTOCOLS
+                          for field, value, _cfg in edge_configs(name)}
+
+
+@pytest.mark.parametrize("name", list(cli.PROTOCOLS))
+def test_edge_values_end_in_a_documented_exit(name, tmp_path, capsys):
+    """Exit 0, 1 or 2 and no traceback; exit 1 prints one protocol error
+    line; a run that exits non-zero writes nothing."""
+    bad = []
+    for field, value, cfg in edge_configs(name):
+        if (name, field, value) in SLOW_EDGES:
+            continue
+        path = write_config(tmp_path, "edge", cfg)
+        out = tmp_path / "out"
+        try:
+            code = cli.main(["run", path, "--out", str(out)])
+        except Exception as exc:  # a traceback, for a user
+            code = repr(exc)
+        err = capsys.readouterr().err
+        one_line = len(err.splitlines()) == 1 and \
+            err.startswith("protocol error: ")
+        if code not in (0, 1, 2) or "Traceback" in err or \
+                code == 1 and not one_line or code and out.exists():
+            bad.append((field, value, code, err))
+        if out.exists():
+            shutil.rmtree(out)
+    assert bad == []
 
 
 def test_no_command_prints_help(capsys):

@@ -53,7 +53,7 @@ def test_no_unused_imports(path):
 # the adversarial perceptron, a deterministic construction, takes the seed
 # that every job is called with.
 UNREAD_ALLOWED = {("channel.py", "send", "to"),
-                  ("cli.py", "adversarial_job", "seed")}
+                  ("cli.py", "_adversarial_job", "seed")}
 
 
 def _abstract(body: list) -> bool:
@@ -173,31 +173,28 @@ def test_unused_locals_sees_each_kind():
         (8, "run", "fh"), (14, "outer", "k"), (21, "clean", "w")]
 
 
-# A CLI runner ``_run_*`` is a prepare step: it reads and checks the config
-# and returns the job that runs one seed.  A config read inside the job would
-# come after seeds have run, past the check for unread keys.
-CONFIG_READERS = ("_field", "_count", "_fraction", "_setup",
-                  "build_distribution")
+# A CLI job runs one seed on the values that the prepare step read and
+# checked from the whole config; it takes the seed.  A config read, or a
+# config check, inside anything that takes a seed would come after seeds
+# have run, past the check for undeclared keys.
+CONFIG_READERS = ("_field", "_read", "_check", "_fail", "_sized",
+                  "_undeclared", "_distribution", "_setup")
 
 
 def config_reads_in_jobs(tree: ast.Module) -> list:
     """(line, what) of each call of a config reader, and each use of the
-    name ``cfg``, inside a function or lambda nested in a ``_run_*``."""
+    name ``cfg``, inside a function or lambda that takes a ``seed``."""
     out = set()
-    for run in ast.walk(tree):
-        if not (isinstance(run, ast.FunctionDef)
-                and run.name.startswith("_run_")):
+    for job in ast.walk(tree):
+        if not (isinstance(job, (ast.FunctionDef, ast.Lambda)) and "seed" in
+                [a.arg for a in job.args.args + job.args.kwonlyargs]):
             continue
-        for job in ast.walk(run):
-            if job is run or not isinstance(job, (ast.FunctionDef,
-                                                  ast.Lambda)):
-                continue
-            for node in ast.walk(job):
-                if isinstance(node, ast.Call) and \
-                        _callee(node) in CONFIG_READERS:
-                    out.add((node.lineno, _callee(node)))
-                elif isinstance(node, ast.Name) and node.id == "cfg":
-                    out.add((node.lineno, "cfg"))
+        for node in ast.walk(job):
+            if isinstance(node, ast.Call) and \
+                    _callee(node) in CONFIG_READERS:
+                out.add((node.lineno, _callee(node)))
+            elif isinstance(node, ast.Name) and node.id == "cfg":
+                out.add((node.lineno, "cfg"))
     return sorted(out)
 
 
@@ -207,29 +204,24 @@ def test_jobs_read_no_config(path):
 
 
 def test_config_reads_in_jobs_sees_each_kind():
-    tree = ast.parse("def _run_a(cfg):\n"
-                     "    n = _count(cfg, 'n')\n"
-                     "    def job(seed):\n"
-                     "        return run(n, _field(cfg, 'c', float), seed)\n"
-                     "    return job\n"
-                     "def _run_b(cfg):\n"
-                     "    eps = _fraction(cfg, 'eps')\n"
-                     "    return lambda seed: go(_setup(cfg, 1), seed)\n"
-                     "def _run_c(cfg):\n"
-                     "    def job(seed):\n"
-                     "        return [cli.build_distribution(e, 1)\n"
-                     "                for e in helper(cfg)]\n"
-                     "    return job\n"
-                     "def _run_d(cfg):\n"
-                     "    def job(seed):\n"
-                     "        return lambda: _count(cfg, 'k')\n"
-                     "    return job\n"
-                     "def prepare(cfg):\n"
-                     "    return lambda seed: _field(cfg, 'x', int)\n")
+    tree = ast.parse("def _prepare(name, cfg):\n"
+                     "    values = _read(cfg, TABLE[name][0], {})\n"
+                     "    _sized(values, 'eps', size)\n"
+                     "    return partial(TABLE[name][2], values)\n"
+                     "def _a_job(v, seed):\n"
+                     "    return run(v['n'], _field(cfg, 'c', float), seed)\n"
+                     "def _b_job(v, seed):\n"
+                     "    return [cli._distribution(e, 1, False)\n"
+                     "            for e in helper(v)]\n"
+                     "def _c_job(v, *, seed):\n"
+                     "    return lambda: _check('k', v['k'], True, 'be')\n"
+                     "TABLE = {'d': ([], [], lambda v, seed: go(\n"
+                     "    _read(cfg, [], v), seed))}\n"
+                     "def _e_job(v, seed):\n"
+                     "    return run(v['eps'], seed)\n")
     assert config_reads_in_jobs(tree) == [
-        (4, "_field"), (4, "cfg"), (8, "_setup"), (8, "cfg"),
-        (11, "build_distribution"), (12, "cfg"), (16, "_count"),
-        (16, "cfg")]
+        (6, "_field"), (6, "cfg"), (8, "_distribution"), (11, "_check"),
+        (13, "_read"), (13, "cfg")]
 
 
 # README's replay contract: all randomness flows from the seed through the

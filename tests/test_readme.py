@@ -1,5 +1,5 @@
-"""README's promises, checked: each protocol's field row, its spelled-out
-defaults, and the quick start."""
+"""README's promises, checked: each protocol's field row, rendered from the
+CLI's field table, its spelled-out defaults, and the quick start."""
 
 import ast
 import re
@@ -38,10 +38,6 @@ def field_names(cell: str) -> list:
     return names + sorted(SETUP) * ("*setup*" in cell)
 
 
-def readme_fields(name: str) -> set:
-    return {f for cell in ROWS[name] for f in field_names(cell)}
-
-
 def readme_defaults(name: str, cfg: dict) -> dict:
     """Dotted field -> the default README spells out in backticks after
     ``=``, a YAML value or a Python expression in the config's ``d``."""
@@ -74,24 +70,35 @@ def test_every_protocol_has_a_row():
     assert sorted(ROWS) == sorted(cli.PROTOCOLS)
 
 
+def rendered_row(name: str) -> str:
+    """README's row for protocol ``name``, rendered from ``cli.TABLE``: its
+    required fields, with eps, k and distributions as *setup*, then its
+    optional ones with their defaults, in read order."""
+    fields = cli.TABLE[name][0]
+    setup = "distributions" in [f.name for f in fields]
+    required, optional = [], []
+    for f in fields:
+        if setup and f.name in SETUP:
+            if f.name == "distributions":
+                kind = f.default({"k": 1})[0]["kind"]
+                required.append("*setup*" if kind == "uniform_boolean" else
+                                f"*setup*, default kind `{kind}`")
+            continue
+        text = f"`{f.name}`: {f.doc or f.kind.doc}"
+        if f.default is cli.REQUIRED:
+            required.append(text)
+        else:
+            default = str(f.default).lower() \
+                if isinstance(f.default, bool) else f.default
+            optional.append(f"{text} = {f.shown or f'`{default}`'}")
+    return (f"| `{name}` | {', '.join(required) or 'none'} | "
+            f"{'; '.join(optional) or 'none'} |")
+
+
 @pytest.mark.parametrize("name", sorted(cli.PROTOCOLS))
-def test_prepare_reads_the_fields_readme_lists(name, monkeypatch):
-    """The dotted fields prepare asks for, present or not, are the row's."""
-    top = cli._Tracked(TINY[name])
-    asked = set()
-    field = cli._field
-
-    def recording_field(cfg, dotted, *args):
-        if cfg is top:
-            asked.add(dotted)
-        return field(cfg, dotted, *args)
-
-    monkeypatch.setattr(cli, "_field", recording_field)
-    cli.PROTOCOLS[name](top)
-    # a mapping reached on the way to a dotted field is no field itself
-    asked = {f for f in asked
-             if not any(g.startswith(f + ".") for g in asked)}
-    assert asked == readme_fields(name)
+def test_protocol_row_is_rendered(name):
+    """README's row lists the declared fields, kinds and defaults."""
+    assert f"| `{name}` | {' | '.join(ROWS[name])} |" == rendered_row(name)
 
 
 @pytest.mark.parametrize("name", sorted(cli.PROTOCOLS))
