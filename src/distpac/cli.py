@@ -590,6 +590,11 @@ def run_config(path: str, seed_range: str | None = None,
     except (ProtocolError, ConfigurationError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a size numpy can index but this machine cannot hold
+        print(f"out of memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return 3
 
 
 CURRENCIES = ("bits", "examples", "rounds")

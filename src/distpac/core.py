@@ -140,24 +140,29 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+# below 4 rows the vectorised pass's fixed cost is more than seeding each
+# row by itself costs
+_BATCH_ROWS = 4
+
+
 def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
     """``[stream(seed, *tags) for tags in tag_tuples]``, bit for bit.
 
-    A batch of two or more rows of one length whose entropy words share a
-    head of at least the pool's 4 (a halving wave: seed, "draw_sample", the
-    protocol's tags) has numpy's ``SeedSequence`` hash done in one
-    vectorised uint32 pass: the head is mixed into the pool once, by
-    ``SeedSequence`` itself, and since the hash constants do not depend on
-    the data, the rest of each row and its state words are hashed over
-    (4, P) arrays.  Each generator is still its own ``PCG64``, seeded from
-    its state words, so its draws are those of the per-tag stream.  Every
-    other batch takes numpy's own ``default_rng`` path, row by row.
+    A batch of at least ``_BATCH_ROWS`` rows of one length whose entropy
+    words share a head of at least the pool's 4 (a halving wave: seed,
+    "draw_sample", the protocol's tags) has numpy's ``SeedSequence`` hash
+    done in one vectorised uint32 pass: the head is mixed into the pool
+    once, by ``SeedSequence`` itself, and since the hash constants do not
+    depend on the data, the rest of each row and its state words are hashed
+    over (4, P) arrays.  Each generator is still its own ``PCG64``, seeded
+    from its state words, so its draws are those of the per-tag stream.
+    Every other batch takes numpy's own ``default_rng`` path, row by row.
     """
     seed_words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
     rows = [seed_words + sum(map(_tag_words, map(repr, tags)), ())
             for tags in tag_tuples]
     L = len(rows[0]) if rows else 0
-    if len(rows) > 1 and all(len(r) == L for r in rows):
+    if len(rows) >= _BATCH_ROWS and all(len(r) == L for r in rows):
         W = np.array(rows, dtype=np.uint32)
         same = (W == W[0]).all(axis=0).tolist()
         head = same.index(False) if False in same else L
@@ -566,9 +571,10 @@ class ParityFunc(Concept):
         return self.n
 
     def predict(self, X):
-        # a float64 product of 0/1 rows counts exactly
-        dots = X @ np.asarray(self.vector, dtype=np.float64)
-        return np.where(dots.astype(np.int64) & 1, 1, -1).astype(np.int8)
+        # the XOR of the support columns of the 0/1 block, as bools
+        support = X[:, np.flatnonzero(self.vector)].astype(bool, copy=False)
+        odd = np.bitwise_xor.reduce(support, axis=1)
+        return np.where(odd, np.int8(1), np.int8(-1))
 
     def encoded_bits(self) -> int:
         return self.n
@@ -742,25 +748,32 @@ def check_consistent(h: Concept, samples: Sequence[Sample],
         raise ProtocolError(message)
 
 
-def measure_errors(h: Concept, specs: Sequence[DistributionSpec], f: Concept,
-                   seed: int) -> dict:
+def measure_errors(h: Concept | Sequence[Concept],
+                   specs: Sequence[DistributionSpec], f: Concept,
+                   seed: int) -> dict | list:
     """Monte-Carlo error of a final hypothesis against f: per player, on
     M_EVAL // k points of its own distribution, and their mean over the
     mixture.
 
     Each player's points are its own ``draw_sample``; h predicts on all of
     them at once, and part i's error is its mistake count over m, the float
-    ``sample_error`` gives.
+    ``sample_error`` gives.  Given a sequence of hypotheses, every one is
+    measured on the same one draw, and the result is the list of their
+    error dicts.
     """
     m = max(1, M_EVAL // len(specs))
     parts = [draw_sample(spec, f, m, seed, tags=("spec_error", "mixture", i))
              for i, spec in enumerate(specs)]
-    wrong = h.predict(np.concatenate([s.features for s in parts])) != \
-        np.concatenate([s.labels for s in parts])
-    counts = np.count_nonzero(wrong.reshape(len(parts), m), axis=1).tolist()
-    errors = {f"p{i + 1}": c / m for i, c in enumerate(counts)}
-    errors["mixture"] = float(np.mean(list(errors.values())))
-    return errors
+    X = np.concatenate([s.features for s in parts])
+    y = np.concatenate([s.labels for s in parts])
+    out = []
+    for g in ([h] if isinstance(h, Concept) else h):
+        wrong = (g.predict(X) != y).reshape(len(parts), m)
+        errors = {f"p{i + 1}": c / m for i, c in
+                  enumerate(np.count_nonzero(wrong, axis=1).tolist())}
+        errors["mixture"] = float(np.mean(list(errors.values())))
+        out.append(errors)
+    return out[0] if isinstance(h, Concept) else out
 
 
 # ---------------------------------------------------------------------------

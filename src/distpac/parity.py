@@ -47,13 +47,33 @@ class GF2Basis:
         return labels, known
 
 
+# glibc's default mmap threshold: a block larger than this is mapped fresh,
+# and faulted in page by page, on every allocation
+_MMAP_THRESHOLD = 128 * 1024
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of ``_reduce``: the largest power of two whose
+    float32 and int32 temporaries, 4 bytes per entry of a row of ``width``
+    entries, stay under the mmap threshold."""
+    return 1 << max(0, (_MMAP_THRESHOLD // (4 * width)).bit_length() - 1)
+
+
 def _reduce(Q: np.ndarray, rows: np.ndarray, pivots: tuple) -> np.ndarray:
     """Each row of the bool matrix ``Q`` reduced against the RREF basis
     (rows, pivots): XORed with the basis rows whose pivot bit it has set,
-    as one GF(2) product.  The float32 counts are exact (at most the rank,
-    far below 2**24) and fit int32."""
-    hits = Q[:, list(pivots)].astype(np.float32) @ rows.astype(np.float32)
-    return Q ^ (hits.astype(np.int32) & 1).astype(bool)
+    as one GF(2) product per block of rows, written into one bool output.
+    The float32 counts are exact (at most the rank, far below 2**24) and
+    fit int32."""
+    out = np.empty_like(Q)
+    basis = rows.astype(np.float32)
+    cols = np.array(pivots, dtype=np.intp)
+    step = _block_rows(Q.shape[1])
+    for i in range(0, len(Q), step):
+        q = Q[i:i + step]
+        hits = q[:, cols].astype(np.float32) @ basis
+        out[i:i + step] = q ^ (hits.astype(np.int32) & 1).astype(bool)
+    return out
 
 
 def _eliminate(A: np.ndarray, n: int) -> tuple:
@@ -152,8 +172,9 @@ def run_parity_two_player(specs, f: ParityFunc, eps: float, seed: int, *,
         "p1": ParityNonProper(bases[0], propers[1]),
         "p2": ParityNonProper(bases[1], propers[0]),
     }
-    errors = {pid: measure_errors(h, specs, f, seed)["mixture"]
-              for pid, h in combined.items()}
+    # both players' hypotheses on one draw of the mixture
+    e1, e2 = measure_errors([combined["p1"], combined["p2"]], specs, f, seed)
+    errors = {"p1": e1["mixture"], "p2": e2["mixture"]}
     errors["mixture"] = max(errors["p1"], errors["p2"])
     return ProtocolResult(hypotheses=combined, ledger=ledger, errors=errors,
                           meta={"m_per_player": m})

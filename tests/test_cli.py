@@ -166,6 +166,32 @@ class TestRun:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 3.64 TiB for an array with shape "
+        "(500000000000, 1) and data type float64", ""])
+    def test_memory_error_exits_3_without_traceback(
+            self, tmp_path, monkeypatch, capsys, message):
+        # seed 0 runs, seed 1 runs out of memory: nothing is written
+        prepare = cli.PROTOCOLS["closed_conjunction"]
+
+        def prepare_oom(cfg):
+            job = prepare(cfg)
+
+            def oom_job(seed):
+                if seed == 1:
+                    raise MemoryError(message)
+                return job(seed)
+            return oom_job
+
+        monkeypatch.setitem(cli.PROTOCOLS, "closed_conjunction", prepare_oom)
+        cfg = write_config(tmp_path, "c", dict(BASE, seeds=[0, 1]))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"out of memory: {message or 'MemoryError'}\n"
+        assert not out.exists()
+
+
 def numpy_quantiles(table):
     """Reference: the numpy calls ``cli._quantiles`` replaced."""
     cols = np.array(table, dtype=np.float64)

@@ -16,6 +16,7 @@ from distpac.core import (M_EVAL, Box, ConfigurationError, Conjunction,
                           draw_sample, measure_errors,
                           predict_matrix, rule_bits, sample_error, sign_pm1,
                           stream, streams)
+from distpac import core
 from distpac.core import _flipped, _StateWords
 from distpac.core import _words as words
 
@@ -115,14 +116,17 @@ HALVING_WAVE = [("draw_sample", "halving", 3, j, 1) for j in range(40)]
     SHORT_ROWS,
     [(t, "b", j) for t in "ac" for j in range(3)],
     HALVING_WAVE,
+    *(HALVING_WAVE[:rows] for rows in range(2, 6)),
 ], ids=["empty", "one-tag", "identical", "mixed-arity", "first-tag-differs",
-        "short-rows-differ", "heads-repeat", "halving-wave"])
+        "short-rows-differ", "heads-repeat", "halving-wave",
+        *(f"wave-of-{rows}" for rows in range(2, 6))])
 def test_streams_match_per_tag_streams(seed, tag_tuples):
     assert_streams_match(seed, tag_tuples)
     fast = [isinstance(g.bit_generator.seed_seq, _StateWords)
             for g in streams(seed, tag_tuples)]
-    if tag_tuples == HALVING_WAVE:  # one head: the vectorised path
-        assert all(fast)
+    if tag_tuples == HALVING_WAVE[:len(tag_tuples)] != []:  # one head
+        # the vectorised path from 4 rows, the per-tag path below
+        assert fast == [len(tag_tuples) >= 4] * len(tag_tuples)
     elif tag_tuples in (MIXED_ARITY, SHORT_ROWS):  # the per-tag path
         assert not any(fast)
 
@@ -449,12 +453,49 @@ def test_measure_errors_is_the_per_part_loop(k, case, seed):
     assert 0.0 < got["mixture"] < 1.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_measure_errors_of_a_list_draws_once(k, case, monkeypatch):
+    make_specs, f, h = ERROR_CASES[case]
+    specs = make_specs(k)
+    hs = [h, f, h]
+    want = [measure_errors(g, specs, f, 3) for g in hs]
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["tags"])
+        return draw_sample(*args, **kwargs)
+
+    monkeypatch.setattr(core, "draw_sample", counting)
+    assert measure_errors(hs, specs, f, 3) == want
+    assert len(draws) == k
+
+
 def test_parity_predict_is_the_integer_product():
     X = stream(3, "parity_rows").integers(0, 2, size=(500, 9)).astype(float)
     v = (1, 1, 0, 1, 0, 0, 1, 1, 1)
     want = np.where((X.astype(np.int64) @ np.array(v)) % 2 == 1, 1, -1)
     got = ParityFunc(9, v).predict(X)
     assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+def float64_product_parity(v, X):
+    """Reference: ParityFunc.predict as one float64 product of the rows."""
+    dots = X @ np.asarray(v, dtype=np.float64)
+    return np.where(dots.astype(np.int64) & 1, 1, -1).astype(np.int8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 70), st.integers(0, 300),
+       st.booleans(), st.sampled_from([bool, np.float64]))
+def test_property_parity_predict_is_the_float64_product(seed, n, m, zero,
+                                                        dtype):
+    rng = stream(seed, "parity_xor")
+    v = (0,) * n if zero else tuple(rng.integers(0, 2, n).tolist())
+    X = rng.integers(0, 2, size=(m, n)).astype(dtype)
+    got = ParityFunc(n, v).predict(X)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, float64_product_parity(v, X))
 
 
 @settings(max_examples=50, deadline=None)

@@ -770,6 +770,13 @@ def test_every_exception_is_one_run_config_catches():
 WIDENING_ALLOWED = {
     ("core.py", "Sample.__post_init__"):
         "a Sample stores any block that is not bool as float64, once",
+    ("core.py", "LinearSeparator.predict"):
+        "w is real-valued, so w . x is a float64 product whatever the "
+        "block; the linear protocols draw float64 blocks",
+    ("boosting.py", "best_stump"):
+        "the float64 labels against the block are one exact BLAS count; "
+        "a weak learner's sample is a few hundred rows, where a float32 "
+        "or integer count timed no faster",
 }
 # numpy calls whose value holds the entries of their first argument
 _DATA_CALLS = ("asarray", "array", "asanyarray", "ascontiguousarray",
@@ -819,10 +826,43 @@ def _widened(call: ast.Call) -> list:
     return []
 
 
+def _float64_array(node, names: set) -> bool:
+    """``node``'s value is an explicitly float64 array: a float64
+    conversion, a ``dtype=float64`` call, or a name in ``names``."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    return isinstance(node, ast.Call) and bool(_widened(node))
+
+
+def _bound(nodes: list, holds, names: set) -> set:
+    """``names`` and, to a fixed point, every local name assigned a value
+    for which ``holds(value, names)`` is true; a tuple target takes its
+    element's value from a tuple of the same length."""
+    while True:
+        more = set()
+        for node in nodes:
+            if not isinstance(node, ast.Assign):
+                continue
+            for t in node.targets:
+                pairs = [(t, node.value)]
+                if isinstance(t, ast.Tuple) and \
+                        isinstance(node.value, ast.Tuple) and \
+                        len(t.elts) == len(node.value.elts):
+                    pairs = zip(t.elts, node.value.elts)
+                more |= {n.id for t, v in pairs if holds(v, names)
+                         for n in ast.walk(t) if isinstance(n, ast.Name)}
+        if more <= names:
+            return names
+        names = names | more
+
+
 def float64_widenings(tree: ast.Module) -> list:
     """(line, qualified function) of each float64 conversion of a
     ``predict`` argument or of a ``.features`` expression, also through a
-    local name bound to one."""
+    local name bound to one, and of each ``@`` between such an expression
+    and an explicitly float64 array (built by a float64 conversion or a
+    ``dtype=float64`` call, or a local name bound to one), which numpy
+    widens to float64 to multiply."""
     out = []
 
     def visit(node, prefix):
@@ -837,19 +877,17 @@ def float64_widenings(tree: ast.Module) -> list:
         args = [a.arg for a in fn.args.args if a.arg not in ("self", "cls")]
         data = set(args[:1]) if fn.name == "predict" else set()
         nodes = _own_scope(fn)
-        while True:  # the names bound to data, to a fixed point
-            more = set()
-            for node in nodes:
-                if isinstance(node, ast.Assign) and \
-                        _holds_data(node.value, data):
-                    more |= {n.id for t in node.targets for n in ast.walk(t)
-                             if isinstance(n, ast.Name)}
-            if more <= data:
-                break
-            data |= more
+        data = _bound(nodes, _holds_data, data)
+        wide = _bound(nodes, _float64_array, set())
         out.extend((node.lineno, name) for node in nodes
                    if isinstance(node, ast.Call)
                    and any(_holds_data(w, data) for w in _widened(node)))
+        out.extend((node.lineno, name) for node in nodes
+                   if isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.MatMult)
+                   and any(_holds_data(a, data) and _float64_array(b, wide)
+                           for a, b in ((node.left, node.right),
+                                        (node.right, node.left))))
 
     visit(tree, "")
     return sorted(set(out))
@@ -885,7 +923,19 @@ def test_float64_widenings_sees_each_kind():
         "        return np.asarray(Z, 'f8')\n"
         "    return A, B, y, w, predict\n"
         "def update(x):\n"
-        "    return np.asarray(x, dtype=np.float64)\n")
+        "    return np.asarray(x, dtype=np.float64)\n"
+        "class ParityFunc:\n"
+        "    def predict(self, X):\n"
+        "        # a float64 product of 0/1 rows counts exactly\n"
+        "        dots = X @ np.asarray(self.vector, dtype=np.float64)\n"
+        "        return np.where(dots.astype(np.int64) & 1, 1, -1)\n"
+        "def stump(sample, w):\n"
+        "    X, y = sample.features, sample.labels.astype(np.float64)\n"
+        "    return y @ X, X @ w, y @ y\n")
+    # line 11: the float64 pair is multiplied into the data block X; line
+    # 24 once, for y @ X: X @ w has no explicit float64 side, and y @ y
+    # (float64 labels) no data
     assert float64_widenings(tree) == [
         (3, "Stump.predict"), (5, "Stump.predict"), (8, "learn"),
-        (9, "learn"), (13, "learn.predict")]
+        (9, "learn"), (11, "learn"), (13, "learn.predict"),
+        (20, "ParityFunc.predict"), (24, "stump")]

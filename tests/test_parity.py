@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from distpac.core import (ConfigurationError, ParityFunc,
                           ProtocolError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
-from distpac.parity import (ParityNonProper, _eliminate, _rref, gf2_reduce,
+from distpac.parity import (_MMAP_THRESHOLD, ParityNonProper, _block_rows,
+                            _eliminate, _reduce, _rref, gf2_reduce,
                             run_parity_two_player)
 
 INCONSISTENT = r"sample is inconsistent over GF\(2\)"
@@ -234,3 +237,52 @@ def test_rref_is_the_whole_sample_elimination(n, m, labels):
     rows, pivots = _rref(A.copy(), n)
     assert pivots == want[1]
     assert rows.dtype == bool and np.array_equal(rows, want[0])
+
+
+def one_product_reduce(Q, rows, pivots):
+    """Reference: every row of Q reduced in one GF(2) product, as
+    ``_reduce`` did before it worked in row blocks."""
+    hits = Q[:, list(pivots)].astype(np.float32) @ rows.astype(np.float32)
+    return Q ^ (hits.astype(np.int32) & 1).astype(bool)
+
+
+@pytest.mark.parametrize("n", [5, 40, 300])
+@pytest.mark.parametrize("rank", ["full", "low", "zero"])
+@pytest.mark.parametrize("blocks", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+                                    (3, 7)],
+                         ids=["0", "1", "block-1", "block", "block+1",
+                              "3blocks+7"])
+def test_blocked_reduce_is_the_one_product(n, rank, blocks):
+    step = _block_rows(n + 1)
+    assert 4 * (n + 1) * step <= _MMAP_THRESHOLD < 8 * (n + 1) * step \
+        or step == 1
+    m_rows = {"full": 2 * n, "low": n // 2, "zero": 0}[rank]
+    _, s = planted_sample(n, max(1, n // 3), m_rows, n)
+    basis = gf2_reduce(s)
+    whole, extra = blocks
+    Q = stream(n, "queries", rank).integers(
+        0, 2, size=(whole * step + extra, n + 1)).astype(bool)
+    got = _reduce(Q, basis.rows, basis.pivots)
+    assert got.dtype == bool
+    assert np.array_equal(got, one_product_reduce(Q, basis.rows,
+                                                  basis.pivots))
+
+
+def test_parity_run_traced_peak_under_2_mib():
+    # desk-mix's parity config: n = 40, k = 2, eps = 0.05, so 6400 rows per
+    # player; one float64 copy of a player's block alone is 2 MiB
+    f = ParityFunc(40, tuple(stream(0, "peak").integers(0, 2, 40).tolist()))
+    specs = [UniformBoolean(40)] * 2
+    run_parity_two_player(specs, f, 0.05, 0)  # caches filled
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_parity_two_player(specs, f, 0.05, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
