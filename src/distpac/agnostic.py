@@ -120,6 +120,11 @@ def run_robust_halving(specs: Sequence[DistributionSpec], f: Concept,
               "N": N, "s": s, "opt_guess": opt_guess})
 
 
+def validation_sample_size(eps: float) -> int:
+    """Mixture examples that validate one opt guess: ceil(4 / eps^2)."""
+    return math.ceil(4.0 / (eps * eps))
+
+
 def opt_search(specs: Sequence[DistributionSpec], f: Concept,
                hypotheses: Sequence[Concept], eps: float, seed: int, *,
                noise_rate: float = 0.0,
@@ -132,7 +137,7 @@ def opt_search(specs: Sequence[DistributionSpec], f: Concept,
     ledger scaled by the number of guesses tried.
     """
     k = len(specs)
-    m_val = math.ceil(4.0 / (eps * eps))
+    m_val = validation_sample_size(eps)
     j = 0
     while eps * 2 ** j <= 0.5:
         opt_guess = eps * 2 ** j
@@ -283,13 +288,18 @@ def dp_best_intervals(borders: Sequence[float], pos: np.ndarray,
     return best, IntervalUnion(tuple(intervals))
 
 
+def border_count(d: int, eps: float) -> int:
+    """Quantile borders per player summary: ceil(d / eps)."""
+    return math.ceil(d / eps)
+
+
 def run_interval_summary(samples: Sequence[Sample], d: int,
                          eps: float) -> ProtocolResult:
     """One-round interval protocol: quantile borders plus quantized positive
     fractions from every player, then a center-side DP."""
     if d < 1 or not (0 < eps < 1):
         raise ConfigurationError("need d >= 1 and eps in (0, 1)")
-    B = math.ceil(d / eps)
+    B = border_count(d, eps)
     frac_bits = math.ceil(math.log2(d / eps))
     ledger = channel.CostLedger()
     summaries = []

@@ -69,7 +69,7 @@ def sample_shipping(specs: Sequence[DistributionSpec], f: Concept, eps: float,
     by its VC dimension (``closed.class_dimension``) and the center learns
     its smallest consistent hypothesis (``closed.smallest_consistent``)."""
     k = len(specs)
-    m_i = shipping_sample_size(class_dimension(f), eps, k)
+    m_i = shipping_sample_size(class_dimension(type(f), f.dim), eps, k)
     ledger = channel.CostLedger()
     samples = []
     for i, spec in enumerate(specs):

@@ -20,7 +20,7 @@ from . import channel
 from .closed import pac_sample_size
 from .core import (Concept, ConfigurationError, DistributionSpec,
                    ProtocolError, ProtocolResult, Sample, WeightedMajority,
-                   draw_sample, measure_errors, sign_pm1, stream)
+                   draw_sample, measure_errors, pm1, sign_pm1, stream)
 
 
 def quantize(x: float | np.ndarray, q: int | None) -> float | np.ndarray:
@@ -85,8 +85,7 @@ class DecisionStump(Concept):
         X = np.atleast_2d(X)
         if self.j < 0:
             return np.full(X.shape[0], self.out, dtype=np.int8)
-        raw = np.where(X[:, self.j] == 1.0, self.out, -self.out)
-        return raw.astype(np.int8)
+        return pm1(X[:, self.j] == 1.0, self.out)
 
     def encoded_bits(self) -> int:
         return math.ceil(math.log2(self.n + 1)) + 1

@@ -353,15 +353,16 @@ PAC = ("n eps k delta", closed.pac_sample_size)
 TABLE = {
     "closed_conjunction": (
         [N, *BOOLEAN, DELTA, VARIABLES, C],
-        [("n eps k delta c", closed.pac_sample_size)], _closed_job),
+        [("n eps k delta c", functools.partial(closed.sample_size,
+                                                Conjunction))], _closed_job),
     "closed_box": (
         [D, *_setup("d"), DELTA, *CORNERS, C],
-        [("d eps k delta c", lambda d, eps, k, delta, c: (
-            closed.pac_sample_size(2 * d, eps, k, delta, c)))], _closed_job),
+        [("d eps k delta c", functools.partial(closed.sample_size, Box))],
+        _closed_job),
     "parity_two_player": (
         [N, *_setup("n", check=lambda v: _check(
             "k", v["k"], v["k"] == 2, "be 2")), Field("c", POSITIVE, 8.0)],
-        [("c n eps", lambda c, n, eps: math.ceil(c * n / eps))],
+        [("n eps c", parity_mod.sample_size)],
         lambda v, seed: parity_mod.run_parity_two_player(
             v["distributions"], _random_parity(v["n"], seed), v["eps"], seed,
             c=v["c"])),
@@ -381,7 +382,7 @@ TABLE = {
     "eq_conjunction": ([N, *BOOLEAN, DELTA], [PAC], _eq_conjunction_job),
     "averaging": (
         [D, *_setup("d", kind="uniform_sphere")],
-        [("d eps", lambda d, eps: math.ceil(d / (eps * eps)))],
+        [("d eps", linear.averaging_sample_size)],
         lambda v, seed: linear.averaging_protocol(v["distributions"], (
             LinearSeparator((1.0,) + (0.0,) * (v["d"] - 1))), v["eps"], seed)),
     "round_robin_perceptron": (
@@ -403,12 +404,12 @@ TABLE = {
         [*_setup(None), Field("grid", COUNT, 201),
          Field("target_t", FLOAT, 0.37), NOISE,
          Field("shared_randomness", Kind(bool, "bool"), False)],
-        [("eps", lambda eps: math.ceil(4.0 / (eps * eps)))],
+        [("eps", agnostic.validation_sample_size)],
         _robust_halving_job),
     "interval_summary": (
         [D, Field("eps", FRACTION), INTERVALS, NOISE,
          Field("m_per_player", COUNT, 4000), K],
-        [("d eps", lambda d, eps: math.ceil(d / eps))],
+        [("d eps", agnostic.border_count)],
         _interval_summary_job),
     "private_conjunction": (
         [N, *_setup("n", check=lambda v: all(isinstance(
@@ -417,8 +418,7 @@ TABLE = {
                      "or product_bernoulli")), *PRIVACY],
         # m only sizes rng.binomial draws, which take any int64
         [("n privacy.alpha eps privacy.delta privacy.mode",
-          lambda n, alpha, eps, delta, mode: privacy_mod.private_sample_size(
-              n, alpha, eps / (2 * n), delta, mode), 2 ** 63 - 1)],
+          privacy_mod.conjunction_sample_size, 2 ** 63 - 1)],
         lambda v, seed: privacy_mod.private_conjunction_protocol(
             v["distributions"], _random_conjunction(v["n"], seed), v["eps"],
             seed, mode=v["privacy.mode"], alpha=v["privacy.alpha"],

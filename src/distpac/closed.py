@@ -84,10 +84,15 @@ def combine(hypotheses: Sequence[Concept]) -> Concept:
                tuple(his.max(axis=0).tolist()))
 
 
-def class_dimension(f: Concept) -> int:
-    """VC dimension of the class of ``f``: n for a conjunction, 2d for a
-    box."""
-    return f.dim if _closed_class(type(f)) is Conjunction else 2 * f.dim
+def class_dimension(cls: type, dim: int) -> int:
+    """VC dimension of ``cls`` in dim coordinates: dim, 2 dim for a box."""
+    return dim if _closed_class(cls) is Conjunction else 2 * dim
+
+
+def sample_size(cls: type, dim: int, eps: float, k: int, delta: float,
+                c: float = 1.0) -> int:
+    """Per-player sample size of the closure protocol for ``cls``."""
+    return pac_sample_size(class_dimension(cls, dim), eps, k, delta, c)
 
 
 def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
@@ -95,9 +100,7 @@ def run_intersection_closed(specs: Sequence[DistributionSpec], f: Concept,
                             c: float = 1.0) -> ProtocolResult:
     """One round, k hypotheses: closure protocol for the class of ``f``, a
     conjunction or a box."""
-    k = len(specs)
-    d_class = class_dimension(f)
-    m = pac_sample_size(d_class, eps, k, delta, c)
+    m = sample_size(type(f), f.dim, eps, len(specs), delta, c)
     samples = [draw_sample(spec, f, m, seed, tags=("closed", i))
                for i, spec in enumerate(specs)]
     locals_ = [smallest_consistent([s], type(f)) for s in samples]

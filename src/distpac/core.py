@@ -175,9 +175,16 @@ def streams(seed: int, tag_tuples: Sequence[tuple]) -> list:
             for r in rows]
 
 
+def pm1(mask: np.ndarray, sign: int = 1) -> np.ndarray:
+    """int8 labels of a bool mask: ``sign`` (+/-1, or an int8 array of them)
+    where it holds, ``-sign`` elsewhere, as 2 sign mask - sign in int8."""
+    out = mask.view(np.int8) * np.int8(2 * sign)  # one temporary
+    return np.subtract(out, np.int8(sign), out=out)
+
+
 def sign_pm1(values: np.ndarray) -> np.ndarray:
     """sign with the convention sign(0) = +1, returned as int8 +/-1."""
-    return np.where(np.asarray(values) >= 0, np.int8(1), np.int8(-1))
+    return pm1(np.asarray(values) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +258,11 @@ class DistributionSpec:
 class UniformBoolean(DistributionSpec):
     """Uniform on {0,1}^n, drawn as an (m, n) bool block.
 
-    The bits are ``rng.integers(0, 2, (m, n)) == 1``, bit for bit, with the
-    generator left in the same state, read straight from raw 64-bit words:
-    numpy takes each entry from its own 32-bit half (the low half of a word
-    first, the high half kept in the generator's ``uinteger`` buffer), and
-    with a range of 2 the entry is that half's top bit.  A generator whose
-    32-bit draws are not halves of 64-bit words takes numpy's own draw.
+    ``draw`` takes a fresh PCG64, as ``draw_parts`` passes it from
+    ``streams``, and reads the top bits of the 32-bit halves of its next
+    ceil(mn/2) raw words, low half first: ``rng.integers(0, 2, (m, n)) ==
+    1`` bit for bit.  A later ``random_raw`` or ``random`` reads what it
+    would after numpy's draw, as both skip the half numpy keeps buffered.
     """
 
     n: int
@@ -267,28 +273,10 @@ class UniformBoolean(DistributionSpec):
         return self.n
 
     def draw(self, rng, m):
-        shape, total = (m, self.n), m * self.n
-        bg = rng.bit_generator
-        state = bg.state
-        if not total or "has_uint32" not in state:
-            # nothing to draw, or native 32-bit draws: numpy's own
-            return rng.integers(0, 2, shape, np.int32).astype(bool)
-        bits = np.empty(total, dtype=bool)
-        head = state["has_uint32"]  # a buffered half is consumed first
-        if head:
-            bits[0] = state["uinteger"] >> 31
-        rest = total - head
-        halves = bg.random_raw((rest + 1) // 2) \
+        total = m * self.n
+        halves = rng.bit_generator.random_raw((total + 1) // 2) \
             .astype("<u8", copy=False).view("<u4")
-        np.greater_equal(halves[:rest], 1 << 31, out=bits[head:])
-        # numpy leaves the last word's high half in the buffer, which is
-        # still unread after an odd number of halves
-        state = bg.state
-        state["has_uint32"] = rest % 2
-        if rest:
-            state["uinteger"] = int(halves[-1])
-        bg.state = state
-        return bits.reshape(shape)
+        return (halves[:total] >= 1 << 31).reshape(m, self.n)
 
 
 @dataclass(frozen=True)
@@ -422,7 +410,7 @@ def _evaluator(members: tuple) -> Callable[[np.ndarray], np.ndarray]:
     if all(type(h) is Threshold for h in members):
         t = np.array([h.t for h in members], dtype=np.float64)[:, None]
         sign = np.array([h.sign for h in members], dtype=np.int8)[:, None]
-        return functools.partial(_threshold_matrix, t, sign, -sign)
+        return functools.partial(_threshold_matrix, t, sign)
     return functools.partial(_stack_predictions, members)
 
 
@@ -430,9 +418,9 @@ def _stack_predictions(members: tuple, X: np.ndarray) -> np.ndarray:
     return np.stack([h.predict(X) for h in members])
 
 
-def _threshold_matrix(t: np.ndarray, sign: np.ndarray, neg: np.ndarray,
+def _threshold_matrix(t: np.ndarray, sign: np.ndarray,
                       X: np.ndarray) -> np.ndarray:
-    return np.where(X[:, 0] >= t, sign, neg)
+    return pm1(X[:, 0] >= t, sign)
 
 
 def predict_matrix(hypotheses: Sequence[Concept], X: np.ndarray) -> np.ndarray:
@@ -453,8 +441,7 @@ class Threshold(Concept):
         return 1
 
     def predict(self, X):
-        raw = np.where(X[:, 0] >= self.t, self.sign, -self.sign)
-        return raw.astype(np.int8)
+        return pm1(X[:, 0] >= self.t, self.sign)
 
 
 @dataclass(frozen=True)
@@ -474,11 +461,8 @@ class Conjunction(Concept):
         return self.n
 
     def predict(self, X):
-        idx = sorted(self.variables)
-        if not idx:
-            return np.ones(X.shape[0], dtype=np.int8)
-        ok = np.all(X[:, idx] == 1.0, axis=1)
-        return np.where(ok, 1, -1).astype(np.int8)
+        # with no variable, every row's empty selection is all 1: +1
+        return pm1(np.all(X[:, sorted(self.variables)] == 1.0, axis=1))
 
     def encoded_bits(self) -> int:
         return self.n
@@ -498,8 +482,7 @@ class Box(Concept):
     def predict(self, X):
         lo = np.asarray(self.lo, dtype=np.float64)
         hi = np.asarray(self.hi, dtype=np.float64)
-        ok = np.all((X >= lo) & (X <= hi), axis=1)
-        return np.where(ok, 1, -1).astype(np.int8)
+        return pm1(np.all((X >= lo) & (X <= hi), axis=1))
 
     def encoded_bits(self) -> int:
         return 2 * self.dim * PRECISION_BITS
@@ -574,7 +557,7 @@ class ParityFunc(Concept):
         # the XOR of the support columns of the 0/1 block, as bools
         support = X[:, np.flatnonzero(self.vector)].astype(bool, copy=False)
         odd = np.bitwise_xor.reduce(support, axis=1)
-        return np.where(odd, np.int8(1), np.int8(-1))
+        return pm1(odd)
 
     def encoded_bits(self) -> int:
         return self.n
@@ -631,7 +614,7 @@ class IntervalUnion(Concept):
         ok = np.zeros(x.shape[0], dtype=bool)
         for lo, hi in self.intervals:
             ok |= (x >= lo) & (x <= hi)
-        return np.where(ok, 1, -1).astype(np.int8)
+        return pm1(ok)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import channel
 from .core import (ConfigurationError, DistributionSpec, LinearSeparator,
                    ProtocolError, ProtocolResult, Sample, draw_sample,
-                   measure_errors, stream)
+                   measure_errors, pm1, stream)
 
 
 def margin_perceptron_pass(w: np.ndarray, sample: Sample, made: int, *,
@@ -96,13 +96,17 @@ def round_robin_perceptron(samples: Sequence[Sample], alpha: float, *,
     return ProtocolResult(hypotheses=hypotheses, ledger=ledger)
 
 
+def averaging_sample_size(d: int, eps: float) -> int:
+    """Points each player averages: ceil(d / eps^2)."""
+    return math.ceil(d / (eps * eps))
+
+
 def averaging_protocol(specs: Sequence[DistributionSpec], f: LinearSeparator,
                        eps: float, seed: int) -> ProtocolResult:
     """For radially symmetric D_i, the mean of l(x) x/||x|| points along the
     target; one vector per player, one round.  Each player averages
-    m = ceil(d / eps^2) points."""
-    d = f.dim
-    m = math.ceil(d / (eps * eps))
+    ``averaging_sample_size`` points."""
+    m = averaging_sample_size(f.dim, eps)
     vectors = []
     for i, spec in enumerate(specs):
         s = draw_sample(spec, f, m, seed, tags=("averaging", i))
@@ -141,7 +145,7 @@ def well_spread_dataset(k: int, per_player: int, gamma: float, alpha: float,
     n_pts = k * per_player
     d = n_pts + 1
     rng = stream(seed, "well_spread")
-    labels = np.where(rng.random(n_pts) < 0.5, 1, -1).astype(np.int8)
+    labels = pm1(rng.random(n_pts) < 0.5)
     X = np.zeros((n_pts, d))
     X[:, 0] = gamma * labels
     X[np.arange(n_pts), np.arange(n_pts) + 1] = math.sqrt(1.0 - gamma * gamma)

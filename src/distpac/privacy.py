@@ -165,6 +165,12 @@ def learn_private_conjunction(spec: DistributionSpec, f: Conjunction,
     return Conjunction(n, frozenset(keep))
 
 
+def conjunction_sample_size(n: int, alpha: float, eps: float, delta: float,
+                            mode: str) -> int:
+    """Per-player sample size: n answers, each tau = eps / (2n) accurate."""
+    return private_sample_size(n, alpha, eps / (2 * n), delta, mode)
+
+
 def private_conjunction_protocol(specs: Sequence[DistributionSpec],
                                  f: Conjunction, eps: float, seed: int, *,
                                  mode: str = MODE_DIFFERENTIAL,
@@ -173,8 +179,7 @@ def private_conjunction_protocol(specs: Sequence[DistributionSpec],
     """One round, k conjunction hypotheses, charged by the closure
     protocol's own exchange (``channel.hypotheses_to_center``)."""
     n = f.dim
-    tau = eps / (2 * n)
-    m = private_sample_size(n, alpha, tau, delta, mode)
+    m = conjunction_sample_size(n, alpha, eps, delta, mode)
     budgets = [PrivacyBudget(mode, alpha, delta, M=n) for _ in specs]
     locals_ = [learn_private_conjunction(spec, f, eps, budget, m, seed,
                                          tags=(i,))

@@ -650,6 +650,22 @@ def test_ledger_bits_are_per_player_sum_and_replay(name):
     assert ledger["bits"] == sum(ledger["per_player"].values())
 
 
+@pytest.mark.parametrize("name", [
+    "closed_conjunction", "closed_box", "parity_two_player", "decision_list",
+    "sample_shipping", "averaging", "boosting", "private_conjunction"])
+def test_checked_sizes_are_the_run_sizes(name):
+    # TABLE checks a config's sample sizes with the functions the job calls,
+    # so what it checks is what one run reports it drew
+    job = cli.PROTOCOLS[name](TINY[name])
+    values = job.args[0]
+    checked = [size(*(values[field] for field in names.split()))
+               for names, size, *_ in cli.TABLE[name][1]]
+    meta = job(0).meta
+    assert sorted(checked) == sorted(
+        value for key, value in meta.items() if key.startswith("m_"))
+    assert meta["m_per_player"] in checked
+
+
 def test_q_from_52_is_exact(tmp_path):
     # 2^(q + 1) overflowed a float: OverflowError from q = 1023
     path = write_config(tmp_path, "b", dict(BOOST, q=2000))

@@ -75,8 +75,8 @@ class TestCombine:
         assert h.lo == (0.0, 0.0) and h.hi == (0.9, 0.4)
 
     def test_class_dimension(self):
-        assert class_dimension(Conjunction(30, frozenset())) == 30
-        assert class_dimension(Box((0.0,) * 4, (1.0,) * 4)) == 8
+        assert class_dimension(Conjunction, 30) == 30
+        assert class_dimension(Box, 4) == 8
 
     def test_other_class_rejected(self):
         s = Sample(np.array([[0.5]]), np.array([1]))
@@ -85,7 +85,7 @@ class TestCombine:
         with pytest.raises(ConfigurationError):
             combine([Threshold(0.5, 1)])
         with pytest.raises(ConfigurationError):
-            class_dimension(Threshold(0.5, 1))
+            class_dimension(Threshold, 1)
 
 
 class TestProtocol:

@@ -142,6 +142,19 @@ def test_sign_zero_is_positive():
     assert list(signs) == [-1, 1, 1] and signs.dtype == np.int8
 
 
+@pytest.mark.parametrize("h, want", [
+    (Conjunction(3, frozenset()), [1, 1, 1, 1]),
+    (Conjunction(3, frozenset({0, 2})), [-1, -1, 1, 1]),
+    (Box((0.0, 0.5, 0.0), (1.0, 1.0, 0.5)), [-1, 1, -1, -1]),
+    (Threshold(0.5, -1), [1, 1, -1, -1]),
+    (IntervalUnion(((-1.0, -0.5), (1.0, 1.0))), [-1, -1, 1, 1]),
+    (ParityFunc(3, (1, 1, 0)), [-1, 1, 1, -1])])
+def test_labels_are_int8_pm1(h, want):
+    X = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=float)
+    got = h.predict(X)
+    assert got.dtype == np.int8 and got.tolist() == want
+
+
 class TestSample:
     def test_rejects_bad_labels(self):
         with pytest.raises(ConfigurationError):
@@ -595,31 +608,14 @@ def test_property_decision_list_predict_is_first_firing_rule(case):
 @pytest.mark.parametrize("shape", [(0, 7), (1, 1), (3084, 50), (6400, 40),
                                    (3, 5), (7, 1)])
 @settings(max_examples=5, deadline=None)
-@given(seed=st.integers(0, 2 ** 63), buffered=st.booleans())
-def test_property_uniform_boolean_draw_is_the_int64_draw(shape, seed,
-                                                         buffered):
+@given(seed=st.integers(0, 2 ** 63))
+def test_property_uniform_boolean_draw_is_the_int64_draw(shape, seed):
     m, n = shape
     rng, ref = stream(seed, "ub"), stream(seed, "ub")
-    if buffered:  # one 32-bit draw leaves the word's high half buffered
-        assert rng.integers(0, 2, 1, np.int32) == ref.integers(0, 2, 1,
-                                                               np.int32)
-        assert rng.bit_generator.state["has_uint32"] == 1
     X = UniformBoolean(n).draw(rng, m)
     want = ref.integers(0, 2, size=(m, n)) == 1
     assert X.dtype == bool and X.shape == (m, n)
     assert X.tobytes() == want.tobytes()
-    # the same words consumed and the same half buffered, or not
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.random() == ref.random()  # and leaves the stream in step
-
-
-def test_uniform_boolean_draw_on_native_32_bit_words():
-    # MT19937 draws 32-bit words natively, so there are no halves to read
-    rng = np.random.Generator(np.random.MT19937(5))
-    ref = np.random.Generator(np.random.MT19937(5))
-    X = UniformBoolean(3).draw(rng, 7)
-    assert X.dtype == bool
-    assert np.array_equal(X, ref.integers(0, 2, size=(7, 3)) == 1)
-    got, want = (g.bit_generator.state["state"] for g in (rng, ref))
-    assert got["pos"] == want["pos"]
-    assert np.array_equal(got["key"], want["key"])
+    # the same words consumed: the stream reads on in step
+    assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+    assert rng.random() == ref.random()

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from distpac.core import (ConfigurationError, ParityFunc,
                           ProtocolError, Sample, UniformBoolean,
                           draw_sample, sample_error, stream)
-from distpac.parity import (_MMAP_THRESHOLD, ParityNonProper, _block_rows,
-                            _eliminate, _reduce, _rref, gf2_reduce,
+from distpac.parity import (ParityNonProper, gf2_reduce,
                             run_parity_two_player)
 
 INCONSISTENT = r"sample is inconsistent over GF\(2\)"
@@ -74,6 +73,16 @@ def to_matrix(ints, n):
                     dtype=float).reshape(len(ints), n)
 
 
+def to_ints(A):
+    """Int bitsets of the rows of a 0/1 matrix, column j at bit j."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in A]
+
+
+def packed_ints(P):
+    """Int bitsets of packed uint64 rows, word i holding bits 64i..64i+63."""
+    return [sum(int(w) << 64 * i for i, w in enumerate(row)) for row in P]
+
+
 def oracle_reduce(basis, r):
     """Reduce the int bitset ``r`` by an echelon basis {pivot: row}."""
     for p in sorted(basis):
@@ -95,6 +104,45 @@ def oracle_basis(rows, n):
         elif r:
             return None
     return basis
+
+
+def oracle_rref(basis):
+    """The rows of an echelon basis {pivot: row} in reduced form, in pivot
+    order: each row cleared at every other pivot, highest pivot first."""
+    rref = {}
+    for p in sorted(basis, reverse=True):
+        r = basis[p]
+        for q in sorted(rref):
+            if r >> q & 1:
+                r ^= rref[q]
+        rref[p] = r
+    return [rref[p] for p in sorted(rref)]
+
+
+def assert_matches_oracle(n, rows, labels, queries):
+    """gf2_reduce and classify on int bitset rows, labels and queries agree
+    with the int bitset elimination: the same pivots and packed RREF rows,
+    or the same inconsistency, and the same answers."""
+    sample = Sample(to_matrix(rows, n), np.where(labels, 1, -1))
+    oracle = oracle_basis([r | (y << n) for r, y in zip(rows, labels)], n)
+    if oracle is None:
+        with pytest.raises(ProtocolError, match=INCONSISTENT):
+            gf2_reduce(sample)
+        return
+    basis = gf2_reduce(sample)
+    assert basis.pivots == tuple(sorted(oracle))
+    assert basis.rows.dtype == np.uint64
+    assert basis.rows.shape == (len(oracle), n // 64 + 1)
+    assert packed_ints(basis.rows) == oracle_rref(oracle)
+    v = sum(bit << j for j, bit in enumerate(basis.proper().vector))
+    assert [bin(r & v).count("1") % 2 == 1 for r in rows] == labels
+    got_labels, got_known = basis.classify(to_matrix(queries, n))
+    assert got_labels.dtype == np.int8 and got_known.dtype == bool
+    reduced = [oracle_reduce(oracle, q) for q in queries]
+    known = [r & ((1 << n) - 1) == 0 for r in reduced]
+    assert got_known.tolist() == known
+    assert [int(y) for y, k in zip(got_labels, known) if k] == \
+        [1 if r >> n else -1 for r, k in zip(reduced, known) if k]
 
 
 @st.composite
@@ -129,24 +177,32 @@ def gf2_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(gf2_problems())
 def test_property_gf2_matches_int_bitset_oracle(problem):
-    n, rows, labels, queries = problem
-    sample = Sample(to_matrix(rows, n), np.where(labels, 1, -1))
-    oracle = oracle_basis([r | (y << n) for r, y in zip(rows, labels)], n)
-    if oracle is None:
-        with pytest.raises(ProtocolError, match=INCONSISTENT):
-            gf2_reduce(sample)
-        return
-    basis = gf2_reduce(sample)
-    assert basis.pivots == tuple(sorted(oracle))
-    assert len(basis.pivots) == len(oracle)
-    v = sum(bit << j for j, bit in enumerate(basis.proper().vector))
-    assert [bin(r & v).count("1") % 2 == 1 for r in rows] == labels
-    got_labels, got_known = basis.classify(to_matrix(queries, n))
-    reduced = [oracle_reduce(oracle, q) for q in queries]
-    known = [r & ((1 << n) - 1) == 0 for r in reduced]
-    assert got_known.tolist() == known
-    assert [int(y) for y, k in zip(got_labels, known) if k] == \
-        [1 if r >> n else -1 for r, k in zip(reduced, known) if k]
+    assert_matches_oracle(*problem)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128])
+@pytest.mark.parametrize("case", ["planted", "random", "low-rank", "empty",
+                                  "zero-queries"])
+def test_gf2_matches_oracle_at_word_edges(n, case):
+    # the label bit n is the last bit of a word (n = 63, 127) or opens a
+    # new one (n = 64, 128); an empty sample and all-zero queries too
+    rng = stream(n, "word_edge", case)
+
+    def bits(count):
+        return [int.from_bytes(rng.bytes(n // 8 + 1), "little")
+                & ((1 << n) - 1) for _ in range(count)]
+
+    m = {"empty": 0, "low-rank": n // 2}.get(case, 2 * n)
+    rows = bits(m)
+    (planted,) = bits(1)
+    labels = [bin(r & planted).count("1") % 2 == 1 for r in rows]
+    if case == "random":
+        labels = rng.integers(0, 2, size=m).astype(bool).tolist()
+    queries = [0] * 4
+    if case != "zero-queries":
+        span = [q for r in rows for q in (r, r ^ rows[0])]
+        queries += bits(8) + span[:8] + [q ^ 1 << (n - 1) for q in span[:8]]
+    assert_matches_oracle(n, rows, labels, queries)
 
 
 class TestProperLearn:
@@ -202,9 +258,9 @@ class TestProtocol:
 def layered_problem(n, m, seed, labels):
     """Bool (m, n+1) labeled rows whose span grows block by block: rows
     [0, 2(n+1)) use the first n - late variables and each later block of
-    2(n+1) rows one more, so ``_rref`` grows its prefix more than once.
-    ``labels``: "planted" (a parity's), "late-flip" (planted, then the
-    last row repeats row 0 with its label flipped) or "random"."""
+    2(n+1) rows one more, so late rows bring late pivots.  ``labels``:
+    "planted" (a parity's), "late-flip" (planted, then the last row
+    repeats row 0 with its label flipped) or "random"."""
     step = 2 * (n + 1)
     late = min(n - 1, m // step - 1)
     rng = stream(seed, "layered")
@@ -224,24 +280,16 @@ def layered_problem(n, m, seed, labels):
                                   (300, 1300)])
 @pytest.mark.parametrize("labels", ["planted", "late-flip", "random"])
 def test_rref_is_the_whole_sample_elimination(n, m, labels):
-    # the reference eliminates every row pivot by pivot, as _rref did
-    # before it reduced rows in products; n = 300 reduces against 299
-    # pivots, so a row's count can pass 255
+    # the reference is the int bitset oracle, which eliminates every row;
+    # n = 300 packs into five words and reduces against up to 299 pivots
     A = layered_problem(n, m, n + m, labels)
-    try:
-        want = _eliminate(A.copy(), n)
-    except ProtocolError:
-        with pytest.raises(ProtocolError, match=INCONSISTENT):
-            _rref(A.copy(), n)
-        return
-    rows, pivots = _rref(A.copy(), n)
-    assert pivots == want[1]
-    assert rows.dtype == bool and np.array_equal(rows, want[0])
+    assert_matches_oracle(n, to_ints(A[:, :n]), A[:, n].tolist(),
+                          to_ints(A[:8, :n]))
 
 
 def one_product_reduce(Q, rows, pivots):
-    """Reference: every row of Q reduced in one GF(2) product, as
-    ``_reduce`` did before it worked in row blocks."""
+    """Reference: every row of the bool matrix Q reduced against the bool
+    RREF rows in one GF(2) product of its pivot bits with them."""
     hits = Q[:, list(pivots)].astype(np.float32) @ rows.astype(np.float32)
     return Q ^ (hits.astype(np.int32) & 1).astype(bool)
 
@@ -253,19 +301,27 @@ def one_product_reduce(Q, rows, pivots):
                          ids=["0", "1", "block-1", "block", "block+1",
                               "3blocks+7"])
 def test_blocked_reduce_is_the_one_product(n, rank, blocks):
-    step = _block_rows(n + 1)
-    assert 4 * (n + 1) * step <= _MMAP_THRESHOLD < 8 * (n + 1) * step \
-        or step == 1
+    # classify answers each query on its own: all queries at once, or
+    # block by block, answer as one GF(2) product with the basis rows
+    step = 64
     m_rows = {"full": 2 * n, "low": n // 2, "zero": 0}[rank]
     _, s = planted_sample(n, max(1, n // 3), m_rows, n)
     basis = gf2_reduce(s)
     whole, extra = blocks
-    Q = stream(n, "queries", rank).integers(
-        0, 2, size=(whole * step + extra, n + 1)).astype(bool)
-    got = _reduce(Q, basis.rows, basis.pivots)
-    assert got.dtype == bool
-    assert np.array_equal(got, one_product_reduce(Q, basis.rows,
-                                                  basis.pivots))
+    X = stream(n, "queries", rank).integers(
+        0, 2, size=(whole * step + extra, n)).astype(bool)
+    rows = np.array([[r >> j & 1 for j in range(n + 1)]
+                     for r in packed_ints(basis.rows)], dtype=bool)
+    Q = one_product_reduce(np.column_stack([X, np.zeros(len(X), bool)]),
+                           rows.reshape(-1, n + 1), basis.pivots)
+    labels, known = basis.classify(X)
+    assert labels.dtype == np.int8
+    assert np.array_equal(known, ~Q[:, :n].any(axis=1))
+    assert np.array_equal(labels, np.where(Q[:, n], 1, -1))
+    for i in range(0, len(X), step):
+        got = basis.classify(X[i:i + step])
+        assert np.array_equal(got[0], labels[i:i + step])
+        assert np.array_equal(got[1], known[i:i + step])
 
 
 def test_parity_run_traced_peak_under_2_mib():
